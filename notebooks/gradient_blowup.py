@@ -20,7 +20,7 @@ from flatlab.nets import Dataset, uniform_params
 arch = Architecture((2, 6, 1))
 gen = SeededRng(21, 7).generator()
 data = Dataset(gen.uniform(-1, 1, (32, 2)), gen.uniform(-1, 1, 32))
-params = uniform_params(arch, SeededRng(21, 8))
+params = uniform_params(arch, SeededRng(21, 8).generator())
 
 alphas = tuple(10.0 ** e for e in np.linspace(0, -3, 7))
 report = alpha_sweep(arch, params, data, alphas,

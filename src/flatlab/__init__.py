@@ -21,14 +21,14 @@ from .rng import SeededRng
 from .transforms import (AlphaScaleDeep, AlphaScaleTwoLayer, DiagonalScaling,
                          InputAffine, PowerStretch, Radial, TransformSpec,
                          WeightNormScale, alpha_scale_deep,
-                         alpha_scale_two_layer, alpha_scale_with_bias,
-                         apply_transform, diagonal_scaling,
-                         epsilon_sharp_alpha, first_last_alphas,
-                         many_directions_alphas, predicted_gradient,
-                         predicted_hessian, radial_forward, radial_inverse,
-                         radial_jacobian, sharpening_alpha,
-                         transform_from_dict, transform_to_dict,
-                         weight_norm_scale, zero_first_layer)
+                         alpha_scale_two_layer, apply_transform,
+                         diagonal_scaling, epsilon_sharp_alpha,
+                         first_last_alphas, many_directions_alphas,
+                         predicted_gradient, predicted_hessian,
+                         radial_forward, radial_inverse, radial_jacobian,
+                         sharpening_alpha, transform_from_dict,
+                         transform_to_dict, weight_norm_scale,
+                         zero_first_layer)
 from .verify import SUITES, SuiteReport, run_suite
 
 __version__ = "0.1.0"
@@ -41,8 +41,8 @@ __all__ = [
     "TransformSpec", "AlphaScaleTwoLayer", "AlphaScaleDeep",
     "WeightNormScale", "Radial", "PowerStretch", "InputAffine",
     "DiagonalScaling", "transform_to_dict", "transform_from_dict",
-    "alpha_scale_two_layer", "alpha_scale_deep", "alpha_scale_with_bias",
-    "weight_norm_scale", "apply_transform", "diagonal_scaling",
+    "alpha_scale_two_layer", "alpha_scale_deep", "weight_norm_scale",
+    "apply_transform", "diagonal_scaling",
     "predicted_gradient", "predicted_hessian", "sharpening_alpha",
     "epsilon_sharp_alpha", "zero_first_layer", "first_last_alphas",
     "many_directions_alphas", "radial_forward", "radial_inverse",

@@ -58,6 +58,11 @@ def _add_data_flags(parser, default_m: int = 64):
                         help="seed for all generated randomness")
 
 
+def _add_jobs_flag(parser):
+    parser.add_argument("--jobs", type=int, default=1, metavar="INT",
+                        help="accepted for compatibility; work runs serially")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="flatlab",
@@ -86,7 +91,7 @@ def build_parser() -> _Parser:
                          help="neighborhood size for sharpness and volume")
     metrics.add_argument("--thresholds", type=_parse_floats, default=(),
                          metavar="LIST", help="eigenvalue count thresholds")
-    metrics.add_argument("--jobs", type=int, default=1, metavar="INT")
+    _add_jobs_flag(metrics)
     metrics.add_argument("--out", metavar="PATH", help="report file")
 
     transform = sub.add_parser(
@@ -106,7 +111,7 @@ def build_parser() -> _Parser:
     sweep.add_argument("--eps", type=float, default=1e-2, metavar="REAL")
     sweep.add_argument("--thresholds", type=_parse_floats, default=(),
                        metavar="LIST")
-    sweep.add_argument("--jobs", type=int, default=1, metavar="INT")
+    _add_jobs_flag(sweep)
     sweep.add_argument("--out", metavar="PATH", help="CSV file")
 
     verify = sub.add_parser(
@@ -114,7 +119,7 @@ def build_parser() -> _Parser:
     verify.add_argument("--suite", default="all", metavar="NAME",
                         help=f"one of: {', '.join(sorted(SUITES))}")
     verify.add_argument("--seed", type=int, default=0, metavar="INT")
-    verify.add_argument("--jobs", type=int, default=1, metavar="INT")
+    _add_jobs_flag(verify)
     verify.add_argument("--out", metavar="PATH", help="report file")
 
     demo = sub.add_parser(
@@ -166,8 +171,7 @@ def _cmd_metrics(args) -> int:
     cfg = SharpnessConfig(epsilon=args.eps, seed=args.seed)
     report = flatness_report(arch, params, data, cfg,
                              thresholds=args.thresholds,
-                             volume=VolumeParams(epsilon=args.eps),
-                             jobs=args.jobs)
+                             volume=VolumeParams(epsilon=args.eps))
     for field, reason in report.skipped:
         print(f"skipped {field}: {reason}", file=sys.stderr)
     _emit(args, to_json(report.to_dict()) + "\n")
@@ -188,7 +192,7 @@ def _cmd_sweep(args) -> int:
     cfg = SharpnessConfig(epsilon=args.eps, seed=args.seed)
     csv = alpha_sweep(arch, params, data, args.alpha, cfg,
                       thresholds=args.thresholds,
-                      volume=VolumeParams(epsilon=args.eps), jobs=args.jobs)
+                      volume=VolumeParams(epsilon=args.eps))
     _emit(args, csv)
     return 0
 

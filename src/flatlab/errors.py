@@ -5,20 +5,20 @@ class KinkProximityError(RuntimeError):
     """An evaluation point sits too close to a rectifier kink.
 
     Second-derivative routines use finite differences of the analytic
-    gradient; inside a band of width ``step`` around a kink the loss is not
-    twice differentiable and the results would be meaningless, so they
-    refuse to run instead.
+    gradient; inside an exclusion band of half-width ``band`` around a kink
+    the stencil straddles the kink and the results would be meaningless, so
+    they refuse to run instead.
     """
 
-    def __init__(self, distance: float, step: float, example_index: int,
+    def __init__(self, distance: float, band: float, example_index: int,
                  layer: int, unit: int):
         self.distance = distance
-        self.step = step
+        self.band = band
         self.example_index = example_index
         self.layer = layer
         self.unit = unit
         super().__init__(
-            f"kink proximity: |preactivation| = {distance:.3e} <= step {step:.3e} "
+            f"kink proximity: |preactivation| = {distance:.3e} <= band {band:.3e} "
             f"for hidden layer {layer}, unit {unit}, example {example_index}"
         )
 

@@ -24,7 +24,7 @@ from .nets import Architecture, Dataset, ParamVector, vec
 from .rng import SeededRng
 from .transforms import (PowerStretch, Radial, TransformSpec, apply_transform,
                          psi_prime, radial_forward, radial_inverse,
-                         transform_from_dict, transform_to_dict)
+                         transform_from_dict)
 
 _STREAM_TEACHER = 1
 _STREAM_INPUTS = 2
@@ -66,7 +66,7 @@ def make_teacher_student(arch: Architecture, seed: int, m: int,
 
     for attempt in range(max_attempts):
         teacher = nets.uniform_params(
-            arch, SeededRng(seed, _STREAM_TEACHER + 16 * attempt))
+            arch, SeededRng(seed, _STREAM_TEACHER + 16 * attempt).generator())
         gen = SeededRng(seed, _STREAM_INPUTS + 16 * attempt).generator()
         rows = []
         exhausted = False
@@ -125,12 +125,13 @@ def train_sgd(arch: Architecture, data: Dataset, cfg: TrainConfig,
     """
     if init is None:
         params = nets.uniform_params(
-            arch, SeededRng(cfg.seed, _STREAM_INIT),
+            arch, SeededRng(cfg.seed, _STREAM_INIT).generator(),
             -cfg.init_scale, cfg.init_scale)
     else:
         nets.check_params(arch, init)
         params = init
 
+    objective = nets.Objective(arch, data)
     flat = vec(arch, params)
     best_flat = flat.copy()
     best_loss = np.inf
@@ -138,8 +139,7 @@ def train_sgd(arch: Architecture, data: Dataset, cfg: TrainConfig,
     trace: list[tuple[float, float]] = []
     epochs_run = 0
     for epoch in range(cfg.epochs):
-        current = nets.unvec(arch, flat)
-        loss_value, grad = nets.loss_and_gradient(arch, current, data)
+        loss_value, grad = objective.loss_grad(flat)
         grad_norm = float(np.linalg.norm(grad))
         trace.append((loss_value, grad_norm))
         epochs_run = epoch + 1
@@ -290,7 +290,7 @@ def forward_deviation(arch: Architecture, before: ParamVector,
     return float(np.max(np.abs(f_after - f_before) / (1.0 + np.abs(f_before))))
 
 
-def run_scenario(spec: ScenarioSpec, jobs: int = 1) -> ScenarioReport:
+def run_scenario(spec: ScenarioSpec) -> ScenarioReport:
     """Obtain a point, transform it, measure both sides, run the checks."""
     start = time.perf_counter()
     data, teacher = make_teacher_student(spec.arch, spec.seed, spec.m,
@@ -302,10 +302,10 @@ def run_scenario(spec: ScenarioSpec, jobs: int = 1) -> ScenarioReport:
 
     grad_residual = float(np.linalg.norm(nets.gradient(spec.arch, params, data)))
     before = flatness_report(spec.arch, params, data, spec.sharpness,
-                             spec.thresholds, spec.volume, jobs=jobs)
+                             spec.thresholds, spec.volume)
     transformed = apply_transform(spec.arch, params, spec.transform)
     after = flatness_report(spec.arch, transformed, data, spec.sharpness,
-                            spec.thresholds, spec.volume, jobs=jobs)
+                            spec.thresholds, spec.volume)
     probes = probe_inputs(spec.arch, spec.seed)
     deviation = forward_deviation(spec.arch, params, transformed, probes)
 
@@ -323,7 +323,7 @@ def run_scenario(spec: ScenarioSpec, jobs: int = 1) -> ScenarioReport:
 def alpha_sweep(arch: Architecture, params: ParamVector, data: Dataset,
                 alphas: tuple[float, ...], cfg: SharpnessConfig,
                 thresholds: tuple[float, ...] = (),
-                volume: VolumeParams | None = None, jobs: int = 1) -> str:
+                volume: VolumeParams | None = None) -> str:
     """CSV of every report column at each two-layer scale of the point."""
     if arch.depth != 2:
         raise ValueError(f"sweep needs a two-layer network, got depth {arch.depth}")
@@ -336,8 +336,7 @@ def alpha_sweep(arch: Architecture, params: ParamVector, data: Dataset,
     lines = ["alpha," + ",".join(CSV_COLUMNS)]
     for alpha in alphas:
         point = alpha_scale_two_layer(arch, params, alpha)
-        report = flatness_report(arch, point, data, cfg, thresholds, volume,
-                                 jobs=jobs)
+        report = flatness_report(arch, point, data, cfg, thresholds, volume)
         lines.append(",".join([format_float(float(alpha))] + report.csv_row()))
     return "\n".join(lines) + "\n"
 
@@ -619,8 +618,3 @@ def demo_spec_from_dict(raw: dict) -> tuple[str, PowerStretch | Radial,
         raise ValueError("demo grid must be [lo, hi, count]")
     lo, hi, count = float(grid[0]), float(grid[1]), int(grid[2])
     return str(loss_name), spec, lo, hi, count
-
-
-def scenario_transform_roundtrip(spec: TransformSpec) -> TransformSpec:
-    """Encode and decode a transform spec; used to pin the file format."""
-    return transform_from_dict(transform_to_dict(spec))

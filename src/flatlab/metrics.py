@@ -13,7 +13,6 @@ copies whose summed volume grows without bound in the number of copies.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from . import nets
 from .errors import KinkProximityError
 from .linalg import require_symmetric, symmetric_eigenspectrum
-from .nets import Architecture, Dataset, ParamVector, FlatIndex, unvec, vec
+from .nets import Architecture, Dataset, FlatIndex, Objective, ParamVector, vec
 from .rng import SeededRng
 from .serialize import format_float
 from .transforms import disjoint_box_alpha, transform_multipliers
@@ -89,13 +88,15 @@ def _subspace_basis(dim: int, subspace_dim: int, rng: SeededRng) -> np.ndarray:
     return q
 
 
-def _ascend_one(arch: Architecture, flat0: np.ndarray, data: Dataset,
+def _ascend_one(objective: Objective, flat0: np.ndarray,
                 cfg: SharpnessConfig, basis: np.ndarray | None,
                 start_id: int) -> tuple[float, np.ndarray] | None:
     """Best loss and offset found from one start; None if discarded.
 
     start_id 0 is the center itself, 1 the deterministic gradient start,
-    2 onward the seeded random restarts.
+    2 onward the seeded random restarts. Each step makes one fused loss
+    and gradient evaluation: the value scores the step, the gradient
+    drives the next one.
     """
     dim = flat0.size
     inner = basis.shape[1] if basis is not None else dim
@@ -103,17 +104,14 @@ def _ascend_one(arch: Architecture, flat0: np.ndarray, data: Dataset,
     def to_offset(z: np.ndarray) -> np.ndarray:
         return basis @ z if basis is not None else z
 
-    def loss_at(z: np.ndarray) -> float:
-        return nets.loss(arch, unvec(arch, flat0 + to_offset(z)), data)
-
-    def grad_at(z: np.ndarray) -> np.ndarray:
-        g = nets.gradient(arch, unvec(arch, flat0 + to_offset(z)), data)
-        return basis.T @ g if basis is not None else g
+    def loss_grad_at(z: np.ndarray) -> tuple[float, np.ndarray]:
+        value, g = objective.loss_grad(flat0 + to_offset(z))
+        return value, (basis.T @ g if basis is not None else g)
 
     if start_id == 0:
         z = np.zeros(inner)
     elif start_id == 1:
-        g = grad_at(np.zeros(inner))
+        _, g = loss_grad_at(np.zeros(inner))
         norm = np.linalg.norm(g)
         if norm == 0.0 or not np.isfinite(norm):
             z = np.zeros(inner)
@@ -123,12 +121,11 @@ def _ascend_one(arch: Architecture, flat0: np.ndarray, data: Dataset,
         gen = SeededRng(cfg.seed, _STREAM_SHARPNESS + start_id).generator()
         z = _ball_point(gen, inner, cfg.epsilon)
 
-    best_loss = loss_at(z)
+    best_loss, g = loss_grad_at(z)
     if not np.isfinite(best_loss):
         return None
     best_z = z.copy()
     for _ in range(cfg.steps):
-        g = grad_at(z)
         norm = np.linalg.norm(g)
         if not np.isfinite(norm) or norm == 0.0:
             break
@@ -136,7 +133,7 @@ def _ascend_one(arch: Architecture, flat0: np.ndarray, data: Dataset,
         znorm = np.linalg.norm(z)
         if znorm > cfg.epsilon:
             z = (cfg.epsilon / znorm) * z
-        value = loss_at(z)
+        value, g = loss_grad_at(z)
         if not np.isfinite(value):
             return None
         if value > best_loss:
@@ -146,12 +143,12 @@ def _ascend_one(arch: Architecture, flat0: np.ndarray, data: Dataset,
 
 
 def epsilon_sharpness(arch: Architecture, params: ParamVector, data: Dataset,
-                      cfg: SharpnessConfig, jobs: int = 1) -> SharpnessResult:
+                      cfg: SharpnessConfig) -> SharpnessResult:
     """Lower bound on max over the epsilon ball of the relative loss rise.
 
-    The center itself is always a candidate, so the value is >= 0. Starts
-    are independent seeded work units merged in index order, which keeps
-    the result identical for any job count.
+    The center itself is always a candidate, so the value is >= 0. Each
+    start draws from its own seeded stream, and starts are merged in
+    index order.
     """
     nets.check_params(arch, params)
     flat0 = vec(arch, params)
@@ -161,15 +158,9 @@ def epsilon_sharpness(arch: Architecture, params: ParamVector, data: Dataset,
         basis = _subspace_basis(flat0.size, cfg.subspace_dim,
                                 SeededRng(cfg.seed, _STREAM_SUBSPACE))
 
-    start_ids = list(range(2 + cfg.restarts))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(
-                lambda sid: _ascend_one(arch, flat0, data, cfg, basis, sid),
-                start_ids))
-    else:
-        outcomes = [_ascend_one(arch, flat0, data, cfg, basis, sid)
-                    for sid in start_ids]
+    objective = Objective(arch, data)
+    outcomes = [_ascend_one(objective, flat0, cfg, basis, sid)
+                for sid in range(2 + cfg.restarts)]
 
     best_loss = base_loss
     best_offset = np.zeros(flat0.size)
@@ -294,11 +285,12 @@ def volume_flatness_certificate(arch: Architecture, params: ParamVector,
     gen = rng.generator()
     base_offsets = gen.uniform(-1.0, 1.0, size=(samples_per_box, n))
 
+    objective = Objective(arch, data)
+
     def box_max_deviation(mult: np.ndarray, radius: float) -> float:
         worst = 0.0
         for row in base_offsets:
-            point = (flat0 + radius * row) * mult
-            value = nets.loss(arch, unvec(arch, point), data)
+            value = objective.loss((flat0 + radius * row) * mult)
             worst = max(worst, value - base_loss)
         return worst
 
@@ -377,11 +369,12 @@ def sublevel_volume_mc(arch: Architecture, params: ParamVector, data: Dataset,
         raise ValueError("halfwidth must be > 0 and samples >= 1")
     flat0 = vec(arch, params)
     base_loss = nets.loss(arch, params, data)
+    objective = Objective(arch, data)
     gen = rng.generator()
     hits = 0
     for _ in range(samples):
         point = flat0 + gen.uniform(-halfwidth, halfwidth, size=flat0.size)
-        if nets.loss(arch, unvec(arch, point), data) < base_loss + epsilon:
+        if objective.loss(point) < base_loss + epsilon:
             hits += 1
     fraction = hits / samples
     stderr = float(np.sqrt(fraction * (1.0 - fraction) / samples))
@@ -478,7 +471,10 @@ def flatness_report(arch: Architecture, params: ParamVector, data: Dataset,
                     thresholds: tuple[float, ...] = (),
                     volume: VolumeParams | None = None,
                     jobs: int = 1) -> FlatnessReport:
-    """Measure one point; skip second-order entries near kinks."""
+    """Measure one point; skip second-order entries near kinks.
+
+    ``jobs`` is accepted and has no effect: the work runs serially.
+    """
     nets.check_params(arch, params)
     loss_value, grad = nets.loss_and_gradient(arch, params, data)
     grad_norm = float(np.linalg.norm(grad))
@@ -504,7 +500,7 @@ def flatness_report(arch: Architecture, params: ParamVector, data: Dataset,
         counts = measures.counts_above
         sharp_2nd = second_order_sharpness(spec_norm, cfg.epsilon, loss_value)
 
-    sharp = epsilon_sharpness(arch, params, data, cfg, jobs=jobs)
+    sharp = epsilon_sharpness(arch, params, data, cfg)
 
     cert = None
     if volume is not None:

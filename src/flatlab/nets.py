@@ -13,21 +13,21 @@ in layer order. All derivative routines and serialized artifacts share
 that layout via :class:`FlatIndex`.
 
 The loss everywhere is mean squared error over a dataset. Its gradient is
-exact backpropagation with the convention ``phi'(0) = 0``. Second
-derivatives come from central finite differences of the analytic
-gradient, which is only meaningful away from rectifier kinks; see
-:func:`hessian` for the guard.
+exact backpropagation with the convention ``phi'(0) = 0``. Loops that
+evaluate it at many flat vectors go through :class:`Objective`, which
+fixes the layout and the data once. Second derivatives come from central
+finite differences of the analytic gradient, which is only meaningful
+away from rectifier kinks; see :func:`hessian` for the guard.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import KinkProximityError
-from .rng import SeededRng
 from .serialize import read_json, write_json
 
 HESSIAN_STEP_COEFF = 1e-4
@@ -113,21 +113,15 @@ class FlatIndex:
 
     def __init__(self, arch: Architecture):
         self.arch = arch
-        offsets = []
-        pos = 0
-        for k in range(arch.depth):
-            rows, cols = arch.weight_shape(k)
-            offsets.append(slice(pos, pos + rows * cols))
-            pos += rows * cols
-        self._weight_slices = tuple(offsets)
-        bias_slices = []
+        self._shapes = tuple(arch.weight_shape(k) for k in range(arch.depth))
+        sizes = [rows * cols for rows, cols in self._shapes]
         if arch.use_bias:
-            for k in range(arch.depth):
-                width = arch.layer_widths[k + 1]
-                bias_slices.append(slice(pos, pos + width))
-                pos += width
-        self._bias_slices = tuple(bias_slices)
-        self.total = pos
+            sizes += arch.layer_widths[1:]
+        bounds = list(accumulate(sizes, initial=0))
+        slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        self._weight_slices = tuple(slices[:arch.depth])
+        self._bias_slices = tuple(slices[arch.depth:])
+        self.total = bounds[-1]
 
     def weight_slice(self, k: int) -> slice:
         return self._weight_slices[k]
@@ -136,6 +130,17 @@ class FlatIndex:
         if not self.arch.use_bias:
             raise ValueError("architecture has no biases")
         return self._bias_slices[k]
+
+    def split(self, flat: np.ndarray):
+        """Per-layer views of a flat vector: ``(weights, biases or None)``."""
+        flat = np.asarray(flat, dtype=float)
+        if flat.shape != (self.total,):
+            raise ValueError(f"flat vector shape {flat.shape} != ({self.total},)")
+        weights = tuple(flat[s].reshape(shape)
+                        for s, shape in zip(self._weight_slices, self._shapes))
+        biases = (tuple(flat[s] for s in self._bias_slices)
+                  if self.arch.use_bias else None)
+        return weights, biases
 
 
 def vec(arch: Architecture, params: ParamVector) -> np.ndarray:
@@ -149,24 +154,15 @@ def vec(arch: Architecture, params: ParamVector) -> np.ndarray:
 
 def unvec(arch: Architecture, flat: np.ndarray) -> ParamVector:
     """Inverse of :func:`vec`."""
-    flat = np.asarray(flat, dtype=float)
-    index = FlatIndex(arch)
-    if flat.shape != (index.total,):
-        raise ValueError(f"flat vector shape {flat.shape} != ({index.total},)")
-    weights = tuple(
-        flat[index.weight_slice(k)].reshape(arch.weight_shape(k))
-        for k in range(arch.depth)
-    )
-    biases = None
-    if arch.use_bias:
-        biases = tuple(flat[index.bias_slice(k)].copy() for k in range(arch.depth))
+    weights, biases = FlatIndex(arch).split(flat)
+    if biases is not None:
+        biases = tuple(b.copy() for b in biases)
     return ParamVector(weights, biases)
 
 
-def uniform_params(arch: Architecture, rng: SeededRng,
+def uniform_params(arch: Architecture, gen: np.random.Generator,
                    low: float = -1.0, high: float = 1.0) -> ParamVector:
-    """Independent uniform draws for every weight and bias."""
-    gen = rng.generator()
+    """Independent uniform draws for every weight, then every bias."""
     weights = tuple(gen.uniform(low, high, size=arch.weight_shape(k))
                     for k in range(arch.depth))
     biases = None
@@ -202,17 +198,17 @@ class Dataset:
         return self.inputs.shape[0]
 
 
-def _forward_full(arch: Architecture, params: ParamVector,
-                  inputs: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _forward_full(weights, biases, inputs: np.ndarray) -> tuple[list, list]:
     """Activations per layer (input included) and hidden preactivations."""
     acts = [inputs]
     pre = []
     a = inputs
-    for k in range(arch.depth):
-        z = a @ params.weights[k]
-        if arch.use_bias:
-            z = z + params.biases[k]
-        if k < arch.depth - 1:
+    last = len(weights) - 1
+    for k, w in enumerate(weights):
+        z = a @ w
+        if biases is not None:
+            z = z + biases[k]
+        if k < last:
             pre.append(z)
             a = np.maximum(z, 0.0)
         else:
@@ -221,22 +217,54 @@ def _forward_full(arch: Architecture, params: ParamVector,
     return acts, pre
 
 
+def _mse(weights, biases, data: Dataset) -> float:
+    acts, _ = _forward_full(weights, biases, data.inputs)
+    diff = acts[-1][:, 0] - data.targets
+    return float(np.mean(diff * diff))
+
+
+def _mse_and_gradient(weights, biases, data: Dataset) -> tuple[float, np.ndarray]:
+    acts, pre = _forward_full(weights, biases, data.inputs)
+    diff = acts[-1][:, 0] - data.targets
+    value = float(np.mean(diff * diff))
+
+    depth = len(weights)
+    delta = (2.0 / data.size) * diff[:, None]
+    grad_w: list[np.ndarray] = [None] * depth
+    grad_b: list[np.ndarray] = [None] * depth
+    for k in range(depth - 1, -1, -1):
+        grad_w[k] = acts[k].T @ delta
+        if biases is not None:
+            grad_b[k] = delta.sum(axis=0)
+        if k > 0:
+            delta = (delta @ weights[k].T) * (pre[k - 1] > 0.0)
+
+    parts = [g.ravel() for g in grad_w]
+    if biases is not None:
+        parts.extend(grad_b)
+    return value, np.concatenate(parts)
+
+
+def _check_input_width(arch: Architecture, x: np.ndarray) -> None:
+    if x.shape[1] != arch.input_width:
+        raise ValueError(f"input width {x.shape[1]} != {arch.input_width}")
+
+
 def forward(arch: Architecture, params: ParamVector,
             inputs: np.ndarray) -> np.ndarray:
     """Network outputs, one scalar per input row."""
     check_params(arch, params)
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
-    if x.shape[1] != arch.input_width:
-        raise ValueError(f"input width {x.shape[1]} != {arch.input_width}")
-    acts, _ = _forward_full(arch, params, x)
+    _check_input_width(arch, x)
+    acts, _ = _forward_full(params.weights, params.biases, x)
     return acts[-1][:, 0]
 
 
 def loss(arch: Architecture, params: ParamVector, data: Dataset) -> float:
     """Mean squared error over the dataset."""
-    out = forward(arch, params, data.inputs)
-    diff = out - data.targets
-    return float(np.mean(diff * diff))
+    check_params(arch, params)
+    _check_input_width(arch, data.inputs)
+    return _mse(params.weights, params.biases, data)
 
 
 def loss_and_gradient(arch: Architecture, params: ParamVector,
@@ -247,30 +275,34 @@ def loss_and_gradient(arch: Architecture, params: ParamVector,
     in particular the derivative at a kink is taken to be 0.
     """
     check_params(arch, params)
-    acts, pre = _forward_full(arch, params, data.inputs)
-    out = acts[-1][:, 0]
-    diff = out - data.targets
-    value = float(np.mean(diff * diff))
-
-    m = data.size
-    delta = (2.0 / m) * diff[:, None]
-    grad_w: list[np.ndarray] = [None] * arch.depth
-    grad_b: list[np.ndarray] = [None] * arch.depth
-    for k in range(arch.depth - 1, -1, -1):
-        grad_w[k] = acts[k].T @ delta
-        if arch.use_bias:
-            grad_b[k] = delta.sum(axis=0)
-        if k > 0:
-            delta = (delta @ params.weights[k].T) * (pre[k - 1] > 0.0)
-
-    parts = [g.ravel() for g in grad_w]
-    if arch.use_bias:
-        parts.extend(grad_b)
-    return value, np.concatenate(parts)
+    return _mse_and_gradient(params.weights, params.biases, data)
 
 
 def gradient(arch: Architecture, params: ParamVector, data: Dataset) -> np.ndarray:
     return loss_and_gradient(arch, params, data)[1]
+
+
+class Objective:
+    """The loss of one architecture on one dataset as a function of the flat
+    parameter vector.
+
+    Built once per (architecture, dataset): the layout is fixed and the
+    data width checked here, so a call only checks the flat length and
+    slices it into per-layer views. Values are bit-identical to
+    :func:`loss` and :func:`loss_and_gradient` at ``unvec(arch, flat)``.
+    """
+
+    def __init__(self, arch: Architecture, data: Dataset):
+        _check_input_width(arch, data.inputs)
+        self.data = data
+        self._index = FlatIndex(arch)
+        self.size = self._index.total
+
+    def loss(self, flat: np.ndarray) -> float:
+        return _mse(*self._index.split(flat), self.data)
+
+    def loss_grad(self, flat: np.ndarray) -> tuple[float, np.ndarray]:
+        return _mse_and_gradient(*self._index.split(flat), self.data)
 
 
 def input_gradient(arch: Architecture, params: ParamVector,
@@ -278,7 +310,7 @@ def input_gradient(arch: Architecture, params: ParamVector,
     """Derivative of the scalar output with respect to each input, rowwise."""
     check_params(arch, params)
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
-    _, pre = _forward_full(arch, params, x)
+    _, pre = _forward_full(params.weights, params.biases, x)
     delta = np.ones((x.shape[0], 1))
     for k in range(arch.depth - 1, 0, -1):
         delta = (delta @ params.weights[k].T) * (pre[k - 1] > 0.0)
@@ -295,7 +327,7 @@ def kink_argmin(arch: Architecture, params: ParamVector,
     are ``-1``.
     """
     check_params(arch, params)
-    _, pre = _forward_full(arch, params, data.inputs)
+    _, pre = _forward_full(params.weights, params.biases, data.inputs)
     best = (np.inf, -1, -1, -1)
     for k, z in enumerate(pre):
         mags = np.abs(z)
@@ -348,21 +380,22 @@ def hessian(arch: Architecture, params: ParamVector, data: Dataset,
         raise ValueError(f"step must be > 0, got {step}")
 
     if arch.depth > 1:
-        acts, _ = _forward_full(arch, params, data.inputs)
+        acts, _ = _forward_full(params.weights, params.biases, data.inputs)
         band = _kink_band(arch, params, acts, step)
         dist, example, layer, unit = kink_argmin(arch, params, data)
         if dist <= band:
             raise KinkProximityError(dist, band, example, layer, unit)
 
+    objective = Objective(arch, data)
     base = vec(arch, params)
     n = base.size
     columns = np.empty((n, n))
     for j in range(n):
         bumped = base.copy()
         bumped[j] = base[j] + step
-        g_plus = gradient(arch, unvec(arch, bumped), data)
+        g_plus = objective.loss_grad(bumped)[1]
         bumped[j] = base[j] - step
-        g_minus = gradient(arch, unvec(arch, bumped), data)
+        g_minus = objective.loss_grad(bumped)[1]
         columns[:, j] = (g_plus - g_minus) / (2.0 * step)
 
     defect = float(np.max(np.abs(columns - columns.T))) if n else 0.0

@@ -4,8 +4,8 @@ Everything random in this package flows through :class:`SeededRng`, a thin
 handle over numpy's counter-based Philox generator. A stream is addressed
 by ``(seed, stream_id)``; the same address yields the same sequence on
 every platform, and distinct stream ids give statistically independent
-sequences. Parallel work units each get their own stream id, so results
-never depend on scheduling order.
+sequences. Each work unit gets its own stream id, so a unit's draws do
+not depend on which units ran before it.
 """
 
 from __future__ import annotations

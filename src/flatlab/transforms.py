@@ -21,6 +21,7 @@ where ``d`` is the flat multiplier vector of :class:`DiagonalScaling`.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
 
@@ -179,72 +180,63 @@ TransformSpec = (AlphaScaleTwoLayer | AlphaScaleDeep | WeightNormScale
                  | Radial | PowerStretch | InputAffine)
 
 
-def transform_to_dict(spec: TransformSpec) -> dict:
-    """JSON-ready encoding with a ``kind`` tag."""
-    if isinstance(spec, AlphaScaleTwoLayer):
-        return {"kind": spec.kind, "alpha": spec.alpha}
-    if isinstance(spec, AlphaScaleDeep):
-        return {"kind": spec.kind, "alphas": list(spec.alphas)}
-    if isinstance(spec, WeightNormScale):
-        return {"kind": spec.kind, "layer": spec.layer, "alpha": spec.alpha}
-    if isinstance(spec, Radial):
-        return {"kind": spec.kind, "center": spec.center.tolist(),
-                "delta": spec.delta, "rho": spec.rho, "rhat": spec.rhat}
-    if isinstance(spec, PowerStretch):
-        return {"kind": spec.kind, "center": spec.center,
-                "a": spec.a, "b": spec.b}
-    if isinstance(spec, InputAffine):
-        return {"kind": spec.kind, "matrix": spec.matrix.tolist(),
-                "shift": spec.shift.tolist()}
-    raise TypeError(f"not a transform spec: {type(spec).__name__}")
-
-
-_TRANSFORM_FIELDS = {
-    "alpha_scale_two_layer": {"alpha"},
-    "alpha_scale_deep": {"alphas"},
-    "weight_norm": {"layer", "alpha"},
-    "radial": {"center", "delta", "rho", "rhat"},
-    "power_stretch": {"center", "a", "b"},
-    "input_affine": {"matrix", "shift"},
+_TRANSFORM_KINDS = {
+    "alpha_scale_two_layer": AlphaScaleTwoLayer,
+    "alpha_scale_deep": AlphaScaleDeep,
+    "weight_norm": WeightNormScale,
+    "radial": Radial,
+    "power_stretch": PowerStretch,
+    "input_affine": InputAffine,
 }
+
+
+def transform_to_dict(spec: TransformSpec) -> dict:
+    """JSON-ready encoding: the ``kind`` tag, then each dataclass field."""
+    if type(spec) not in _TRANSFORM_KINDS.values():
+        raise TypeError(f"not a transform spec: {type(spec).__name__}")
+    out = {"kind": spec.kind}
+    for f in dataclasses.fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[f.name] = value
+    return out
+
+
+def _decode_field(annotation: str, value):
+    """Coerce one JSON value by the field's annotated type."""
+    if annotation == "float":
+        return float(value)
+    if annotation == "int":
+        return int(value)
+    if annotation.startswith("tuple"):
+        return tuple(value)
+    return np.asarray(value, dtype=float)  # np.ndarray
 
 
 def transform_from_dict(raw: dict) -> TransformSpec:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ValueError("transform spec must be an object with a 'kind' field")
     kind = raw["kind"]
-    if kind not in _TRANSFORM_FIELDS:
+    if kind not in _TRANSFORM_KINDS:
         raise ValueError(f"unknown transform kind {kind!r}")
-    fields = {k: v for k, v in raw.items() if k != "kind"}
-    expected = _TRANSFORM_FIELDS[kind]
-    missing = expected - fields.keys()
+    cls = _TRANSFORM_KINDS[kind]
+    annotations = {f.name: f.type for f in dataclasses.fields(cls)}
+    given = {k: v for k, v in raw.items() if k != "kind"}
+    missing = annotations.keys() - given.keys()
     if missing:
         raise ValueError(
             f"transform spec '{kind}' is missing fields {sorted(missing)}"
         )
-    unknown = fields.keys() - expected
+    unknown = given.keys() - annotations.keys()
     if unknown:
         raise ValueError(
             f"transform spec '{kind}' has unknown fields {sorted(unknown)}"
         )
-    if kind == "alpha_scale_two_layer":
-        return AlphaScaleTwoLayer(alpha=float(fields["alpha"]))
-    if kind == "alpha_scale_deep":
-        return AlphaScaleDeep(alphas=tuple(fields["alphas"]))
-    if kind == "weight_norm":
-        return WeightNormScale(layer=int(fields["layer"]),
-                               alpha=float(fields["alpha"]))
-    if kind == "radial":
-        return Radial(center=np.asarray(fields["center"], dtype=float),
-                      delta=float(fields["delta"]),
-                      rho=float(fields["rho"]),
-                      rhat=float(fields["rhat"]))
-    if kind == "power_stretch":
-        return PowerStretch(center=float(fields["center"]),
-                            a=float(fields["a"]),
-                            b=float(fields["b"]))
-    return InputAffine(matrix=np.asarray(fields["matrix"], dtype=float),
-                       shift=np.asarray(fields["shift"], dtype=float))
+    return cls(**{name: _decode_field(annotations[name], value)
+                  for name, value in given.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +290,6 @@ def alpha_scale_two_layer(arch: Architecture, params: ParamVector,
             f"two-layer scaling needs exactly 2 layers, got {arch.depth}"
         )
     return alpha_scale_deep(arch, params, (spec.alpha, 1.0 / spec.alpha))
-
-
-def alpha_scale_with_bias(arch: Architecture, params: ParamVector,
-                          alphas: tuple[float, ...]) -> ParamVector:
-    """Deep scaling on a biased network; rejects bias-free inputs."""
-    if not arch.use_bias:
-        raise ValueError("bias-aware scaling requires a biased architecture")
-    return alpha_scale_deep(arch, params, alphas)
 
 
 def first_last_alphas(depth: int, alpha: float) -> tuple[float, ...]:

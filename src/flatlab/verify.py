@@ -1,15 +1,14 @@
 """Named verification checks over the whole pipeline.
 
 Every check manufactures its own points and data from the run seed, so a
-suite run is a pure function of (suite, seed, thresholds). Reports
-serialize canonically: repeated runs produce identical bytes, and any
---jobs setting yields the same numbers because work units are keyed by
-index and merged in index order.
+suite run is a pure function of (suite, seed, thresholds). Work units
+are keyed by index, each with its own random stream, and run serially in
+index order. Reports serialize canonically: repeated runs produce
+identical bytes.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,16 +20,15 @@ from .experiments import (forward_deviation, make_teacher_student,
 from .linalg import symmetric_eigenspectrum
 from .metrics import (SharpnessConfig, epsilon_sharpness, hessian_measures,
                       volume_flatness_certificate)
-from .nets import Architecture, Dataset, FlatIndex, ParamVector
+from .nets import Architecture, Dataset, FlatIndex, uniform_params
 from .rng import SeededRng
 from .transforms import (PowerStretch, Radial, alpha_scale_deep,
-                         alpha_scale_two_layer, alpha_scale_with_bias,
-                         diagonal_scaling, epsilon_sharp_alpha,
-                         first_last_alphas, many_directions_alphas,
-                         predicted_gradient, predicted_hessian,
-                         radial_forward, radial_inverse, radial_jacobian,
-                         sharpening_alpha, weight_norm_scale,
-                         zero_first_layer)
+                         alpha_scale_two_layer, diagonal_scaling,
+                         epsilon_sharp_alpha, first_last_alphas,
+                         many_directions_alphas, predicted_gradient,
+                         predicted_hessian, radial_forward, radial_inverse,
+                         radial_jacobian, sharpening_alpha,
+                         weight_norm_scale, zero_first_layer)
 
 
 @dataclass(frozen=True)
@@ -69,30 +67,9 @@ def _unit_seed(seed: int, check_index: int, unit: int) -> int:
     return seed * 1_000_000 + check_index * 10_000 + unit
 
 
-def _parallel_map(fn, count: int, jobs: int) -> list:
-    if jobs <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def _finite(x) -> float | None:
     value = float(x)
     return value if np.isfinite(value) else None
-
-
-def _random_params(arch: Architecture, gen, scale: float = 1.0) -> ParamVector:
-    weights = [gen.uniform(-scale, scale, size=arch.weight_shape(k))
-               for k in range(arch.depth)]
-    biases = None
-    if arch.use_bias:
-        biases = [gen.uniform(-scale, scale, size=arch.layer_widths[k + 1])
-                  for k in range(arch.depth)]
-    return ParamVector(weights, biases)
-
-
-def _relative_deviation(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(a - b) / (1.0 + np.abs(b))))
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +80,7 @@ _EQUIVALENCE_TRIPLES = 1000
 _EQUIVALENCE_TOL = 1e-9
 
 
-def _check_equivalence(seed: int, jobs: int) -> CheckOutcome:
+def _check_equivalence(seed: int) -> CheckOutcome:
     """Transformed parameters realize the same function, point by point."""
 
     def one(i: int) -> float:
@@ -112,7 +89,7 @@ def _check_equivalence(seed: int, jobs: int) -> CheckOutcome:
         if family == 0:  # two-layer scale
             arch = Architecture((int(gen.integers(1, 5)),
                                  int(gen.integers(1, 9)), 1))
-            params = _random_params(arch, gen)
+            params = uniform_params(arch, gen)
             alpha = float(np.exp(gen.uniform(np.log(0.2), np.log(5.0))))
             moved = alpha_scale_two_layer(arch, params, alpha)
         elif family in (1, 2):  # deep scale, without and with biases
@@ -121,30 +98,25 @@ def _check_equivalence(seed: int, jobs: int) -> CheckOutcome:
             widths += [int(gen.integers(1, 7)) for _ in range(depth - 1)]
             widths.append(1)
             arch = Architecture(tuple(widths), use_bias=(family == 2))
-            params = _random_params(arch, gen)
+            params = uniform_params(arch, gen)
             head = [float(np.exp(gen.uniform(np.log(0.3), np.log(3.0))))
                     for _ in range(depth - 1)]
             alphas = tuple(head) + (1.0 / float(np.prod(head)),)
-            if family == 2:
-                moved = alpha_scale_with_bias(arch, params, alphas)
-            else:
-                moved = alpha_scale_deep(arch, params, alphas)
+            moved = alpha_scale_deep(arch, params, alphas)
         else:  # weight-norm scale with alpha > 0
             depth = int(gen.integers(2, 4))
             widths = ([int(gen.integers(1, 5))]
                       + [int(gen.integers(1, 6)) for _ in range(depth - 1)]
                       + [1])
             arch = Architecture(tuple(widths))
-            params = _random_params(arch, gen)
+            params = uniform_params(arch, gen)
             layer = int(gen.integers(0, depth))
             alpha = float(np.exp(gen.uniform(np.log(0.1), np.log(10.0))))
             moved = weight_norm_scale(arch, params, layer, alpha)
         x = gen.uniform(-2.0, 2.0, size=(1, arch.input_width))
-        before = nets.forward(arch, params, x)
-        after = nets.forward(arch, moved, x)
-        return _relative_deviation(after, before)
+        return forward_deviation(arch, params, moved, x)
 
-    deviations = _parallel_map(one, _EQUIVALENCE_TRIPLES, jobs)
+    deviations = [one(i) for i in range(_EQUIVALENCE_TRIPLES)]
     worst = max(deviations)
     passed = worst <= _EQUIVALENCE_TOL
     detail = "" if passed else (
@@ -168,7 +140,7 @@ _GRAD_LAW_TOL = 1e-8
 _HESS_LAW_TOL = 1e-4
 
 
-def _check_derivative_laws(seed: int, jobs: int) -> CheckOutcome:
+def _check_derivative_laws(seed: int) -> CheckOutcome:
     """Predicted derivatives at the moved point match re-evaluation."""
     pool = (
         ((2, 3, 1), False),
@@ -182,7 +154,7 @@ def _check_derivative_laws(seed: int, jobs: int) -> CheckOutcome:
         widths, bias = pool[i % len(pool)]
         arch = Architecture(widths, use_bias=bias)
         for _ in range(60):
-            params = _random_params(arch, gen)
+            params = uniform_params(arch, gen)
             inputs = gen.uniform(-1.0, 1.0, size=(8, arch.input_width))
             targets = gen.uniform(-1.0, 1.0, size=8)
             data = Dataset(inputs, targets)
@@ -207,7 +179,7 @@ def _check_derivative_laws(seed: int, jobs: int) -> CheckOutcome:
             return grad_err, hess_err
         raise RuntimeError(f"no smooth point found for unit {i}")
 
-    results = _parallel_map(one, _DERIVATIVE_POINTS, jobs)
+    results = [one(i) for i in range(_DERIVATIVE_POINTS)]
     worst_grad = max(r[0] for r in results)
     worst_hess = max(r[1] for r in results)
     passed = worst_grad <= _GRAD_LAW_TOL and worst_hess <= _HESS_LAW_TOL
@@ -243,7 +215,7 @@ _SHARPEN_ARCHS = (
 )
 
 
-def _check_sharpening(seed: int, jobs: int) -> CheckOutcome:
+def _check_sharpening(seed: int) -> CheckOutcome:
     """Certified scale choice drives the spectral norm past any target."""
 
     def one(i: int) -> dict:
@@ -268,7 +240,7 @@ def _check_sharpening(seed: int, jobs: int) -> CheckOutcome:
                           forward_deviation(arch, teacher, moved, probes))
         return {"margin": min_margin, "deviation": max_dev}
 
-    results = _parallel_map(one, len(_SHARPEN_ARCHS), jobs)
+    results = [one(i) for i in range(len(_SHARPEN_ARCHS))]
     min_margin = min(r["margin"] for r in results)
     max_dev = max(r["deviation"] for r in results)
     passed = min_margin >= 1.0 and max_dev <= _EQUIVALENCE_TOL
@@ -293,7 +265,7 @@ _MANY_TARGET = 1e3
 _MANY_UNITS = (False, False, False, False, False, True, True, True)
 
 
-def _check_many_directions(seed: int, jobs: int) -> CheckOutcome:
+def _check_many_directions(seed: int) -> CheckOutcome:
     """Layer-wise scaling pushes almost the whole rank past the target."""
 
     def one(i: int) -> dict:
@@ -327,7 +299,7 @@ def _check_many_directions(seed: int, jobs: int) -> CheckOutcome:
                 "beta": beta, "grad_norm": grad_norm,
                 "ok": count >= guarantee and grad_norm <= 1e-6}
 
-    results = _parallel_map(one, len(_MANY_UNITS), jobs)
+    results = [one(i) for i in range(len(_MANY_UNITS))]
     passed = all(r["ok"] for r in results)
     worst_gap = min(r["count"] - r["guarantee"] for r in results)
     detail = "" if passed else "; ".join(
@@ -356,7 +328,7 @@ _VOLUME_UNITS = (
 )
 
 
-def _check_volume(seed: int, jobs: int) -> CheckOutcome:
+def _check_volume(seed: int) -> CheckOutcome:
     """Certified lower bound keeps growing box after box."""
 
     def one(i: int) -> dict:
@@ -379,7 +351,7 @@ def _check_volume(seed: int, jobs: int) -> CheckOutcome:
                 "min_increment": float(np.min(increments)),
                 "constant_dev": constant_dev, "valid": cert.valid}
 
-    results = _parallel_map(one, len(_VOLUME_UNITS), jobs)
+    results = [one(i) for i in range(len(_VOLUME_UNITS))]
     passed = all(r["ok"] for r in results)
     detail = "" if passed else "; ".join(
         f"unit {i} failed (valid={r['valid']}, "
@@ -404,7 +376,7 @@ _BALL_UNITS = 20
 _BALL_EPSILON = 1e-2
 
 
-def _check_ball_sharpness(seed: int, jobs: int) -> CheckOutcome:
+def _check_ball_sharpness(seed: int) -> CheckOutcome:
     """After rescaling, the ball reaches the zero-first-layer loss level."""
 
     def one(i: int) -> dict:
@@ -428,7 +400,7 @@ def _check_ball_sharpness(seed: int, jobs: int) -> CheckOutcome:
         return {"ok": ok, "ratio": after / bound if bound > 0 else np.inf,
                 "after": after, "before": before, "deviation": deviation}
 
-    results = _parallel_map(one, _BALL_UNITS, jobs)
+    results = [one(i) for i in range(_BALL_UNITS)]
     passed = all(r["ok"] for r in results)
     detail = "" if passed else "; ".join(
         f"unit {i}: sharpness {r['after']:.4e} below bound "
@@ -452,7 +424,7 @@ _SLOPE_UNITS = 3
 _SLOPE_TOL = 0.05
 
 
-def _check_gradient_slope(seed: int, jobs: int) -> CheckOutcome:
+def _check_gradient_slope(seed: int) -> CheckOutcome:
     """Log-log slope of gradient norm against the scale factor is -1."""
 
     def one(i: int) -> float:
@@ -461,7 +433,7 @@ def _check_gradient_slope(seed: int, jobs: int) -> CheckOutcome:
         index = FlatIndex(arch)
         first = index.weight_slice(0)
         for _ in range(500):
-            params = _random_params(arch, gen)
+            params = uniform_params(arch, gen)
             inputs = gen.uniform(-1.0, 1.0, size=(16, 2))
             targets = gen.uniform(-1.0, 1.0, size=16)
             data = Dataset(inputs, targets)
@@ -482,7 +454,7 @@ def _check_gradient_slope(seed: int, jobs: int) -> CheckOutcome:
         slope = float(np.polyfit(np.log(alphas_grid), np.log(norms), 1)[0])
         return slope
 
-    slopes = _parallel_map(one, _SLOPE_UNITS, jobs)
+    slopes = [one(i) for i in range(_SLOPE_UNITS)]
     worst = max(abs(s + 1.0) for s in slopes)
     passed = worst <= _SLOPE_TOL
     detail = "" if passed else (
@@ -503,7 +475,7 @@ _RADIAL_POINTS = 500
 _RADIAL_DIM = 7
 
 
-def _check_radial(seed: int, jobs: int) -> CheckOutcome:
+def _check_radial(seed: int) -> CheckOutcome:
     """Round trips, printed Jacobian, and bitwise identity outside."""
     gen = SeededRng(_unit_seed(seed, 8, 0), 7).generator()
     center = gen.uniform(-1.0, 1.0, size=_RADIAL_DIM)
@@ -548,7 +520,7 @@ def _check_radial(seed: int, jobs: int) -> CheckOutcome:
                 outer_exact = False
         return {"round": worst_round, "jac": worst_jac, "exact": outer_exact}
 
-    results = _parallel_map(one, len(bands), jobs)
+    results = [one(i) for i in range(len(bands))]
     worst_round = max(r["round"] for r in results)
     worst_jac = max(r["jac"] for r in results)
     outer_exact = results[2]["exact"]
@@ -581,7 +553,7 @@ _CONGRUENCE_UNITS = (
 )
 
 
-def _check_curvature_congruence(seed: int, jobs: int) -> CheckOutcome:
+def _check_curvature_congruence(seed: int) -> CheckOutcome:
     """Transformed curve curvature equals the congruence prediction."""
 
     def one(i: int) -> dict:
@@ -597,7 +569,7 @@ def _check_curvature_congruence(seed: int, jobs: int) -> CheckOutcome:
         return {"ok": ok, "minima": len(demo.minima), "expected": expected,
                 "minima_err": minima_err, "noncrit_err": noncrit_err}
 
-    results = _parallel_map(one, len(_CONGRUENCE_UNITS), jobs)
+    results = [one(i) for i in range(len(_CONGRUENCE_UNITS))]
     passed = all(r["ok"] for r in results)
     detail = "" if passed else "; ".join(
         f"demo {i}: found {r['minima']} of {r['expected']} minima, "
@@ -638,6 +610,7 @@ SUITES["all"] = CHECK_ORDER
 
 def run_suite(suite: str, seed: int, jobs: int = 1,
               progress=None) -> SuiteReport:
+    """Run the suite's checks in order; ``jobs`` is validated, work is serial."""
     if suite not in SUITES:
         raise ValueError(
             f"unknown suite {suite!r}; available: {', '.join(sorted(SUITES))}"
@@ -646,7 +619,7 @@ def run_suite(suite: str, seed: int, jobs: int = 1,
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     outcomes = []
     for name in SUITES[suite]:
-        outcome = CHECKS[name](seed, jobs)
+        outcome = CHECKS[name](seed)
         if progress is not None:
             verdict = "pass" if outcome.passed else "FAIL"
             progress(f"check {name}: {verdict}")

@@ -64,7 +64,7 @@ def test_train_zero_rate_leaves_parameters():
     cfg = TrainConfig(learning_rate=0.0, epochs=3, seed=74)
     result = train_sgd(arch, data, cfg)
     from flatlab.nets import uniform_params
-    init = uniform_params(arch, SeededRng(74, 3), -0.5, 0.5)
+    init = uniform_params(arch, SeededRng(74, 3).generator(), -0.5, 0.5)
     for a, b in zip(result.params.weights, init.weights):
         assert np.array_equal(a, b)
 
@@ -193,7 +193,7 @@ def test_alpha_sweep_loss_constant_and_header():
 def test_alpha_sweep_gradient_slope_at_generic_point():
     arch = Architecture((2, 4, 1))
     from flatlab.nets import uniform_params
-    params = uniform_params(arch, SeededRng(83, 6))
+    params = uniform_params(arch, SeededRng(83, 6).generator())
     gen = SeededRng(83, 7).generator()
     data = Dataset(gen.uniform(-1, 1, (16, 2)), gen.uniform(-1, 1, 16))
     alphas = tuple(10.0 ** e for e in np.linspace(-1, -3, 5))

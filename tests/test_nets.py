@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from flatlab.errors import KinkProximityError
-from flatlab.nets import (Architecture, Dataset, FlatIndex, ParamVector,
-                          check_params, forward, gradient, hessian,
+from flatlab.nets import (Architecture, Dataset, FlatIndex, Objective,
+                          ParamVector, check_params, forward, gradient, hessian,
                           hessian_step, input_gradient, kink_argmin,
                           kink_distance, load_checkpoint, loss,
                           loss_and_gradient, save_checkpoint, uniform_params,
@@ -65,7 +65,7 @@ def test_gradient_matches_finite_differences():
     for widths, bias in (((2, 3, 1), False), ((2, 4, 1), True),
                          ((3, 4, 4, 1), False)):
         arch = Architecture(widths, use_bias=bias)
-        params = uniform_params(arch, SeededRng(22))
+        params = uniform_params(arch, SeededRng(22).generator())
         data = Dataset(gen.uniform(-1, 1, (6, arch.input_width)),
                        gen.uniform(-1, 1, 6))
         g = gradient(arch, params, data)
@@ -95,7 +95,7 @@ def test_gradient_is_zero_on_inactive_path():
 
 def test_vec_unvec_round_trip():
     arch = Architecture((2, 3, 1), use_bias=True)
-    params = uniform_params(arch, SeededRng(23))
+    params = uniform_params(arch, SeededRng(23).generator())
     back = unvec(arch, vec(arch, params))
     for a, b in zip(params.weights, back.weights):
         assert np.array_equal(a, b)
@@ -115,7 +115,7 @@ def test_flat_index_layout():
 
 def test_hessian_matches_fd_of_gradient_oracle():
     arch = Architecture((2, 3, 1))
-    params = uniform_params(arch, SeededRng(24))
+    params = uniform_params(arch, SeededRng(24).generator())
     gen = SeededRng(25).generator()
     data = Dataset(gen.uniform(-1, 1, (6, 2)), gen.uniform(-1, 1, 6))
     h = hessian(arch, params, data)
@@ -158,9 +158,52 @@ def test_hessian_refuses_kink_proximity():
         hessian(arch, params, data)
 
 
+def test_kink_refusal_names_the_band():
+    arch = Architecture((1, 1, 1))
+    # preactivation 1e-7: nonzero, but well inside the exclusion band
+    params = ParamVector([np.array([[1e-7]]), np.array([[1.0]])])
+    data = Dataset(np.array([[1.0]]), np.array([1.0]))
+    with pytest.raises(KinkProximityError) as info:
+        hessian(arch, params, data)
+    exc = info.value
+    assert str(exc).startswith("kink proximity")
+    assert f"<= band {exc.band:.3e}" in str(exc)
+    assert exc.band > exc.distance > 0.0
+
+
+@pytest.mark.parametrize("widths,bias", [((1, 3, 1), False),
+                                         ((2, 4, 1), True),
+                                         ((3, 4, 4, 1), False)])
+def test_objective_bit_equal_to_public_loss(widths, bias):
+    arch = Architecture(widths, use_bias=bias)
+    gen = SeededRng(30).generator()
+    data = Dataset(gen.uniform(-1, 1, (9, widths[0])), gen.uniform(-1, 1, 9))
+    objective = Objective(arch, data)
+    for _ in range(3):
+        params = uniform_params(arch, gen)
+        flat = vec(arch, params)
+        value, grad = objective.loss_grad(flat)
+        ref_value, ref_grad = loss_and_gradient(arch, params, data)
+        assert objective.loss(flat) == loss(arch, params, data)
+        assert value == ref_value
+        assert np.array_equal(grad, ref_grad)
+
+
+def test_objective_rejects_bad_shapes():
+    arch = Architecture((2, 4, 1))
+    data = Dataset(np.zeros((3, 2)), np.zeros(3))
+    objective = Objective(arch, data)
+    with pytest.raises(ValueError):
+        objective.loss(np.zeros(objective.size + 1))
+    with pytest.raises(ValueError):
+        objective.loss_grad(np.zeros(objective.size - 1))
+    with pytest.raises(ValueError):
+        Objective(arch, Dataset(np.zeros((3, 3)), np.zeros(3)))
+
+
 def test_kink_argmin_matches_enumeration():
     arch = Architecture((2, 4, 1), use_bias=True)
-    params = uniform_params(arch, SeededRng(26))
+    params = uniform_params(arch, SeededRng(26).generator())
     gen = SeededRng(27).generator()
     data = Dataset(gen.uniform(-1, 1, (5, 2)), np.zeros(5))
     dist, example, layer, unit = kink_argmin(arch, params, data)
@@ -181,7 +224,7 @@ def test_hessian_step_scales_with_magnitude():
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
     arch = Architecture((2, 5, 1), use_bias=True)
-    params = uniform_params(arch, SeededRng(28))
+    params = uniform_params(arch, SeededRng(28).generator())
     path = str(tmp_path / "ckpt.json")
     save_checkpoint(path, arch, params)
     arch2, params2 = load_checkpoint(path)
@@ -216,7 +259,7 @@ def test_check_params_shape_mismatch():
 
 def test_input_gradient_matches_fd():
     arch = Architecture((3, 4, 1))
-    params = uniform_params(arch, SeededRng(29))
+    params = uniform_params(arch, SeededRng(29).generator())
     gen = SeededRng(30).generator()
     x = gen.uniform(-1, 1, (4, 3))
     dg = input_gradient(arch, params, x)

@@ -9,11 +9,11 @@ from flatlab.rng import SeededRng
 from flatlab.transforms import (AlphaScaleDeep, AlphaScaleTwoLayer,
                                 InputAffine, PowerStretch, Radial,
                                 WeightNormScale, alpha_scale_deep,
-                                alpha_scale_two_layer, alpha_scale_with_bias,
-                                apply_transform, diagonal_scaling,
-                                disjoint_box_alpha, epsilon_sharp_alpha,
-                                first_last_alphas, fold_input_affine,
-                                input_affine_apply, many_directions_alphas,
+                                alpha_scale_two_layer, apply_transform,
+                                diagonal_scaling, disjoint_box_alpha,
+                                epsilon_sharp_alpha, first_last_alphas,
+                                fold_input_affine, input_affine_apply,
+                                many_directions_alphas,
                                 power_stretch_derivative,
                                 power_stretch_forward,
                                 power_stretch_second_derivative,
@@ -31,7 +31,7 @@ ARCH3 = Architecture((3, 4, 4, 1))
 
 
 def _params(arch, seed=0):
-    return uniform_params(arch, SeededRng(seed, 33))
+    return uniform_params(arch, SeededRng(seed, 33).generator())
 
 
 def _data(arch, seed=0, m=8):
@@ -76,7 +76,7 @@ def test_deep_scale_bias_chain():
         [np.ones((1, 2)), np.ones((2, 2)), np.ones((2, 1))],
         [np.ones(2), np.ones(2), np.ones(1)])
     alphas = (2.0, 4.0, 1.0 / 8.0)
-    moved = alpha_scale_with_bias(arch, params, alphas)
+    moved = alpha_scale_deep(arch, params, alphas)
     assert np.allclose(moved.weights[0], 2.0)
     assert np.allclose(moved.weights[1], 4.0)
     assert np.allclose(moved.weights[2], 1.0 / 8.0)
