@@ -3,7 +3,10 @@
 The ball sharpness maximizer is a lower-bound estimator: projected
 gradient ascent inside the epsilon ball from a deterministic start along
 the gradient plus seeded random restarts. Reported values never claim to
-be the true maximum.
+be the true maximum. The starts advance in lockstep, one stacked
+:class:`~flatlab.nets.Objective` evaluation a step; the volume
+certificate and the Monte Carlo volume evaluate their samples as stacks
+too. Each row of a stack is bit-identical to evaluating it alone.
 
 The volume certificate is the constructive side of the infinite-volume
 argument: a sup-norm box of nearly constant loss around the point,
@@ -30,6 +33,9 @@ _STREAM_SHARPNESS = 1000
 _STREAM_SUBSPACE = 1500
 _STREAM_MC = 2000
 _STREAM_BOX = 3000
+# Floats of activations one block of sample rows is sized to (2 MiB), so
+# the sample loops' memory stays bounded whatever the sample count.
+_BLOCK_ELEMENTS = 1 << 18
 
 CSV_COLUMNS = ("loss", "grad_norm", "kink_dist", "spec_norm", "trace",
                "eps_sharp", "sharp_2nd", "vol_lb")
@@ -88,67 +94,22 @@ def _subspace_basis(dim: int, subspace_dim: int, rng: SeededRng) -> np.ndarray:
     return q
 
 
-def _ascend_one(objective: Objective, flat0: np.ndarray,
-                cfg: SharpnessConfig, basis: np.ndarray | None,
-                start_id: int) -> tuple[float, np.ndarray] | None:
-    """Best loss and offset found from one start; None if discarded.
-
-    start_id 0 is the center itself, 1 the deterministic gradient start,
-    2 onward the seeded random restarts. Each step makes one fused loss
-    and gradient evaluation: the value scores the step, the gradient
-    drives the next one.
-    """
-    dim = flat0.size
-    inner = basis.shape[1] if basis is not None else dim
-
-    def to_offset(z: np.ndarray) -> np.ndarray:
-        return basis @ z if basis is not None else z
-
-    def loss_grad_at(z: np.ndarray) -> tuple[float, np.ndarray]:
-        value, g = objective.loss_grad(flat0 + to_offset(z))
-        return value, (basis.T @ g if basis is not None else g)
-
-    if start_id == 0:
-        z = np.zeros(inner)
-    elif start_id == 1:
-        _, g = loss_grad_at(np.zeros(inner))
-        norm = np.linalg.norm(g)
-        if norm == 0.0 or not np.isfinite(norm):
-            z = np.zeros(inner)
-        else:
-            z = (cfg.epsilon / norm) * g
-    else:
-        gen = SeededRng(cfg.seed, _STREAM_SHARPNESS + start_id).generator()
-        z = _ball_point(gen, inner, cfg.epsilon)
-
-    best_loss, g = loss_grad_at(z)
-    if not np.isfinite(best_loss):
-        return None
-    best_z = z.copy()
-    for _ in range(cfg.steps):
-        norm = np.linalg.norm(g)
-        if not np.isfinite(norm) or norm == 0.0:
-            break
-        z = z + (cfg.step_size * cfg.epsilon / norm) * g
-        znorm = np.linalg.norm(z)
-        if znorm > cfg.epsilon:
-            z = (cfg.epsilon / znorm) * z
-        value, g = loss_grad_at(z)
-        if not np.isfinite(value):
-            return None
-        if value > best_loss:
-            best_loss = value
-            best_z = z.copy()
-    return best_loss, to_offset(best_z)
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, by the dot product ``np.linalg.norm`` uses."""
+    return np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
 
 
 def epsilon_sharpness(arch: Architecture, params: ParamVector, data: Dataset,
                       cfg: SharpnessConfig) -> SharpnessResult:
     """Lower bound on max over the epsilon ball of the relative loss rise.
 
-    The center itself is always a candidate, so the value is >= 0. Each
-    start draws from its own seeded stream, and starts are merged in
-    index order.
+    Start 0 is the center itself, 1 the deterministic gradient start, 2
+    onward the seeded random restarts, each from its own stream. All starts
+    step in lockstep: one stacked loss and gradient evaluation a step, whose
+    value scores each start's step and whose gradient drives its next one.
+    A start stops on a zero or non-finite gradient and is discarded on a
+    non-finite loss. Starts are merged in index order, and the center is
+    always a candidate, so the value is >= 0.
     """
     nets.check_params(arch, params)
     flat0 = vec(arch, params)
@@ -157,24 +118,57 @@ def epsilon_sharpness(arch: Architecture, params: ParamVector, data: Dataset,
     if cfg.subspace_dim is not None:
         basis = _subspace_basis(flat0.size, cfg.subspace_dim,
                                 SeededRng(cfg.seed, _STREAM_SUBSPACE))
-
     objective = Objective(arch, data)
-    outcomes = [_ascend_one(objective, flat0, cfg, basis, sid)
-                for sid in range(2 + cfg.restarts)]
+    eps = cfg.epsilon
+
+    def loss_grad_at(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if basis is None:
+            return objective.loss_grad(flat0 + z)
+        values, g = objective.loss_grad(flat0 + (basis @ z[:, :, None])[:, :, 0])
+        return values, (basis.T @ g[:, :, None])[:, :, 0]
+
+    inner = flat0.size if basis is None else basis.shape[1]
+    z = np.zeros((2 + cfg.restarts, inner))
+    g_center = loss_grad_at(z[:1])[1]
+    norm = _row_norms(g_center)[0]
+    if norm != 0.0 and np.isfinite(norm):
+        z[1] = (eps / norm) * g_center[0]
+    for sid in range(2, len(z)):
+        gen = SeededRng(cfg.seed, _STREAM_SHARPNESS + sid).generator()
+        z[sid] = _ball_point(gen, inner, eps)
+
+    best, g = loss_grad_at(z)
+    kept = np.isfinite(best)
+    best_z = z.copy()
+    rows = np.flatnonzero(kept)
+    for _ in range(cfg.steps):
+        norms = _row_norms(g[rows])
+        moving = np.isfinite(norms) & (norms != 0.0)
+        rows, norms = rows[moving], norms[moving]
+        if rows.size == 0:
+            break
+        step = z[rows] + ((cfg.step_size * eps) / norms)[:, None] * g[rows]
+        znorms = _row_norms(step)
+        out = znorms > eps
+        step[out] = (eps / znorms[out])[:, None] * step[out]
+        values, g[rows] = loss_grad_at(step)
+        z[rows] = step
+        finite = np.isfinite(values)
+        kept[rows[~finite]] = False
+        better = finite & (values > best[rows])
+        best[rows[better]] = values[better]
+        best_z[rows[better]] = step[better]
+        rows = rows[finite]
 
     best_loss = base_loss
     best_offset = np.zeros(flat0.size)
-    discarded = 0
-    for outcome in outcomes:
-        if outcome is None:
-            discarded += 1
-            continue
-        found_loss, offset = outcome
-        if found_loss > best_loss:
-            best_loss = found_loss
-            best_offset = offset
+    for sid in np.flatnonzero(kept):
+        if best[sid] > best_loss:
+            best_loss = float(best[sid])
+            best_offset = best_z[sid] if basis is None else basis @ best_z[sid]
     value = (best_loss - base_loss) / (1.0 + base_loss)
-    return SharpnessResult(max(value, 0.0), best_offset, discarded)
+    return SharpnessResult(max(value, 0.0), best_offset,
+                           int(np.count_nonzero(~kept)))
 
 
 def second_order_sharpness(hessian_norm: float, epsilon: float,
@@ -245,6 +239,24 @@ class VolumeCertificate:
         return self.lower_bounds[-1] if self.lower_bounds else 0.0
 
 
+def _block_rows(objective: Objective) -> int:
+    """Rows of one sample block: the element budget over a row's activations."""
+    row_elements = (objective.data.size * sum(objective.arch.layer_widths)
+                    + objective.size)
+    return max(1, _BLOCK_ELEMENTS // row_elements)
+
+
+def _sample_losses(objective: Objective, count: int, make_rows):
+    """Losses of ``count`` sample rows, one stacked evaluation a block.
+
+    ``make_rows(start, rows)`` builds the next ``rows`` rows from row
+    ``start`` on, so the rows are built in order and only one block is held.
+    """
+    block = _block_rows(objective)
+    for start in range(0, count, block):
+        yield objective.loss(make_rows(start, min(block, count - start)))
+
+
 def volume_flatness_certificate(arch: Architecture, params: ParamVector,
                                 data: Dataset, epsilon: float,
                                 boxes: int, samples_per_box: int,
@@ -289,9 +301,10 @@ def volume_flatness_certificate(arch: Architecture, params: ParamVector,
 
     def box_max_deviation(mult: np.ndarray, radius: float) -> float:
         worst = 0.0
-        for row in base_offsets:
-            value = objective.loss((flat0 + radius * row) * mult)
-            worst = max(worst, value - base_loss)
+        for losses in _sample_losses(
+                objective, samples_per_box,
+                lambda i, k: (flat0 + radius * base_offsets[i:i + k]) * mult):
+            worst = max([worst, *(losses - base_loss).tolist()])
         return worst
 
     # validate the base box, shrinking r until the loss bound holds on it
@@ -372,10 +385,11 @@ def sublevel_volume_mc(arch: Architecture, params: ParamVector, data: Dataset,
     objective = Objective(arch, data)
     gen = rng.generator()
     hits = 0
-    for _ in range(samples):
-        point = flat0 + gen.uniform(-halfwidth, halfwidth, size=flat0.size)
-        if objective.loss(point) < base_loss + epsilon:
-            hits += 1
+    for losses in _sample_losses(
+            objective, samples,
+            lambda _, rows: flat0 + gen.uniform(-halfwidth, halfwidth,
+                                                size=(rows, flat0.size))):
+        hits += int(np.count_nonzero(losses < base_loss + epsilon))
     fraction = hits / samples
     stderr = float(np.sqrt(fraction * (1.0 - fraction) / samples))
     return fraction, stderr

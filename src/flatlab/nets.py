@@ -132,13 +132,19 @@ class FlatIndex:
         return self._bias_slices[k]
 
     def split(self, flat: np.ndarray):
-        """Per-layer views of a flat vector: ``(weights, biases or None)``."""
+        """Per-layer views of a flat vector: ``(weights, biases or None)``.
+
+        A stack ``(S, n)`` gives ``(S, r, c)`` weights and ``(S, w)`` biases.
+        """
         flat = np.asarray(flat, dtype=float)
-        if flat.shape != (self.total,):
-            raise ValueError(f"flat vector shape {flat.shape} != ({self.total},)")
-        weights = tuple(flat[s].reshape(shape)
+        if flat.ndim > 2 or flat.shape[-1:] != (self.total,):
+            raise ValueError(
+                f"flat vector shape {flat.shape} is not ({self.total},) "
+                f"or (S, {self.total})")
+        lead = flat.shape[:-1]
+        weights = tuple(flat[..., s].reshape(lead + shape)
                         for s, shape in zip(self._weight_slices, self._shapes))
-        biases = (tuple(flat[s] for s in self._bias_slices)
+        biases = (tuple(flat[..., s] for s in self._bias_slices)
                   if self.arch.use_bias else None)
         return weights, biases
 
@@ -154,6 +160,8 @@ def vec(arch: Architecture, params: ParamVector) -> np.ndarray:
 
 def unvec(arch: Architecture, flat: np.ndarray) -> ParamVector:
     """Inverse of :func:`vec`."""
+    if np.ndim(flat) != 1:
+        raise ValueError(f"flat vector must be 1-d, got shape {np.shape(flat)}")
     weights, biases = FlatIndex(arch).split(flat)
     if biases is not None:
         biases = tuple(b.copy() for b in biases)
@@ -199,7 +207,11 @@ class Dataset:
 
 
 def _forward_full(weights, biases, inputs: np.ndarray) -> tuple[list, list]:
-    """Activations per layer (input included) and hidden preactivations."""
+    """Activations per layer (input included) and hidden preactivations.
+
+    Weights ``(S, r, c)`` and biases ``(S, w)`` from a stack give ``(S, m, w)``
+    activations; each slice takes the same BLAS call as one vector does.
+    """
     acts = [inputs]
     pre = []
     a = inputs
@@ -207,7 +219,7 @@ def _forward_full(weights, biases, inputs: np.ndarray) -> tuple[list, list]:
     for k, w in enumerate(weights):
         z = a @ w
         if biases is not None:
-            z = z + biases[k]
+            z = z + biases[k][..., None, :]
         if k < last:
             pre.append(z)
             a = np.maximum(z, 0.0)
@@ -217,32 +229,37 @@ def _forward_full(weights, biases, inputs: np.ndarray) -> tuple[list, list]:
     return acts, pre
 
 
-def _mse(weights, biases, data: Dataset) -> float:
+def _mean_square(diff: np.ndarray):
+    """Mean of ``diff**2`` over the last axis: a float, or one per row."""
+    value = np.mean(diff * diff, axis=-1)
+    return value if value.ndim else float(value)
+
+
+def _mse(weights, biases, data: Dataset):
     acts, _ = _forward_full(weights, biases, data.inputs)
-    diff = acts[-1][:, 0] - data.targets
-    return float(np.mean(diff * diff))
+    return _mean_square(acts[-1][..., 0] - data.targets)
 
 
-def _mse_and_gradient(weights, biases, data: Dataset) -> tuple[float, np.ndarray]:
+def _mse_and_gradient(weights, biases, data: Dataset):
     acts, pre = _forward_full(weights, biases, data.inputs)
-    diff = acts[-1][:, 0] - data.targets
-    value = float(np.mean(diff * diff))
+    diff = acts[-1][..., 0] - data.targets
+    value = _mean_square(diff)
 
     depth = len(weights)
-    delta = (2.0 / data.size) * diff[:, None]
+    delta = (2.0 / data.size) * diff[..., None]
     grad_w: list[np.ndarray] = [None] * depth
     grad_b: list[np.ndarray] = [None] * depth
     for k in range(depth - 1, -1, -1):
-        grad_w[k] = acts[k].T @ delta
+        grad_w[k] = acts[k].swapaxes(-1, -2) @ delta
         if biases is not None:
-            grad_b[k] = delta.sum(axis=0)
+            grad_b[k] = delta.sum(axis=-2)
         if k > 0:
-            delta = (delta @ weights[k].T) * (pre[k - 1] > 0.0)
+            delta = (delta @ weights[k].swapaxes(-1, -2)) * (pre[k - 1] > 0.0)
 
-    parts = [g.ravel() for g in grad_w]
+    parts = [g.reshape(diff.shape[:-1] + (-1,)) for g in grad_w]
     if biases is not None:
         parts.extend(grad_b)
-    return value, np.concatenate(parts)
+    return value, np.concatenate(parts, axis=-1)
 
 
 def _check_input_width(arch: Architecture, x: np.ndarray) -> None:
@@ -287,21 +304,27 @@ class Objective:
     parameter vector.
 
     Built once per (architecture, dataset): the layout is fixed and the
-    data width checked here, so a call only checks the flat length and
-    slices it into per-layer views. Values are bit-identical to
-    :func:`loss` and :func:`loss_and_gradient` at ``unvec(arch, flat)``.
+    data width checked here, so a call only checks the flat shape and
+    slices it into per-layer views. ``loss`` and ``loss_grad`` take one
+    vector ``(n,)``, giving a float and an ``(n,)`` gradient, or a stack
+    ``(S, n)``, giving ``(S,)`` losses and ``(S, n)`` gradients. A stack is
+    one evaluation, so its memory grows with ``S``: about ``S`` times the
+    data rows times the summed layer widths in floats. Every row, stacked
+    or not, is bit-identical to :func:`loss` and :func:`loss_and_gradient`
+    at ``unvec(arch, row)``.
     """
 
     def __init__(self, arch: Architecture, data: Dataset):
         _check_input_width(arch, data.inputs)
+        self.arch = arch
         self.data = data
         self._index = FlatIndex(arch)
         self.size = self._index.total
 
-    def loss(self, flat: np.ndarray) -> float:
+    def loss(self, flat: np.ndarray):
         return _mse(*self._index.split(flat), self.data)
 
-    def loss_grad(self, flat: np.ndarray) -> tuple[float, np.ndarray]:
+    def loss_grad(self, flat: np.ndarray):
         return _mse_and_gradient(*self._index.split(flat), self.data)
 
 

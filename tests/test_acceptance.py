@@ -118,12 +118,12 @@ def test_curvature_congruence_on_demo_curves(suite_report, verdict):
              check.passed)
 
 
-def test_full_suite_runs_are_byte_identical(verdict):
+def test_full_suite_runs_are_byte_identical(verdict, cli_env):
     def run(*extra):
         result = subprocess.run(
             [sys.executable, "-m", "flatlab", "verify", "--suite", "all",
              "--seed", str(SEED), *extra],
-            capture_output=True, text=True, timeout=600)
+            capture_output=True, text=True, timeout=600, env=cli_env)
         assert result.returncode == 0, result.stderr
         return result.stdout
 

@@ -122,11 +122,11 @@ def test_error_messages_name_the_problem(tmp_path, capsys):
     assert "missing.json" in err
 
 
-def test_module_entry_point_runs():
+def test_module_entry_point_runs(cli_env):
     result = subprocess.run(
         [sys.executable, "-m", "flatlab", "train", "--arch", "2,3,1",
          "--teacher", "--m", "8", "--seed", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=cli_env)
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert payload["layer_widths"] == [2, 3, 1]

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from flatlab.metrics import (CSV_COLUMNS, SharpnessConfig, VolumeParams,
-                             epsilon_sharpness, flatness_report,
+from flatlab import metrics
+from flatlab.metrics import (CSV_COLUMNS, SharpnessConfig, SharpnessResult,
+                             VolumeParams, epsilon_sharpness, flatness_report,
                              hessian_measures, second_order_sharpness,
                              sublevel_volume_mc, volume_flatness_certificate)
-from flatlab.nets import (Architecture, Dataset, ParamVector, forward,
-                          hessian, loss, uniform_params, unvec, vec)
+from flatlab.nets import (Architecture, Dataset, Objective, ParamVector,
+                          forward, hessian, loss, uniform_params, unvec, vec)
 from flatlab.rng import SeededRng
-from flatlab.transforms import disjoint_box_alpha
+from flatlab.transforms import disjoint_box_alpha, transform_multipliers
 
 
 def _teacher_setup(widths=(2, 6, 1), seed=50, m=32):
@@ -75,6 +76,138 @@ def test_sharpness_subspace_variant_runs():
     cfg = SharpnessConfig(epsilon=1e-2, subspace_dim=5, seed=7)
     result = epsilon_sharpness(arch, teacher, data, cfg)
     assert result.value >= 0.0
+
+
+def _ascend_one(objective, flat0, cfg, basis, start_id):
+    """One start of the ascent on its own, one evaluation per call: the
+    reference the lockstep ascent must reproduce bit for bit."""
+    dim = flat0.size
+    inner = basis.shape[1] if basis is not None else dim
+
+    def to_offset(z):
+        return basis @ z if basis is not None else z
+
+    def loss_grad_at(z):
+        value, g = objective.loss_grad(flat0 + to_offset(z))
+        return value, (basis.T @ g if basis is not None else g)
+
+    if start_id == 0:
+        z = np.zeros(inner)
+    elif start_id == 1:
+        _, g = loss_grad_at(np.zeros(inner))
+        norm = np.linalg.norm(g)
+        if norm == 0.0 or not np.isfinite(norm):
+            z = np.zeros(inner)
+        else:
+            z = (cfg.epsilon / norm) * g
+    else:
+        gen = SeededRng(cfg.seed, metrics._STREAM_SHARPNESS + start_id).generator()
+        z = metrics._ball_point(gen, inner, cfg.epsilon)
+
+    best_loss, g = loss_grad_at(z)
+    if not np.isfinite(best_loss):
+        return None
+    best_z = z.copy()
+    for _ in range(cfg.steps):
+        norm = np.linalg.norm(g)
+        if not np.isfinite(norm) or norm == 0.0:
+            break
+        z = z + (cfg.step_size * cfg.epsilon / norm) * g
+        znorm = np.linalg.norm(z)
+        if znorm > cfg.epsilon:
+            z = (cfg.epsilon / znorm) * z
+        value, g = loss_grad_at(z)
+        if not np.isfinite(value):
+            return None
+        if value > best_loss:
+            best_loss = value
+            best_z = z.copy()
+    return best_loss, to_offset(best_z)
+
+
+def _serial_sharpness(arch, params, data, cfg):
+    flat0 = vec(arch, params)
+    base_loss = loss(arch, params, data)
+    basis = None
+    if cfg.subspace_dim is not None:
+        basis = metrics._subspace_basis(
+            flat0.size, cfg.subspace_dim,
+            SeededRng(cfg.seed, metrics._STREAM_SUBSPACE))
+    objective = metrics.Objective(arch, data)
+    best_loss, best_offset, discarded = base_loss, np.zeros(flat0.size), 0
+    for sid in range(2 + cfg.restarts):
+        outcome = _ascend_one(objective, flat0, cfg, basis, sid)
+        if outcome is None:
+            discarded += 1
+        elif outcome[0] > best_loss:
+            best_loss, best_offset = outcome
+    value = (best_loss - base_loss) / (1.0 + base_loss)
+    return SharpnessResult(max(value, 0.0), best_offset, discarded)
+
+
+def _assert_same_sharpness(arch, params, data, cfg):
+    lockstep = epsilon_sharpness(arch, params, data, cfg)
+    serial = _serial_sharpness(arch, params, data, cfg)
+    assert lockstep.value == serial.value
+    assert type(lockstep.value) is type(serial.value)
+    assert np.array_equal(lockstep.argmax_offset, serial.argmax_offset)
+    assert lockstep.discarded == serial.discarded
+    return lockstep
+
+
+@pytest.mark.parametrize("widths,bias", [((2, 6, 1), False),
+                                         ((2, 4, 1), True),
+                                         ((3, 4, 4, 1), False),
+                                         ((2, 3, 3, 1), True)])
+@pytest.mark.parametrize("restarts,subspace_dim", [(1, None), (8, None),
+                                                   (8, 5)])
+def test_lockstep_sharpness_equals_serial_starts(widths, bias, restarts,
+                                                 subspace_dim):
+    from flatlab.experiments import make_teacher_student
+    arch = Architecture(widths, use_bias=bias)
+    data, teacher = make_teacher_student(arch, 64, 24)
+    moved = ParamVector(tuple(w * 1.3 for w in teacher.weights),
+                        teacher.biases)
+    for params in (teacher, moved):
+        cfg = SharpnessConfig(epsilon=5e-2, restarts=restarts, steps=25,
+                              subspace_dim=subspace_dim, seed=12)
+        result = _assert_same_sharpness(arch, params, data, cfg)
+        assert result.discarded == 0
+
+
+def test_lockstep_sharpness_all_units_dead():
+    # every hidden preactivation is far below zero: the gradient vanishes on
+    # the whole ball, so each start stops before its first step
+    arch = Architecture((2, 3, 1))
+    params = ParamVector([-np.ones((2, 3)), np.ones((3, 1))])
+    gen = SeededRng(65).generator()
+    data = Dataset(gen.uniform(0.5, 1.0, (10, 2)), gen.uniform(-1, 1, 10))
+    cfg = SharpnessConfig(epsilon=1e-2, restarts=4, seed=13)
+    result = _assert_same_sharpness(arch, params, data, cfg)
+    assert result.value == 0.0
+    assert result.discarded == 0
+    assert not np.any(result.argmax_offset)
+
+
+@pytest.mark.parametrize("coord,rise", [(0, 1e-3),   # poisoned at its start
+                                        (2, 3e-3)])  # poisoned mid-ascent
+def test_lockstep_sharpness_discards_non_finite_start(coord, rise,
+                                                      monkeypatch):
+    arch, data, teacher = _teacher_setup(seed=66)
+    limit = vec(arch, teacher)[coord] + rise
+
+    class PoisonedObjective(Objective):
+        """Non-finite loss wherever one coordinate passes ``limit``."""
+
+        def loss_grad(self, flat):
+            value, grad = super().loss_grad(flat)
+            value = np.where(np.asarray(flat)[..., coord] > limit, np.inf, value)
+            return (value if value.ndim else float(value)), grad
+
+    monkeypatch.setattr(metrics, "Objective", PoisonedObjective)
+    cfg = SharpnessConfig(epsilon=1e-2, restarts=8, seed=14)
+    result = _assert_same_sharpness(arch, teacher, data, cfg)
+    assert result.discarded == 1
 
 
 def test_sharpness_config_validation():
@@ -162,6 +295,61 @@ def test_volume_certificate_needs_two_layers():
         volume_flatness_certificate(arch, params, data, epsilon=1e-2,
                                     boxes=2, samples_per_box=8,
                                     rng=SeededRng(58, 62))
+
+
+def _box_deviations_per_sample(arch, params, data, cert, samples, rng):
+    """Each box's largest loss rise, one public loss call per sample."""
+    flat0 = vec(arch, params)
+    base = loss(arch, params, data)
+    offsets = rng.generator().uniform(-1.0, 1.0, size=(samples, flat0.size))
+    deviations = []
+    for k in range(len(cert.max_deviations)):
+        mult = transform_multipliers(arch, (cert.alpha ** k, cert.alpha ** (-k)))
+        worst = 0.0
+        for row in offsets:
+            point = unvec(arch, (flat0 + cert.r * row) * mult)
+            worst = max(worst, loss(arch, point, data) - base)
+        deviations.append(worst)
+    return tuple(deviations)
+
+
+def _mc_per_sample(arch, params, data, epsilon, halfwidth, samples, rng):
+    flat0 = vec(arch, params)
+    base = loss(arch, params, data)
+    gen = rng.generator()
+    hits = 0
+    for _ in range(samples):
+        point = flat0 + gen.uniform(-halfwidth, halfwidth, size=flat0.size)
+        if loss(arch, unvec(arch, point), data) < base + epsilon:
+            hits += 1
+    fraction = hits / samples
+    return fraction, float(np.sqrt(fraction * (1.0 - fraction) / samples))
+
+
+@pytest.mark.parametrize("widths,bias", [((2, 5, 1), False),
+                                         ((2, 4, 1), True),
+                                         ((3, 4, 4, 1), False)])
+def test_batched_sample_loops_equal_per_sample(widths, bias, monkeypatch):
+    from flatlab.experiments import make_teacher_student
+    # a small block budget, so the samples span several row blocks
+    monkeypatch.setattr(metrics, "_BLOCK_ELEMENTS", 2000)
+    arch = Architecture(widths, use_bias=bias)
+    data, teacher = make_teacher_student(arch, 67, 12)
+    samples = 150
+    assert metrics._block_rows(Objective(arch, data)) < samples
+    for halfwidth in (0.02, 0.2):
+        batched = sublevel_volume_mc(arch, teacher, data, 1e-2, halfwidth,
+                                     samples, SeededRng(67, 68))
+        assert batched == _mc_per_sample(arch, teacher, data, 1e-2, halfwidth,
+                                         samples, SeededRng(67, 68))
+    if arch.depth != 2:
+        return
+    cert = volume_flatness_certificate(arch, teacher, data, epsilon=1e-2,
+                                       boxes=3, samples_per_box=samples,
+                                       rng=SeededRng(67, 69), r=0.4)
+    assert cert.shrink_steps > 0
+    assert cert.max_deviations == _box_deviations_per_sample(
+        arch, teacher, data, cert, samples, SeededRng(67, 69))
 
 
 def test_sublevel_volume_mc_quadratic_fraction():

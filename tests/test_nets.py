@@ -187,6 +187,16 @@ def test_objective_bit_equal_to_public_loss(widths, bias):
         assert objective.loss(flat) == loss(arch, params, data)
         assert value == ref_value
         assert np.array_equal(grad, ref_grad)
+    # a stack equals its rows, bit for bit, also a stack of many rows
+    for rows in (1, 3, 300):
+        stack = gen.uniform(-1, 1, (rows, objective.size))
+        values, grads = objective.loss_grad(stack)
+        assert values.shape == (rows,) and grads.shape == stack.shape
+        assert np.array_equal(objective.loss(stack), values)
+        for row, value, grad in zip(stack, values, grads):
+            row_value, row_grad = objective.loss_grad(row.copy())
+            assert row_value == value and objective.loss(row.copy()) == value
+            assert np.array_equal(row_grad, grad)
 
 
 def test_objective_rejects_bad_shapes():
@@ -197,6 +207,12 @@ def test_objective_rejects_bad_shapes():
         objective.loss(np.zeros(objective.size + 1))
     with pytest.raises(ValueError):
         objective.loss_grad(np.zeros(objective.size - 1))
+    with pytest.raises(ValueError):
+        objective.loss(np.zeros((4, objective.size + 1)))
+    with pytest.raises(ValueError):
+        objective.loss_grad(np.zeros((2, 3, objective.size)))
+    with pytest.raises(ValueError):
+        unvec(arch, np.zeros((1, objective.size)))
     with pytest.raises(ValueError):
         Objective(arch, Dataset(np.zeros((3, 3)), np.zeros(3)))
 
