@@ -114,9 +114,9 @@ def symmetric_eigendecomposition(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def symmetric_eigenspectrum(a: np.ndarray) -> np.ndarray:
-    """Sorted eigenvalues of a symmetric matrix, largest first."""
-    evals, _ = symmetric_eigendecomposition(a)
-    return evals
+    """Sorted eigenvalues of a symmetric matrix, largest first; no eigenvectors."""
+    a = require_symmetric(a)
+    return np.linalg.eigvalsh((a + a.T) / 2.0)[::-1]
 
 
 def frobenius_norm(a: np.ndarray) -> float:

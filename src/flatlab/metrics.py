@@ -22,7 +22,7 @@ import numpy as np
 
 from . import nets
 from .errors import KinkProximityError
-from .linalg import require_symmetric, symmetric_eigenspectrum
+from .linalg import symmetric_eigenspectrum
 from .nets import Architecture, Dataset, FlatIndex, Objective, ParamVector, vec
 from .rng import SeededRng
 from .serialize import format_float
@@ -33,9 +33,6 @@ _STREAM_SHARPNESS = 1000
 _STREAM_SUBSPACE = 1500
 _STREAM_MC = 2000
 _STREAM_BOX = 3000
-# Floats of activations one block of sample rows is sized to (2 MiB), so
-# the sample loops' memory stays bounded whatever the sample count.
-_BLOCK_ELEMENTS = 1 << 18
 
 CSV_COLUMNS = ("loss", "grad_norm", "kink_dist", "spec_norm", "trace",
                "eps_sharp", "sharp_2nd", "vol_lb")
@@ -195,12 +192,14 @@ def hessian_measures(hess: np.ndarray,
                      thresholds: tuple[float, ...] = ()) -> HessianMeasures:
     """Spectral norm, trace, sorted eigenvalues, strict threshold counts.
 
-    Everything derives from one eigendecomposition; the matrix trace is
-    checked against the eigenvalue sum so a broken factorization cannot
-    pass silently.
+    Everything derives from one eigenvalue solve, with no eigenvectors;
+    the matrix trace is checked against the eigenvalue sum so a broken
+    solve cannot pass silently.
     """
-    hess = require_symmetric(hess, "hessian")
-    evals = symmetric_eigenspectrum(hess)
+    try:
+        evals = symmetric_eigenspectrum(hess)
+    except ValueError as exc:
+        raise ValueError(f"hessian: {exc}") from None
     trace = float(np.trace(hess))
     esum = float(np.sum(evals))
     tol = 1e-6 * max(1.0, abs(trace))
@@ -239,20 +238,13 @@ class VolumeCertificate:
         return self.lower_bounds[-1] if self.lower_bounds else 0.0
 
 
-def _block_rows(objective: Objective) -> int:
-    """Rows of one sample block: the element budget over a row's activations."""
-    row_elements = (objective.data.size * sum(objective.arch.layer_widths)
-                    + objective.size)
-    return max(1, _BLOCK_ELEMENTS // row_elements)
-
-
 def _sample_losses(objective: Objective, count: int, make_rows):
     """Losses of ``count`` sample rows, one stacked evaluation a block.
 
     ``make_rows(start, rows)`` builds the next ``rows`` rows from row
     ``start`` on, so the rows are built in order and only one block is held.
     """
-    block = _block_rows(objective)
+    block = nets._block_rows(objective)
     for start in range(0, count, block):
         yield objective.loss(make_rows(start, min(block, count - start)))
 

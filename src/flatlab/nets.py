@@ -14,10 +14,10 @@ that layout via :class:`FlatIndex`.
 
 The loss everywhere is mean squared error over a dataset. Its gradient is
 exact backpropagation with the convention ``phi'(0) = 0``. Loops that
-evaluate it at many flat vectors go through :class:`Objective`, which
-fixes the layout and the data once. Second derivatives come from central
-finite differences of the analytic gradient, which is only meaningful
-away from rectifier kinks; see :func:`hessian` for the guard.
+evaluate it at many flat vectors pass :class:`Objective` stacks of at
+most :func:`_block_rows` rows. Second derivatives come from central
+finite differences of the analytic gradient, one stacked call per block
+of columns and sign, only meaningful away from kinks; see :func:`hessian`.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ HESSIAN_SYMMETRY_RTOL = 1e-6
 # Safety multiplier on the first-order bound of how far one finite
 # difference step can move a preactivation.
 KINK_GUARD_SAFETY = 4.0
+# Floats of activations a stack of rows is sized to (128 KiB): past glibc's
+# mmap threshold its temporaries page-fault on every call (sweep in CHANGES.md).
+_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -309,9 +312,9 @@ class Objective:
     vector ``(n,)``, giving a float and an ``(n,)`` gradient, or a stack
     ``(S, n)``, giving ``(S,)`` losses and ``(S, n)`` gradients. A stack is
     one evaluation, so its memory grows with ``S``: about ``S`` times the
-    data rows times the summed layer widths in floats. Every row, stacked
-    or not, is bit-identical to :func:`loss` and :func:`loss_and_gradient`
-    at ``unvec(arch, row)``.
+    data rows times the summed layer widths in floats; :func:`_block_rows`
+    bounds it. Every row, stacked or not, is bit-identical to :func:`loss`
+    and :func:`loss_and_gradient` at ``unvec(arch, row)``.
     """
 
     def __init__(self, arch: Architecture, data: Dataset):
@@ -326,6 +329,13 @@ class Objective:
 
     def loss_grad(self, flat: np.ndarray):
         return _mse_and_gradient(*self._index.split(flat), self.data)
+
+
+def _block_rows(objective: Objective) -> int:
+    """Rows of one stack: the element budget over a row's activations."""
+    row_elements = (objective.data.size * sum(objective.arch.layer_widths)
+                    + objective.size)
+    return max(1, _BLOCK_ELEMENTS // row_elements)
 
 
 def input_gradient(arch: Architecture, params: ParamVector,
@@ -351,6 +361,10 @@ def kink_argmin(arch: Architecture, params: ParamVector,
     """
     check_params(arch, params)
     _, pre = _forward_full(params.weights, params.biases, data.inputs)
+    return _kink_argmin(pre)
+
+
+def _kink_argmin(pre: list[np.ndarray]) -> tuple[float, int, int, int]:
     best = (np.inf, -1, -1, -1)
     for k, z in enumerate(pre):
         mags = np.abs(z)
@@ -393,8 +407,10 @@ def hessian(arch: Architecture, params: ParamVector, data: Dataset,
 
     Refuses to run when any hidden preactivation sits within the kink
     exclusion band, since the loss is not twice differentiable there and
-    the stencil would straddle the kink. The result is checked for
-    symmetry and then symmetrized.
+    the stencil would straddle the kink. A block of :func:`_block_rows`
+    columns takes one stacked gradient call a sign, each row bit-identical
+    to bumping its coordinate alone. The result is checked for symmetry
+    and then symmetrized.
     """
     check_params(arch, params)
     if step is None:
@@ -403,9 +419,9 @@ def hessian(arch: Architecture, params: ParamVector, data: Dataset,
         raise ValueError(f"step must be > 0, got {step}")
 
     if arch.depth > 1:
-        acts, _ = _forward_full(params.weights, params.biases, data.inputs)
+        acts, pre = _forward_full(params.weights, params.biases, data.inputs)
         band = _kink_band(arch, params, acts, step)
-        dist, example, layer, unit = kink_argmin(arch, params, data)
+        dist, example, layer, unit = _kink_argmin(pre)
         if dist <= band:
             raise KinkProximityError(dist, band, example, layer, unit)
 
@@ -413,13 +429,15 @@ def hessian(arch: Architecture, params: ParamVector, data: Dataset,
     base = vec(arch, params)
     n = base.size
     columns = np.empty((n, n))
-    for j in range(n):
-        bumped = base.copy()
-        bumped[j] = base[j] + step
+    block = _block_rows(objective)
+    for start in range(0, n, block):
+        cols = np.arange(start, min(start + block, n))
+        bumped = np.tile(base, (cols.size, 1))
+        bumped[cols - start, cols] = base[cols] + step
         g_plus = objective.loss_grad(bumped)[1]
-        bumped[j] = base[j] - step
+        bumped[cols - start, cols] = base[cols] - step
         g_minus = objective.loss_grad(bumped)[1]
-        columns[:, j] = (g_plus - g_minus) / (2.0 * step)
+        columns[:, cols] = ((g_plus - g_minus) / (2.0 * step)).T
 
     defect = float(np.max(np.abs(columns - columns.T))) if n else 0.0
     scale = max(1.0, float(np.sqrt(np.sum(columns * columns))))

@@ -69,6 +69,16 @@ def test_eigendecomposition_reconstructs():
         assert np.allclose(evecs.T @ evecs, np.eye(n), atol=1e-10)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 64])
+def test_eigenspectrum_matches_eigendecomposition(n):
+    a = _random_symmetric(SeededRng(13, n).generator(), n)
+    got = symmetric_eigenspectrum(a)
+    evals, _ = symmetric_eigendecomposition(a)
+    assert got.shape == (n,)
+    assert np.all(np.diff(got) <= 0.0)  # descending
+    assert np.max(np.abs(got - evals)) <= 1e-12 * np.max(np.abs(evals))
+
+
 def test_trace_and_frobenius_invariants():
     gen = SeededRng(12).generator()
     for _ in range(100):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flatlab import metrics
+from flatlab import metrics, nets
 from flatlab.metrics import (CSV_COLUMNS, SharpnessConfig, SharpnessResult,
                              VolumeParams, epsilon_sharpness, flatness_report,
                              hessian_measures, second_order_sharpness,
@@ -242,7 +242,7 @@ def test_hessian_measures_strict_threshold():
 
 
 def test_hessian_measures_rejects_asymmetric():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="hessian"):
         hessian_measures(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
@@ -332,11 +332,11 @@ def _mc_per_sample(arch, params, data, epsilon, halfwidth, samples, rng):
 def test_batched_sample_loops_equal_per_sample(widths, bias, monkeypatch):
     from flatlab.experiments import make_teacher_student
     # a small block budget, so the samples span several row blocks
-    monkeypatch.setattr(metrics, "_BLOCK_ELEMENTS", 2000)
+    monkeypatch.setattr(nets, "_BLOCK_ELEMENTS", 2000)
     arch = Architecture(widths, use_bias=bias)
     data, teacher = make_teacher_student(arch, 67, 12)
     samples = 150
-    assert metrics._block_rows(Objective(arch, data)) < samples
+    assert nets._block_rows(Objective(arch, data)) < samples
     for halfwidth in (0.02, 0.2):
         batched = sublevel_volume_mc(arch, teacher, data, 1e-2, halfwidth,
                                      samples, SeededRng(67, 68))

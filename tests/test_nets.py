@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from flatlab import nets
 from flatlab.errors import KinkProximityError
+from flatlab.experiments import make_teacher_student
 from flatlab.nets import (Architecture, Dataset, FlatIndex, Objective,
                           ParamVector, check_params, forward, gradient, hessian,
                           hessian_step, input_gradient, kink_argmin,
@@ -133,6 +135,62 @@ def test_hessian_matches_fd_of_gradient_oracle():
     assert np.array_equal(h, h.T)
 
 
+def _hessian_per_column(arch, params, data):
+    """The FD Hessian one column and one gradient call at a time."""
+    objective = Objective(arch, data)
+    base = vec(arch, params)
+    step = hessian_step(arch, params)
+    n = base.size
+    columns = np.empty((n, n))
+    for j in range(n):
+        bumped = base.copy()
+        bumped[j] = base[j] + step
+        g_plus = objective.loss_grad(bumped)[1]
+        bumped[j] = base[j] - step
+        g_minus = objective.loss_grad(bumped)[1]
+        columns[:, j] = (g_plus - g_minus) / (2.0 * step)
+    return (columns + columns.T) / 2.0
+
+
+@pytest.mark.parametrize("widths,bias,m,budget", [
+    ((2, 3, 1), False, 8, None),
+    ((2, 4, 1), True, 8, None),
+    ((3, 4, 4, 1), False, 48, None),
+    ((4, 32, 1), False, 256, None),   # one-row blocks
+    ((3, 4, 4, 1), False, 48, 2000),  # 3-row blocks, which do not divide n
+])
+def test_blocked_hessian_bit_equal_to_per_column(widths, bias, m, budget,
+                                                 monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(nets, "_BLOCK_ELEMENTS", budget)
+    arch = Architecture(widths, use_bias=bias)
+    data, teacher = make_teacher_student(arch, 71, m)
+    # nonzero residuals, so the Hessian has more than its Gauss-Newton part
+    noise = SeededRng(71, 1).generator().uniform(-0.1, 0.1, m)
+    data = Dataset(data.inputs, data.targets + noise)
+    objective = Objective(arch, data)
+    block = nets._block_rows(objective)
+    n = objective.size
+    assert block == 1 if widths == (4, 32, 1) else block > 1
+    if budget is not None:
+        assert n % block
+
+    rows_per_call = []
+    loss_grad = Objective.loss_grad
+
+    def spy(self, flat):
+        rows_per_call.append(1 if np.ndim(flat) == 1 else len(flat))
+        return loss_grad(self, flat)
+
+    monkeypatch.setattr(Objective, "loss_grad", spy)
+    blocked = hessian(arch, teacher, data)
+    calls = list(rows_per_call)
+    assert max(calls) <= block
+    assert sum(calls) == 2 * n
+    assert len(calls) == 2 * -(-n // block)
+    assert np.array_equal(blocked, _hessian_per_column(arch, teacher, data))
+
+
 def test_hessian_analytic_single_path():
     # L(w1, w2) = (w2 relu(w1 x) - y)^2 with x=1, y=1, active unit:
     # L = (w2 w1 - 1)^2; Hessian entries are then elementary
@@ -169,6 +227,8 @@ def test_kink_refusal_names_the_band():
     assert str(exc).startswith("kink proximity")
     assert f"<= band {exc.band:.3e}" in str(exc)
     assert exc.band > exc.distance > 0.0
+    assert ((exc.distance, exc.example_index, exc.layer, exc.unit)
+            == kink_argmin(arch, params, data))
 
 
 @pytest.mark.parametrize("widths,bias", [((1, 3, 1), False),
