@@ -4,10 +4,11 @@
 class KinkProximityError(RuntimeError):
     """An evaluation point sits too close to a rectifier kink.
 
-    Second-derivative routines use finite differences of the analytic
-    gradient; inside an exclusion band of half-width ``band`` around a kink
-    the stencil straddles the kink and the results would be meaningless, so
-    they refuse to run instead.
+    Second derivatives are exact on the activation pattern at the point.
+    A hidden preactivation closer to a kink than ``band``, the rounding
+    error bound of its own computation, may carry the wrong sign; the
+    pattern, and with it the Hessian, is then not determined, so the
+    routines refuse to run instead.
     """
 
     def __init__(self, distance: float, band: float, example_index: int,

@@ -4,8 +4,8 @@ Teacher-student data is the workhorse: targets come from a sampled
 network, so the teacher parameters are an exact global minimum of the
 mean squared error, which is what the curvature manipulations assume.
 Input sampling rejects points whose hidden preactivations sit close to a
-rectifier kink; without that, second derivatives at the teacher would
-routinely be refused by the kink guard.
+rectifier kink, so the teacher's activation pattern, and with it its exact
+Hessian, survives small moves such as a finite-difference oracle's step.
 """
 
 from __future__ import annotations

@@ -123,17 +123,3 @@ def frobenius_norm(a: np.ndarray) -> float:
     a = require_finite(a)
     return float(np.sqrt(np.sum(a * a)))
 
-
-def spectral_norm_power(a: np.ndarray, rng: SeededRng | None = None,
-                        tol: float = 1e-10, max_iter: int = 2000) -> PowerIterationResult:
-    """Spectral norm of a symmetric matrix via power iteration.
-
-    Convenience wrapper used where an independent, eigensolver-free
-    estimate is wanted. The magnitude of the returned eigenvalue is the
-    spectral norm.
-    """
-    a = require_symmetric(a)
-    result = power_iteration(lambda v: a @ v, a.shape[0], tol=tol,
-                             max_iter=max_iter, rng=rng)
-    return PowerIterationResult(abs(result.eigenvalue), result.iterations,
-                                result.converged)

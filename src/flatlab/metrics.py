@@ -401,9 +401,9 @@ class VolumeParams:
 class FlatnessReport:
     """Everything measured at one parameter point.
 
-    Hessian-derived fields are None when the point sits too close to a
-    rectifier kink for second derivatives to mean anything; ``skipped``
-    records why.
+    Hessian-derived fields are None when a hidden preactivation sits within
+    rounding of a rectifier kink, where the activation pattern the exact
+    Hessian belongs to is not determined; ``skipped`` records why.
     """
 
     loss: float
@@ -477,7 +477,7 @@ def flatness_report(arch: Architecture, params: ParamVector, data: Dataset,
                     thresholds: tuple[float, ...] = (),
                     volume: VolumeParams | None = None,
                     jobs: int = 1) -> FlatnessReport:
-    """Measure one point; skip second-order entries near kinks.
+    """Measure one point; skip second-order entries within rounding of a kink.
 
     ``jobs`` is accepted and has no effect: the work runs serially.
     """

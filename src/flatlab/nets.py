@@ -15,9 +15,9 @@ that layout via :class:`FlatIndex`.
 The loss everywhere is mean squared error over a dataset. Its gradient is
 exact backpropagation with the convention ``phi'(0) = 0``. Loops that
 evaluate it at many flat vectors pass :class:`Objective` stacks of at
-most :func:`_block_rows` rows. Second derivatives come from central
-finite differences of the analytic gradient, one stacked call per block
-of columns and sign, only meaningful away from kinks; see :func:`hessian`.
+most :func:`_block_rows` rows. The Hessian is exact on the activation
+pattern at the point: Hessian-vector products by forward-over-reverse
+differentiation, one stacked call per block of columns; see :func:`hessian`.
 """
 
 from __future__ import annotations
@@ -30,11 +30,6 @@ import numpy as np
 from .errors import KinkProximityError
 from .serialize import read_json, write_json
 
-HESSIAN_STEP_COEFF = 1e-4
-HESSIAN_SYMMETRY_RTOL = 1e-6
-# Safety multiplier on the first-order bound of how far one finite
-# difference step can move a preactivation.
-KINK_GUARD_SAFETY = 4.0
 # Floats of activations a stack of rows is sized to (128 KiB): past glibc's
 # mmap threshold its temporaries page-fault on every call (sweep in CHANGES.md).
 _BLOCK_ELEMENTS = 1 << 14
@@ -265,6 +260,46 @@ def _mse_and_gradient(weights, biases, data: Dataset):
     return value, np.concatenate(parts, axis=-1)
 
 
+def _mse_hvp(weights, biases, acts, pre, targets, tangent_w, tangent_b):
+    """Hessian-vector products of the loss at one point, ``(S, n)``.
+
+    Pearlmutter's R-operator on the gradient: ``acts`` and ``pre`` come
+    from :func:`_forward_full` at the point, the tangents are a stack of
+    per-layer directions ``(S, r, c)`` and ``(S, w)`` (or None). Exact on
+    the point's activation pattern, which the tangents do not move.
+    """
+    depth = len(weights)
+    masks = [z > 0.0 for z in pre]
+    r_acts = [None]
+    for k in range(depth):
+        rz = acts[k] @ tangent_w[k]
+        if k > 0:
+            rz = rz + r_acts[k] @ weights[k]
+        if tangent_b is not None:
+            rz = rz + tangent_b[k][..., None, :]
+        r_acts.append(rz * masks[k] if k < depth - 1 else rz)
+
+    scale = 2.0 / targets.size
+    delta = scale * (acts[-1] - targets[:, None])
+    r_delta = scale * r_acts[-1]
+    hv_w: list[np.ndarray] = [None] * depth
+    hv_b: list[np.ndarray] = [None] * depth
+    for k in range(depth - 1, -1, -1):
+        hv_w[k] = acts[k].T @ r_delta
+        if tangent_b is not None:
+            hv_b[k] = r_delta.sum(axis=-2)
+        if k > 0:
+            hv_w[k] = hv_w[k] + r_acts[k].swapaxes(-1, -2) @ delta
+            r_delta = (r_delta @ weights[k].T
+                       + delta @ tangent_w[k].swapaxes(-1, -2)) * masks[k - 1]
+            delta = (delta @ weights[k].T) * masks[k - 1]
+
+    parts = [h.reshape(h.shape[0], -1) for h in hv_w]
+    if tangent_b is not None:
+        parts.extend(hv_b)
+    return np.concatenate(parts, axis=-1)
+
+
 def _check_input_width(arch: Architecture, x: np.ndarray) -> None:
     if x.shape[1] != arch.input_width:
         raise ValueError(f"input width {x.shape[1]} != {arch.input_width}")
@@ -378,75 +413,54 @@ def kink_distance(arch: Architecture, params: ParamVector, data: Dataset) -> flo
     return kink_argmin(arch, params, data)[0]
 
 
-def _kink_band(arch: Architecture, params: ParamVector,
-               acts: list[np.ndarray], step: float) -> float:
-    """Half-width of the exclusion band around kinks for one FD step.
+def _rounding_band(weights, biases, acts) -> float:
+    """Largest first-order forward-error bound over the hidden preactivations.
 
-    A single parameter moved by ``step`` shifts any hidden preactivation by
-    at most ``step`` times (largest activation feeding a layer) times
-    (product of downstream operator norms). The product below bounds that
-    for every hidden layer at once.
+    A preactivation errs by at most ``gamma(fan_in + 1) (|a| |W| + |b|)``
+    plus the error carried in through ``|W|``, where ``gamma(j) = j u /
+    (1 - j u)`` and ``u = 2**-53`` (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 3.1); inside that band the computed sign,
+    and so the activation pattern, is unsure.
     """
-    amax = max(1.0, max(float(np.max(np.abs(a))) for a in acts))
-    wprod = 1.0
-    for k in range(1, arch.depth - 1):
-        row_sums = np.sum(np.abs(params.weights[k]), axis=1)
-        wprod *= max(1.0, float(np.max(row_sums)))
-    return KINK_GUARD_SAFETY * step * amax * wprod
+    err = np.zeros_like(acts[0])
+    band = 0.0
+    for k in range(len(weights) - 1):
+        w = np.abs(weights[k])
+        ju = (w.shape[0] + 1) * 2.0 ** -53
+        bound = np.abs(acts[k]) @ w
+        if biases is not None:
+            bound = bound + np.abs(biases[k])
+        err = ju / (1.0 - ju) * bound + err @ w
+        band = max(band, float(np.max(err)))
+    return band
 
 
-def hessian_step(arch: Architecture, params: ParamVector) -> float:
-    flat = vec(arch, params)
-    scale = float(np.max(np.abs(flat))) if flat.size else 0.0
-    return HESSIAN_STEP_COEFF * max(1.0, scale)
+def hessian(arch: Architecture, params: ParamVector,
+            data: Dataset) -> np.ndarray:
+    """Exact loss Hessian on the activation pattern at the point.
 
-
-def hessian(arch: Architecture, params: ParamVector, data: Dataset,
-            step: float | None = None) -> np.ndarray:
-    """Loss Hessian by central differences of the analytic gradient.
-
-    Refuses to run when any hidden preactivation sits within the kink
-    exclusion band, since the loss is not twice differentiable there and
-    the stencil would straddle the kink. A block of :func:`_block_rows`
-    columns takes one stacked gradient call a sign, each row bit-identical
-    to bumping its coordinate alone. The result is checked for symmetry
-    and then symmetrized.
+    Columns are Hessian-vector products (:func:`_mse_hvp`) with blocks of
+    :func:`_block_rows` unit tangents, each row bit-identical to its
+    tangent alone; the result is symmetrized. The loss is twice
+    differentiable wherever no hidden preactivation is zero, so this
+    refuses only when one lies within :func:`_rounding_band` of a kink.
     """
     check_params(arch, params)
-    if step is None:
-        step = hessian_step(arch, params)
-    if step <= 0:
-        raise ValueError(f"step must be > 0, got {step}")
-
-    if arch.depth > 1:
-        acts, pre = _forward_full(params.weights, params.biases, data.inputs)
-        band = _kink_band(arch, params, acts, step)
-        dist, example, layer, unit = _kink_argmin(pre)
-        if dist <= band:
-            raise KinkProximityError(dist, band, example, layer, unit)
-
     objective = Objective(arch, data)
-    base = vec(arch, params)
-    n = base.size
+    acts, pre = _forward_full(params.weights, params.biases, data.inputs)
+    band = _rounding_band(params.weights, params.biases, acts)
+    dist, example, layer, unit = _kink_argmin(pre)
+    if dist <= band:
+        raise KinkProximityError(dist, band, example, layer, unit)
+
+    n = objective.size
     columns = np.empty((n, n))
     block = _block_rows(objective)
     for start in range(0, n, block):
-        cols = np.arange(start, min(start + block, n))
-        bumped = np.tile(base, (cols.size, 1))
-        bumped[cols - start, cols] = base[cols] + step
-        g_plus = objective.loss_grad(bumped)[1]
-        bumped[cols - start, cols] = base[cols] - step
-        g_minus = objective.loss_grad(bumped)[1]
-        columns[:, cols] = ((g_plus - g_minus) / (2.0 * step)).T
-
-    defect = float(np.max(np.abs(columns - columns.T))) if n else 0.0
-    scale = max(1.0, float(np.sqrt(np.sum(columns * columns))))
-    if defect > HESSIAN_SYMMETRY_RTOL * scale:
-        raise ValueError(
-            f"second-derivative estimate asymmetric: defect {defect:.3e} "
-            f"exceeds {HESSIAN_SYMMETRY_RTOL:.0e} x {scale:.3e}; "
-            "the point is likely too close to a kink"
-        )
+        stop = min(start + block, n)
+        columns[start:stop] = _mse_hvp(
+            params.weights, params.biases, acts, pre, data.targets,
+            *objective._index.split(np.eye(stop - start, n, start)))
     return (columns + columns.T) / 2.0
 
 

@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import require_symmetric, spectral_norm_power
+from .linalg import require_symmetric, symmetric_eigenspectrum
 from .nets import Architecture, FlatIndex, ParamVector, check_params, unvec, vec
-from .rng import SeededRng
 
 ALPHA_PRODUCT_RTOL = 1e-12
 # Condition-number ceiling past which a preprocessing matrix is treated
@@ -384,17 +383,16 @@ def predicted_hessian(hess: np.ndarray, scaling: DiagonalScaling) -> np.ndarray:
 
 
 def sharpening_alpha(arch: Architecture, hess: np.ndarray, target: float,
-                     rng: SeededRng | None = None,
                      max_steps: int = 300) -> float:
     """Factor alpha whose scale transform pushes the spectral norm >= target.
 
-    Searches geometrically (factor 2) from alpha = 1, certifying each
-    candidate with a power-iteration Rayleigh quotient on D H D; the
-    quotient never exceeds the true spectral norm, so a certificate is
-    sound even if the iteration has not converged. The search direction
-    comes from the diagonal: a positive diagonal entry in the first-layer
-    block grows like 1/alpha^2 as alpha shrinks, one in the later blocks
-    grows like alpha^2, so whichever is available guarantees termination.
+    Searches geometrically (factor 2) from alpha = 1 and returns the first
+    candidate whose D H D reaches the target by the eigenvalue solve that
+    ``hessian_measures`` uses, so a check measures exactly what certified
+    the choice. The search direction comes from the diagonal: a positive
+    diagonal entry in the first-layer block grows like 1/alpha^2 as alpha
+    shrinks, one in the later blocks grows like alpha^2, so whichever is
+    available guarantees termination.
     """
     hess = require_symmetric(hess, "hessian")
     if not (target > 0):
@@ -419,17 +417,15 @@ def sharpening_alpha(arch: Architecture, hess: np.ndarray, target: float,
         )
     factor = 0.5 if gamma_first >= gamma_rest else 2.0
 
-    base_rng = rng or SeededRng(0, 500)
     alpha = 1.0
-    for step in range(max_steps):
+    for _ in range(max_steps):
         scaling = diagonal_scaling(arch, first_last_alphas(arch.depth, alpha))
         candidate = predicted_hessian(hess, scaling)
         if not np.all(np.isfinite(candidate)):
             raise ValueError(
                 f"scale factor {alpha:.3e} overflows the transformed Hessian"
             )
-        result = spectral_norm_power(candidate, rng=base_rng.stream(step))
-        if result.eigenvalue >= target:
+        if float(np.max(np.abs(symmetric_eigenspectrum(candidate)))) >= target:
             return alpha
         alpha *= factor
     raise ValueError(

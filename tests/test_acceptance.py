@@ -56,7 +56,7 @@ def test_derivatives_transform_as_predicted(suite_report, verdict):
     check = _outcome(suite_report, "derivative_laws")
     assert check.stats["points"] == 100
     assert check.stats["max_gradient_error"] <= 1e-8
-    assert check.stats["max_hessian_error"] <= 1e-4
+    assert check.stats["max_hessian_error"] <= 1e-12
     verdict(2, "gradient/Hessian laws hold at 100 smooth points",
              check.passed)
 

@@ -63,6 +63,20 @@ def test_metrics_repeated_byte_identical(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_metrics_keeps_curvature_of_deep_teacher(tmp_path, capsys):
+    # the teacher's inputs clear kinks by 0.01, well outside rounding
+    ckpt = tmp_path / "m.json"
+    assert run_cli(capsys, "train", "--teacher", "--arch", "5,16,16,1",
+                   "--out", str(ckpt))[0] == 0
+    code, out, err = run_cli(capsys, "metrics", "--checkpoint", str(ckpt))
+    assert code == 0
+    report = json.loads(out)
+    assert report["spec_norm"] is not None and report["spec_norm"] > 0.0
+    assert not any("kink proximity" in skip["reason"]
+                   for skip in report["skipped"])
+    assert "kink proximity" not in err
+
+
 def test_sweep_csv_header(tmp_path, capsys):
     ckpt = tmp_path / "m.json"
     run_cli(capsys, "train", "--arch", "2,4,1", "--teacher", "--m", "16",

@@ -6,10 +6,9 @@ from flatlab.errors import KinkProximityError
 from flatlab.experiments import make_teacher_student
 from flatlab.nets import (Architecture, Dataset, FlatIndex, Objective,
                           ParamVector, check_params, forward, gradient, hessian,
-                          hessian_step, input_gradient, kink_argmin,
-                          kink_distance, load_checkpoint, loss,
-                          loss_and_gradient, save_checkpoint, uniform_params,
-                          unvec, vec)
+                          input_gradient, kink_argmin, kink_distance,
+                          load_checkpoint, loss, loss_and_gradient,
+                          save_checkpoint, uniform_params, unvec, vec)
 from flatlab.rng import SeededRng
 
 
@@ -136,10 +135,10 @@ def test_hessian_matches_fd_of_gradient_oracle():
 
 
 def _hessian_per_column(arch, params, data):
-    """The FD Hessian one column and one gradient call at a time."""
+    """Central differences of the gradient, one column and call at a time."""
     objective = Objective(arch, data)
     base = vec(arch, params)
-    step = hessian_step(arch, params)
+    step = 1e-4 * max(1.0, float(np.max(np.abs(base))))
     n = base.size
     columns = np.empty((n, n))
     for j in range(n):
@@ -150,6 +149,26 @@ def _hessian_per_column(arch, params, data):
         g_minus = objective.loss_grad(bumped)[1]
         columns[:, j] = (g_plus - g_minus) / (2.0 * step)
     return (columns + columns.T) / 2.0
+
+
+def _noisy_teacher(widths, bias, m):
+    arch = Architecture(widths, use_bias=bias)
+    data, teacher = make_teacher_student(arch, 71, m)
+    # nonzero residuals, so the Hessian has more than its Gauss-Newton part
+    noise = SeededRng(71, 1).generator().uniform(-0.1, 0.1, m)
+    return arch, Dataset(data.inputs, data.targets + noise), teacher
+
+
+@pytest.mark.parametrize("widths,bias,m", [
+    ((2, 3, 1), False, 8),
+    ((2, 4, 1), True, 8),
+    ((3, 4, 4, 1), True, 48),
+    ((4, 32, 1), False, 256),
+])
+def test_hessian_matches_per_column_fd(widths, bias, m):
+    arch, data, teacher = _noisy_teacher(widths, bias, m)
+    assert np.allclose(hessian(arch, teacher, data),
+                       _hessian_per_column(arch, teacher, data), rtol=1e-6)
 
 
 @pytest.mark.parametrize("widths,bias,m,budget", [
@@ -163,11 +182,7 @@ def test_blocked_hessian_bit_equal_to_per_column(widths, bias, m, budget,
                                                  monkeypatch):
     if budget is not None:
         monkeypatch.setattr(nets, "_BLOCK_ELEMENTS", budget)
-    arch = Architecture(widths, use_bias=bias)
-    data, teacher = make_teacher_student(arch, 71, m)
-    # nonzero residuals, so the Hessian has more than its Gauss-Newton part
-    noise = SeededRng(71, 1).generator().uniform(-0.1, 0.1, m)
-    data = Dataset(data.inputs, data.targets + noise)
+    arch, data, teacher = _noisy_teacher(widths, bias, m)
     objective = Objective(arch, data)
     block = nets._block_rows(objective)
     n = objective.size
@@ -176,19 +191,20 @@ def test_blocked_hessian_bit_equal_to_per_column(widths, bias, m, budget,
         assert n % block
 
     rows_per_call = []
-    loss_grad = Objective.loss_grad
+    hvp = nets._mse_hvp
 
-    def spy(self, flat):
-        rows_per_call.append(1 if np.ndim(flat) == 1 else len(flat))
-        return loss_grad(self, flat)
+    def spy(weights, biases, acts, pre, targets, tangent_w, tangent_b):
+        rows_per_call.append(len(tangent_w[0]))
+        return hvp(weights, biases, acts, pre, targets, tangent_w, tangent_b)
 
-    monkeypatch.setattr(Objective, "loss_grad", spy)
+    monkeypatch.setattr(nets, "_mse_hvp", spy)
     blocked = hessian(arch, teacher, data)
     calls = list(rows_per_call)
     assert max(calls) <= block
-    assert sum(calls) == 2 * n
-    assert len(calls) == 2 * -(-n // block)
-    assert np.array_equal(blocked, _hessian_per_column(arch, teacher, data))
+    assert sum(calls) == n
+    assert len(calls) == -(-n // block)
+    monkeypatch.setattr(nets, "_BLOCK_ELEMENTS", 1)
+    assert np.array_equal(blocked, hessian(arch, teacher, data))
 
 
 def test_hessian_analytic_single_path():
@@ -217,10 +233,12 @@ def test_hessian_refuses_kink_proximity():
 
 
 def test_kink_refusal_names_the_band():
-    arch = Architecture((1, 1, 1))
-    # preactivation 1e-7: nonzero, but well inside the exclusion band
-    params = ParamVector([np.array([[1e-7]]), np.array([[1.0]])])
-    data = Dataset(np.array([[1.0]]), np.array([1.0]))
+    arch = Architecture((2, 1, 1), use_bias=True)
+    # 0.1 + 0.2 - 0.3 computes to 5.55e-17: nonzero, but within the
+    # rounding error bound of its own computation, so its sign is unsure
+    params = ParamVector([np.array([[0.1], [0.2]]), np.array([[1.0]])],
+                         [np.array([-0.3]), np.array([0.0])])
+    data = Dataset(np.array([[1.0, 1.0]]), np.array([1.0]))
     with pytest.raises(KinkProximityError) as info:
         hessian(arch, params, data)
     exc = info.value
@@ -229,6 +247,21 @@ def test_kink_refusal_names_the_band():
     assert exc.band > exc.distance > 0.0
     assert ((exc.distance, exc.example_index, exc.layer, exc.unit)
             == kink_argmin(arch, params, data))
+
+
+def test_kink_band_carries_error_from_layer_below():
+    # layer 1 cancels 1e8 against 1e8 - 1: its bound 4.4e-8 is far below
+    # its preactivation 1, but W2 = 1e3 carries it to 4.4e-5 at layer 2,
+    # past layer 2's preactivation 1e-5 and its own bound 4.4e-13
+    arch = Architecture((1, 1, 1, 1), use_bias=True)
+    params = ParamVector(
+        [np.array([[1e8]]), np.array([[1e3]]), np.array([[1.0]])],
+        [np.array([1.0 - 1e8]), np.array([1e-5 - 1e3]), np.array([0.0])])
+    data = Dataset(np.array([[1.0]]), np.array([0.0]))
+    with pytest.raises(KinkProximityError) as info:
+        hessian(arch, params, data)
+    assert info.value.layer == 2
+    assert info.value.distance < 2e-5 < info.value.band
 
 
 @pytest.mark.parametrize("widths,bias", [((1, 3, 1), False),
@@ -288,14 +321,6 @@ def test_kink_argmin_matches_enumeration():
     assert np.isclose(dist, np.min(np.abs(pre)))
     assert np.isclose(abs(pre[example, unit]), dist)
     assert kink_distance(arch, params, data) == dist
-
-
-def test_hessian_step_scales_with_magnitude():
-    arch = Architecture((1, 1, 1))
-    small = ParamVector([np.array([[0.5]]), np.array([[0.5]])])
-    big = ParamVector([np.array([[100.0]]), np.array([[0.5]])])
-    assert hessian_step(arch, small) == 1e-4
-    assert hessian_step(arch, big) == 1e-2
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):

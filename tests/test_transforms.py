@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatlab.linalg import symmetric_eigenspectrum
 from flatlab.nets import (Architecture, Dataset, ParamVector, forward,
                           gradient, hessian, uniform_params, vec)
 from flatlab.rng import SeededRng
@@ -171,6 +172,25 @@ def test_sharpening_alpha_certifies_target():
                                   diagonal_scaling(arch,
                                                    first_last_alphas(2, alpha)))
         assert np.max(np.abs(np.linalg.eigvalsh(moved))) >= target
+
+
+def test_sharpening_alpha_is_first_candidate_reaching_target():
+    arch = Architecture((2, 6, 1))
+    gen = SeededRng(8, 37).generator()
+    d = Dataset(gen.uniform(-1, 1, (24, 2)), gen.uniform(-1, 1, 24))
+    hess = hessian(arch, _params(arch, 8), d)
+
+    def spectral_norm(alpha):
+        moved = predicted_hessian(
+            hess, diagonal_scaling(arch, first_last_alphas(2, alpha)))
+        return np.max(np.abs(symmetric_eigenspectrum(moved)))
+
+    for target in (2.0 * spectral_norm(1.0), 1e2, 1e5):
+        alpha = sharpening_alpha(arch, hess, target)
+        assert alpha != 1.0
+        factor = 0.5 if alpha < 1.0 else 2.0
+        assert spectral_norm(alpha) >= target
+        assert spectral_norm(alpha / factor) < target
 
 
 def test_sharpening_alpha_rejects_zero_hessian():
