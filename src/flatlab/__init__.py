@@ -5,12 +5,10 @@ their parameters, and the flatness measures those transforms manipulate.
 """
 
 from .errors import KinkProximityError, TrainingDivergedError
-from .experiments import (CheckSpec, Demo1D, ScenarioReport, ScenarioSpec,
-                          TrainConfig, TrainResult, alpha_sweep,
-                          make_teacher_student, reparam_demo_1d,
-                          run_scenario, train_sgd)
+from .experiments import (Demo1D, TrainConfig, TrainResult, alpha_sweep,
+                          make_teacher_student, reparam_demo_1d, train_sgd)
 from .metrics import (FlatnessReport, HessianMeasures, SharpnessConfig,
-                      SharpnessResult, VolumeCertificate, VolumeParams,
+                      SharpnessResult, VolumeCertificate,
                       epsilon_sharpness, flatness_report, hessian_measures,
                       second_order_sharpness, sublevel_volume_mc,
                       volume_flatness_certificate)
@@ -48,11 +46,10 @@ __all__ = [
     "many_directions_alphas", "radial_forward", "radial_inverse",
     "radial_jacobian",
     "SharpnessConfig", "SharpnessResult", "HessianMeasures",
-    "VolumeCertificate", "VolumeParams", "FlatnessReport",
+    "VolumeCertificate", "FlatnessReport",
     "epsilon_sharpness", "second_order_sharpness", "hessian_measures",
     "volume_flatness_certificate", "sublevel_volume_mc", "flatness_report",
-    "TrainConfig", "TrainResult", "CheckSpec", "ScenarioSpec",
-    "ScenarioReport", "Demo1D", "make_teacher_student", "train_sgd",
-    "run_scenario", "alpha_sweep", "reparam_demo_1d",
+    "TrainConfig", "TrainResult", "Demo1D", "make_teacher_student",
+    "train_sgd", "alpha_sweep", "reparam_demo_1d",
     "SuiteReport", "SUITES", "run_suite",
 ]

@@ -13,7 +13,7 @@ import sys
 from .errors import KinkProximityError, TrainingDivergedError
 from .experiments import (TrainConfig, alpha_sweep, demo_spec_from_dict,
                           make_teacher_student, reparam_demo_1d, train_sgd)
-from .metrics import SharpnessConfig, VolumeParams, flatness_report
+from .metrics import SharpnessConfig, flatness_report
 from .nets import (Architecture, checkpoint_payload, load_checkpoint)
 from .serialize import read_json, to_json
 from .transforms import apply_transform, transform_from_dict
@@ -171,7 +171,7 @@ def _cmd_metrics(args) -> int:
     cfg = SharpnessConfig(epsilon=args.eps, seed=args.seed)
     report = flatness_report(arch, params, data, cfg,
                              thresholds=args.thresholds,
-                             volume=VolumeParams(epsilon=args.eps))
+                             volume_epsilon=args.eps)
     for field, reason in report.skipped:
         print(f"skipped {field}: {reason}", file=sys.stderr)
     _emit(args, to_json(report.to_dict()) + "\n")
@@ -192,7 +192,7 @@ def _cmd_sweep(args) -> int:
     cfg = SharpnessConfig(epsilon=args.eps, seed=args.seed)
     csv = alpha_sweep(arch, params, data, args.alpha, cfg,
                       thresholds=args.thresholds,
-                      volume=VolumeParams(epsilon=args.eps))
+                      volume_epsilon=args.eps)
     _emit(args, csv)
     return 0
 

@@ -1,30 +1,32 @@
-"""End-to-end scenarios: build minima, transform them, compare reports.
+"""Teacher-student problems, training, the alpha sweep and the 1-D demo.
 
 Teacher-student data is the workhorse: targets come from a sampled
 network, so the teacher parameters are an exact global minimum of the
 mean squared error, which is what the curvature manipulations assume.
 Input sampling rejects points whose hidden preactivations sit close to a
 rectifier kink, so the teacher's activation pattern, and with it its exact
-Hessian, survives small moves such as a finite-difference oracle's step.
+Hessian, is determined and survives the small parameter moves the checks
+make. Probe inputs measure observational equivalence; the sweep and the
+one-dimensional reparametrization demo back the CLI and the checks.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from . import nets
 from .errors import TrainingDivergedError
-from .metrics import (FlatnessReport, SharpnessConfig, VolumeParams,
-                      flatness_report)
+from .metrics import CSV_COLUMNS, SharpnessConfig, flatness_report
 from .nets import Architecture, Dataset, ParamVector, vec
 from .rng import SeededRng
-from .transforms import (PowerStretch, Radial, TransformSpec, apply_transform,
-                         psi_prime, radial_forward, radial_inverse,
-                         transform_from_dict)
+from .serialize import format_float, json_int
+from .transforms import (PowerStretch, Radial, alpha_scale_two_layer,
+                         power_stretch_derivative, power_stretch_forward,
+                         power_stretch_second_derivative, psi_prime,
+                         radial_forward, radial_inverse, transform_from_dict)
 
 _STREAM_TEACHER = 1
 _STREAM_INPUTS = 2
@@ -36,6 +38,11 @@ PROBE_RANGE = 2.0
 # hidden preactivations of sampled data must clear kinks by this much
 KINK_MARGIN = 0.01
 DIVERGENCE_FACTOR = 1e6
+# teacher inputs are drawn uniformly from [-_INPUT_RANGE, _INPUT_RANGE]
+_INPUT_RANGE = 1.0
+_TEACHER_ATTEMPTS = 200
+# initial weights of train_sgd are drawn from [-_INIT_SCALE, _INIT_SCALE]
+_INIT_SCALE = 0.5
 
 
 def _min_preactivation(arch: Architecture, params: ParamVector,
@@ -48,9 +55,7 @@ def _min_preactivation(arch: Architecture, params: ParamVector,
 
 
 def make_teacher_student(arch: Architecture, seed: int, m: int,
-                         input_scale: float = 1.0,
-                         margin: float = KINK_MARGIN,
-                         max_attempts: int = 200) -> tuple[Dataset, ParamVector]:
+                         margin: float = KINK_MARGIN) -> tuple[Dataset, ParamVector]:
     """Dataset whose targets a sampled teacher reproduces exactly.
 
     The teacher is an exact zero-loss minimum by construction. Teachers
@@ -61,10 +66,8 @@ def make_teacher_student(arch: Architecture, seed: int, m: int,
     """
     if m < 1:
         raise ValueError(f"need at least one example, got {m}")
-    if not (input_scale > 0):
-        raise ValueError(f"input_scale must be > 0, got {input_scale}")
 
-    for attempt in range(max_attempts):
+    for attempt in range(_TEACHER_ATTEMPTS):
         teacher = nets.uniform_params(
             arch, SeededRng(seed, _STREAM_TEACHER + 16 * attempt).generator())
         gen = SeededRng(seed, _STREAM_INPUTS + 16 * attempt).generator()
@@ -72,7 +75,7 @@ def make_teacher_student(arch: Architecture, seed: int, m: int,
         exhausted = False
         for _ in range(m):
             for _ in range(500):
-                x = gen.uniform(-input_scale, input_scale, size=arch.input_width)
+                x = gen.uniform(-_INPUT_RANGE, _INPUT_RANGE, size=arch.input_width)
                 if _min_preactivation(arch, teacher, x) > margin:
                     rows.append(x)
                     break
@@ -87,7 +90,7 @@ def make_teacher_student(arch: Architecture, seed: int, m: int,
             continue  # constant-zero teacher on this sample
         return Dataset(inputs, targets), teacher
     raise ValueError(
-        f"no usable teacher found in {max_attempts} attempts "
+        f"no usable teacher found in {_TEACHER_ATTEMPTS} attempts "
         f"(arch {arch.layer_widths}, margin {margin})"
     )
 
@@ -98,15 +101,12 @@ class TrainConfig:
     epochs: int
     seed: int = 0
     stop_grad_norm: float = 1e-8
-    init_scale: float = 0.5
 
     def __post_init__(self):
         if self.learning_rate < 0:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not (self.init_scale > 0):
-            raise ValueError(f"init_scale must be > 0, got {self.init_scale}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +126,7 @@ def train_sgd(arch: Architecture, data: Dataset, cfg: TrainConfig,
     if init is None:
         params = nets.uniform_params(
             arch, SeededRng(cfg.seed, _STREAM_INIT).generator(),
-            -cfg.init_scale, cfg.init_scale)
+            -_INIT_SCALE, _INIT_SCALE)
     else:
         nets.check_params(arch, init)
         params = init
@@ -158,128 +158,13 @@ def train_sgd(arch: Architecture, data: Dataset, cfg: TrainConfig,
 
 
 # ---------------------------------------------------------------------------
-# scenarios
+# observational equivalence on probe inputs
 
 
-@dataclass(frozen=True)
-class CheckSpec:
-    """A named invariant with an optional threshold or tolerance."""
-
-    name: str
-    threshold: float | None = None
-    tolerance: float | None = None
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    measured: float
-    target: float
-    note: str = ""
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed,
-                "measured": self.measured, "target": self.target,
-                "note": self.note}
-
-
-@dataclass(frozen=True, eq=False)
-class ScenarioSpec:
-    """One before/after experiment around a single transform."""
-
-    arch: Architecture
-    transform: TransformSpec
-    seed: int = 0
-    m: int = 64
-    input_scale: float = 1.0
-    point_source: str = "teacher"  # "teacher" | "train"
-    train: TrainConfig | None = None
-    sharpness: SharpnessConfig = field(
-        default_factory=lambda: SharpnessConfig(epsilon=1e-2))
-    thresholds: tuple[float, ...] = ()
-    volume: VolumeParams | None = None
-    checks: tuple[CheckSpec, ...] = ()
-
-    def __post_init__(self):
-        if self.point_source not in ("teacher", "train"):
-            raise ValueError(f"unknown point source {self.point_source!r}")
-        if self.point_source == "train" and self.train is None:
-            raise ValueError("point source 'train' requires a train config")
-        for check in self.checks:
-            if check.name not in CHECK_REGISTRY:
-                raise ValueError(f"unknown check {check.name!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class ScenarioReport:
-    before: FlatnessReport
-    after: FlatnessReport
-    equivalence_deviation: float
-    grad_residual: float
-    checks: tuple[CheckResult, ...]
-    runtime: float
-
-    def to_dict(self) -> dict:
-        # runtime is intentionally not serialized: reports must be
-        # byte-identical across repeated runs
-        return {
-            "before": self.before.to_dict(),
-            "after": self.after.to_dict(),
-            "equivalence_deviation": self.equivalence_deviation,
-            "grad_residual": self.grad_residual,
-            "checks": [c.to_dict() for c in self.checks],
-        }
-
-
-def _check_equivalence(spec: CheckSpec, report: ScenarioReport) -> CheckResult:
-    tol = spec.tolerance if spec.tolerance is not None else 1e-9
-    dev = report.equivalence_deviation
-    return CheckResult(spec.name, dev <= tol, dev, tol)
-
-
-def _check_loss_invariant(spec: CheckSpec, report: ScenarioReport) -> CheckResult:
-    tol = spec.tolerance if spec.tolerance is not None else 1e-9
-    dev = abs(report.after.loss - report.before.loss) / (1.0 + report.before.loss)
-    return CheckResult(spec.name, dev <= tol, dev, tol)
-
-
-def _check_spectral_at_least(spec: CheckSpec, report: ScenarioReport) -> CheckResult:
-    target = spec.threshold if spec.threshold is not None else 0.0
-    value = report.after.spec_norm
-    if value is None:
-        return CheckResult(spec.name, False, np.nan, target,
-                           "spectral norm skipped (kink proximity)")
-    return CheckResult(spec.name, value >= target, value, target)
-
-
-def _check_eps_sharp_at_least(spec: CheckSpec, report: ScenarioReport) -> CheckResult:
-    target = spec.threshold if spec.threshold is not None else 0.0
-    value = report.after.eps_sharp
-    return CheckResult(spec.name, value >= target, value, target)
-
-
-def _check_reports_identical(spec: CheckSpec, report: ScenarioReport) -> CheckResult:
-    from .serialize import to_json
-
-    same = to_json(report.before.to_dict()) == to_json(report.after.to_dict())
-    return CheckResult(spec.name, same, 0.0 if same else 1.0, 0.0)
-
-
-CHECK_REGISTRY = {
-    "equivalence": _check_equivalence,
-    "loss_invariant": _check_loss_invariant,
-    "spectral_at_least": _check_spectral_at_least,
-    "eps_sharp_at_least": _check_eps_sharp_at_least,
-    "reports_identical": _check_reports_identical,
-}
-
-
-def probe_inputs(arch: Architecture, seed: int,
-                 count: int = PROBE_COUNT) -> np.ndarray:
+def probe_inputs(arch: Architecture, seed: int) -> np.ndarray:
     gen = SeededRng(seed, _STREAM_PROBES).generator()
     return gen.uniform(-PROBE_RANGE, PROBE_RANGE,
-                       size=(count, arch.input_width))
+                       size=(PROBE_COUNT, arch.input_width))
 
 
 def forward_deviation(arch: Architecture, before: ParamVector,
@@ -290,32 +175,6 @@ def forward_deviation(arch: Architecture, before: ParamVector,
     return float(np.max(np.abs(f_after - f_before) / (1.0 + np.abs(f_before))))
 
 
-def run_scenario(spec: ScenarioSpec) -> ScenarioReport:
-    """Obtain a point, transform it, measure both sides, run the checks."""
-    start = time.perf_counter()
-    data, teacher = make_teacher_student(spec.arch, spec.seed, spec.m,
-                                         spec.input_scale)
-    if spec.point_source == "teacher":
-        params = teacher
-    else:
-        params = train_sgd(spec.arch, data, spec.train).params
-
-    grad_residual = float(np.linalg.norm(nets.gradient(spec.arch, params, data)))
-    before = flatness_report(spec.arch, params, data, spec.sharpness,
-                             spec.thresholds, spec.volume)
-    transformed = apply_transform(spec.arch, params, spec.transform)
-    after = flatness_report(spec.arch, transformed, data, spec.sharpness,
-                            spec.thresholds, spec.volume)
-    probes = probe_inputs(spec.arch, spec.seed)
-    deviation = forward_deviation(spec.arch, params, transformed, probes)
-
-    partial = ScenarioReport(before, after, deviation, grad_residual, (), 0.0)
-    results = tuple(CHECK_REGISTRY[c.name](c, partial) for c in spec.checks)
-    runtime = time.perf_counter() - start
-    return ScenarioReport(before, after, deviation, grad_residual, results,
-                          runtime)
-
-
 # ---------------------------------------------------------------------------
 # alpha sweep
 
@@ -323,20 +182,17 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioReport:
 def alpha_sweep(arch: Architecture, params: ParamVector, data: Dataset,
                 alphas: tuple[float, ...], cfg: SharpnessConfig,
                 thresholds: tuple[float, ...] = (),
-                volume: VolumeParams | None = None) -> str:
+                volume_epsilon: float | None = None) -> str:
     """CSV of every report column at each two-layer scale of the point."""
     if arch.depth != 2:
         raise ValueError(f"sweep needs a two-layer network, got depth {arch.depth}")
     if any(not (a > 0) for a in alphas):
         raise ValueError("all sweep factors must be > 0")
-    from .metrics import CSV_COLUMNS
-    from .serialize import format_float
-    from .transforms import alpha_scale_two_layer
-
     lines = ["alpha," + ",".join(CSV_COLUMNS)]
     for alpha in alphas:
         point = alpha_scale_two_layer(arch, params, alpha)
-        report = flatness_report(arch, point, data, cfg, thresholds, volume)
+        report = flatness_report(arch, point, data, cfg, thresholds,
+                                 volume_epsilon)
         lines.append(",".join([format_float(float(alpha))] + report.csv_row()))
     return "\n".join(lines) + "\n"
 
@@ -407,20 +263,17 @@ class _ScalarMap:
 
     def forward(self, t: float) -> float:
         if isinstance(self.spec, PowerStretch):
-            from .transforms import power_stretch_forward
             return power_stretch_forward(t, self.spec)
         return float(radial_forward(np.array([t]), self.spec)[0])
 
     def d1(self, t: float) -> float:
         if isinstance(self.spec, PowerStretch):
-            from .transforms import power_stretch_derivative
             return power_stretch_derivative(t, self.spec)
         r = abs(t - float(self.spec.center[0]))
         return psi_prime(r, self.spec)
 
     def d2(self, t: float) -> float:
         if isinstance(self.spec, PowerStretch):
-            from .transforms import power_stretch_second_derivative
             return power_stretch_second_derivative(t, self.spec)
         return 0.0  # piecewise-linear radius map
 
@@ -491,7 +344,6 @@ class Demo1D:
     notes: tuple[str, ...]
 
     def curve_csv(self) -> str:
-        from .serialize import format_float
         lines = ["eta,loss"]
         for eta, value in zip(self.etas, self.values):
             lines.append(f"{format_float(float(eta))},{format_float(float(value))}")
@@ -616,5 +468,6 @@ def demo_spec_from_dict(raw: dict) -> tuple[str, PowerStretch | Radial,
         )
     if (not isinstance(grid, (list, tuple))) or len(grid) != 3:
         raise ValueError("demo grid must be [lo, hi, count]")
-    lo, hi, count = float(grid[0]), float(grid[1]), int(grid[2])
+    lo, hi = float(grid[0]), float(grid[1])
+    count = json_int(grid[2], "demo grid count")
     return str(loss_name), spec, lo, hi, count

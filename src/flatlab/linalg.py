@@ -117,9 +117,3 @@ def symmetric_eigenspectrum(a: np.ndarray) -> np.ndarray:
     """Sorted eigenvalues of a symmetric matrix, largest first; no eigenvectors."""
     a = require_symmetric(a)
     return np.linalg.eigvalsh((a + a.T) / 2.0)[::-1]
-
-
-def frobenius_norm(a: np.ndarray) -> float:
-    a = require_finite(a)
-    return float(np.sqrt(np.sum(a * a)))
-

@@ -34,6 +34,12 @@ _STREAM_SUBSPACE = 1500
 _STREAM_MC = 2000
 _STREAM_BOX = 3000
 
+# the volume certificate inside a full report
+_REPORT_BOXES = 20
+_REPORT_SAMPLES_PER_BOX = 32
+# radius halvings the volume certificate tries before giving up
+_MAX_SHRINKS = 40
+
 CSV_COLUMNS = ("loss", "grad_norm", "kink_dist", "spec_norm", "trace",
                "eps_sharp", "sharp_2nd", "vol_lb")
 
@@ -252,8 +258,8 @@ def _sample_losses(objective: Objective, count: int, make_rows):
 def volume_flatness_certificate(arch: Architecture, params: ParamVector,
                                 data: Dataset, epsilon: float,
                                 boxes: int, samples_per_box: int,
-                                rng: SeededRng, r: float | None = None,
-                                max_shrinks: int = 40) -> VolumeCertificate:
+                                rng: SeededRng,
+                                r: float | None = None) -> VolumeCertificate:
     """Constructive lower bound on the volume of the near-constant region.
 
     Only two-layer networks are supported (the construction scales the
@@ -307,10 +313,10 @@ def volume_flatness_certificate(arch: Architecture, params: ParamVector,
         if deviation < epsilon:
             break
         shrink_steps += 1
-        if shrink_steps > max_shrinks:
+        if shrink_steps > _MAX_SHRINKS:
             raise ValueError(
                 f"no box radius satisfied the loss bound after "
-                f"{max_shrinks} halvings (last deviation {deviation:.3e})"
+                f"{_MAX_SHRINKS} halvings (last deviation {deviation:.3e})"
             )
         r *= 0.5
 
@@ -385,16 +391,6 @@ def sublevel_volume_mc(arch: Architecture, params: ParamVector, data: Dataset,
     fraction = hits / samples
     stderr = float(np.sqrt(fraction * (1.0 - fraction) / samples))
     return fraction, stderr
-
-
-@dataclass(frozen=True)
-class VolumeParams:
-    """Inputs of the volume certificate inside a full report."""
-
-    epsilon: float
-    boxes: int = 20
-    samples_per_box: int = 32
-    r: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -475,11 +471,12 @@ class FlatnessReport:
 def flatness_report(arch: Architecture, params: ParamVector, data: Dataset,
                     cfg: SharpnessConfig,
                     thresholds: tuple[float, ...] = (),
-                    volume: VolumeParams | None = None,
+                    volume_epsilon: float | None = None,
                     jobs: int = 1) -> FlatnessReport:
     """Measure one point; skip second-order entries within rounding of a kink.
 
-    ``jobs`` is accepted and has no effect: the work runs serially.
+    ``volume_epsilon``, when given, adds a volume certificate at that loss
+    tolerance. ``jobs`` is accepted and has no effect: the work runs serially.
     """
     nets.check_params(arch, params)
     loss_value, grad = nets.loss_and_gradient(arch, params, data)
@@ -509,12 +506,11 @@ def flatness_report(arch: Architecture, params: ParamVector, data: Dataset,
     sharp = epsilon_sharpness(arch, params, data, cfg)
 
     cert = None
-    if volume is not None:
+    if volume_epsilon is not None:
         if arch.depth == 2:
             cert = volume_flatness_certificate(
-                arch, params, data, volume.epsilon, volume.boxes,
-                volume.samples_per_box,
-                SeededRng(cfg.seed, _STREAM_BOX), r=volume.r)
+                arch, params, data, volume_epsilon, _REPORT_BOXES,
+                _REPORT_SAMPLES_PER_BOX, SeededRng(cfg.seed, _STREAM_BOX))
         else:
             skipped.append(("volume", "certificate requires a two-layer network"))
 

@@ -75,3 +75,11 @@ def write_json(path: str, value: Any) -> None:
 def read_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def json_int(value: Any, name: str) -> int:
+    """Integer JSON field; a bool, a fraction or a non-number is an error."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer())):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -29,11 +29,14 @@ import numpy as np
 
 from .linalg import require_symmetric, symmetric_eigenspectrum
 from .nets import Architecture, FlatIndex, ParamVector, check_params, unvec, vec
+from .serialize import json_int
 
 ALPHA_PRODUCT_RTOL = 1e-12
 # Condition-number ceiling past which a preprocessing matrix is treated
 # as singular.
 MAX_AFFINE_CONDITION = 1e12
+# geometric (factor 2) candidates sharpening_alpha tries before giving up
+_SHARPEN_STEPS = 300
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +207,12 @@ def transform_to_dict(spec: TransformSpec) -> dict:
     return out
 
 
-def _decode_field(annotation: str, value):
+def _decode_field(name: str, annotation: str, value):
     """Coerce one JSON value by the field's annotated type."""
     if annotation == "float":
         return float(value)
     if annotation == "int":
-        return int(value)
+        return json_int(value, f"field {name!r}")
     if annotation.startswith("tuple"):
         return tuple(value)
     return np.asarray(value, dtype=float)  # np.ndarray
@@ -234,7 +237,7 @@ def transform_from_dict(raw: dict) -> TransformSpec:
         raise ValueError(
             f"transform spec '{kind}' has unknown fields {sorted(unknown)}"
         )
-    return cls(**{name: _decode_field(annotations[name], value)
+    return cls(**{name: _decode_field(name, annotations[name], value)
                   for name, value in given.items()})
 
 
@@ -382,8 +385,8 @@ def predicted_hessian(hess: np.ndarray, scaling: DiagonalScaling) -> np.ndarray:
 # constructions on top of the scale family
 
 
-def sharpening_alpha(arch: Architecture, hess: np.ndarray, target: float,
-                     max_steps: int = 300) -> float:
+def sharpening_alpha(arch: Architecture, hess: np.ndarray,
+                     target: float) -> float:
     """Factor alpha whose scale transform pushes the spectral norm >= target.
 
     Searches geometrically (factor 2) from alpha = 1 and returns the first
@@ -418,7 +421,7 @@ def sharpening_alpha(arch: Architecture, hess: np.ndarray, target: float,
     factor = 0.5 if gamma_first >= gamma_rest else 2.0
 
     alpha = 1.0
-    for _ in range(max_steps):
+    for _ in range(_SHARPEN_STEPS):
         scaling = diagonal_scaling(arch, first_last_alphas(arch.depth, alpha))
         candidate = predicted_hessian(hess, scaling)
         if not np.all(np.isfinite(candidate)):
@@ -429,7 +432,7 @@ def sharpening_alpha(arch: Architecture, hess: np.ndarray, target: float,
             return alpha
         alpha *= factor
     raise ValueError(
-        f"no certifying factor found within {max_steps} geometric steps"
+        f"no certifying factor found within {_SHARPEN_STEPS} geometric steps"
     )
 
 
@@ -653,13 +656,9 @@ def input_affine_apply(spec: InputAffine, u: np.ndarray) -> np.ndarray:
     raise ValueError(f"input shape {u.shape} does not match preprocessing dim")
 
 
-def preprocessed_input_gradient(df_dx: np.ndarray, spec: InputAffine,
-                                u: np.ndarray | None = None) -> np.ndarray:
-    """Chain rule for the preprocessed prediction: row gradient times A.
-
-    ``u`` is accepted for signature symmetry with nonlinear
-    preprocessings; an affine map's derivative does not depend on it.
-    """
+def preprocessed_input_gradient(df_dx: np.ndarray,
+                                spec: InputAffine) -> np.ndarray:
+    """Chain rule for the preprocessed prediction: row gradient times A."""
     df_dx = np.asarray(df_dx, dtype=float)
     if df_dx.shape[-1] != spec.matrix.shape[0]:
         raise ValueError(

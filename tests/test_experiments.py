@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 
 from flatlab.errors import TrainingDivergedError
-from flatlab.experiments import (CheckSpec, ScenarioSpec, TrainConfig,
-                                 alpha_sweep, demo_spec_from_dict,
+from flatlab.experiments import (TrainConfig, alpha_sweep, demo_spec_from_dict,
                                  make_teacher_student, probe_inputs,
-                                 reparam_demo_1d, run_scenario, train_sgd)
+                                 reparam_demo_1d, train_sgd)
 from flatlab.metrics import CSV_COLUMNS, SharpnessConfig
 from flatlab.nets import (Architecture, Dataset, gradient, hessian,
                           kink_distance, loss, vec)
 from flatlab.rng import SeededRng
-from flatlab.transforms import (AlphaScaleDeep, AlphaScaleTwoLayer,
-                                PowerStretch, Radial)
+from flatlab.transforms import PowerStretch, Radial
 
 
 # ---------------------------------------------------------------------------
@@ -101,77 +99,6 @@ def test_train_trace_monotone_near_minimum():
     result = train_sgd(arch, data, cfg, init=start)
     losses = [step[0] for step in result.trace]
     assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
-
-
-# ---------------------------------------------------------------------------
-# scenarios
-
-
-def test_scenario_identity_transform_reports_match():
-    spec = ScenarioSpec(
-        arch=Architecture((2, 4, 1)),
-        transform=AlphaScaleDeep((1.0, 1.0)),
-        seed=78, m=24,
-        sharpness=SharpnessConfig(epsilon=1e-2, restarts=4, seed=78),
-        checks=(CheckSpec("reports_identical"), CheckSpec("equivalence")),
-    )
-    report = run_scenario(spec)
-    assert report.equivalence_deviation == 0.0
-    assert all(c.passed for c in report.checks)
-    payload = report.to_dict()
-    assert "runtime" not in payload  # reports must serialize reproducibly
-
-
-def test_scenario_scale_transform_passes_equivalence():
-    spec = ScenarioSpec(
-        arch=Architecture((2, 4, 1)),
-        transform=AlphaScaleTwoLayer(0.2),
-        seed=79, m=24,
-        sharpness=SharpnessConfig(epsilon=1e-2, restarts=4, seed=79),
-        checks=(CheckSpec("equivalence"), CheckSpec("loss_invariant")),
-    )
-    report = run_scenario(spec)
-    assert report.equivalence_deviation <= 1e-9
-    assert all(c.passed for c in report.checks)
-    assert report.grad_residual <= 1e-6
-
-
-def test_scenario_far_radial_is_identity_at_point():
-    # ball far from the parameters: transform leaves them untouched
-    arch = Architecture((2, 3, 1))
-    center = np.full(9, 50.0)
-    spec = ScenarioSpec(
-        arch=arch,
-        transform=Radial(center, delta=0.5, rho=0.2, rhat=0.3),
-        seed=80, m=16,
-        sharpness=SharpnessConfig(epsilon=1e-2, restarts=4, seed=80),
-        checks=(CheckSpec("reports_identical"),),
-    )
-    report = run_scenario(spec)
-    assert report.checks[0].passed
-
-
-def test_scenario_unknown_check_rejected():
-    with pytest.raises(ValueError):
-        ScenarioSpec(arch=Architecture((2, 3, 1)),
-                     transform=AlphaScaleTwoLayer(2.0),
-                     checks=(CheckSpec("not_a_check"),))
-
-
-def test_scenario_trained_point_source():
-    spec = ScenarioSpec(
-        arch=Architecture((2, 6, 1)),
-        transform=AlphaScaleTwoLayer(0.5),
-        seed=81, m=24,
-        point_source="train",
-        train=TrainConfig(learning_rate=0.1, epochs=4000, seed=81,
-                          stop_grad_norm=1e-7),
-        sharpness=SharpnessConfig(epsilon=1e-2, restarts=4, seed=81),
-        checks=(CheckSpec("equivalence"),),
-    )
-    report = run_scenario(spec)
-    assert report.checks[0].passed
-    assert report.before.loss < 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +221,11 @@ def test_demo_spec_from_dict():
                              "transform": {"kind": "alpha_scale_two_layer",
                                            "alpha": 2.0},
                              "grid": [0, 1, 9]})
+    # a grid count must be integral: no silent truncation, no booleans
+    for count in (400.9, True):
+        with pytest.raises(ValueError, match="grid count"):
+            demo_spec_from_dict(dict(raw, grid=[-2.0, 2.0, count]))
+    assert demo_spec_from_dict(dict(raw, grid=[-2.0, 2.0, 401.0]))[4] == 401
 
 
 def test_probe_inputs_deterministic_and_bounded():

@@ -3,7 +3,7 @@ import pytest
 
 from flatlab import metrics, nets
 from flatlab.metrics import (CSV_COLUMNS, SharpnessConfig, SharpnessResult,
-                             VolumeParams, epsilon_sharpness, flatness_report,
+                             epsilon_sharpness, flatness_report,
                              hessian_measures, second_order_sharpness,
                              sublevel_volume_mc, volume_flatness_certificate)
 from flatlab.nets import (Architecture, Dataset, Objective, ParamVector,
@@ -378,7 +378,7 @@ def test_flatness_report_fields_and_csv():
     arch, data, teacher = _teacher_setup(widths=(2, 4, 1), seed=61)
     cfg = SharpnessConfig(epsilon=1e-2, seed=8)
     report = flatness_report(arch, teacher, data, cfg, thresholds=(1.0,),
-                             volume=VolumeParams(epsilon=1e-2))
+                             volume_epsilon=1e-2)
     assert report.loss <= 1e-12
     assert report.grad_norm <= 1e-8
     assert report.spec_norm is not None
@@ -414,7 +414,7 @@ def test_flatness_report_volume_skipped_for_deep_net():
     data, teacher = make_teacher_student(arch, 62, 16)
     cfg = SharpnessConfig(epsilon=1e-2, seed=10)
     report = flatness_report(arch, teacher, data, cfg,
-                             volume=VolumeParams(epsilon=1e-2))
+                             volume_epsilon=1e-2)
     assert report.volume is None
     assert any(field == "volume" for field, _ in report.skipped)
 

@@ -447,6 +447,13 @@ def test_codec_rejects_missing_and_extra_fields():
     with pytest.raises(ValueError):
         transform_from_dict({"kind": "alpha_scale_two_layer", "alpha": 2.0,
                              "junk": 1})
+    # an integer field is never truncated, and a boolean is not an integer
+    for layer in (1.7, True):
+        with pytest.raises(ValueError, match="'layer'"):
+            transform_from_dict({"kind": "weight_norm", "layer": layer,
+                                 "alpha": 2.0})
+    assert transform_from_dict({"kind": "weight_norm", "layer": 1.0,
+                                "alpha": 2.0}).layer == 1
 
 
 def test_apply_transform_dispatch():
@@ -466,3 +473,14 @@ def test_apply_transform_dispatch():
     flat = vec(ARCH2, params)
     expected = np.array([power_stretch_forward(t, stretch) for t in flat])
     assert np.allclose(vec(ARCH2, moved), expected)
+    # identities return the very same coordinates, bit for bit: a radial
+    # ball far from the point, and unit deep scale factors
+    for spec in (Radial(np.full(flat.size, 50.0), delta=0.5, rho=0.2,
+                        rhat=0.3),
+                 AlphaScaleDeep((1.0, 1.0))):
+        moved = apply_transform(ARCH2, params, spec)
+        assert vec(ARCH2, moved).tobytes() == flat.tobytes()
+    affine = InputAffine(np.array([[2.0, 0.5], [0.0, 1.0]]), np.zeros(2))
+    moved = apply_transform(ARCH2, params, affine)
+    folded = fold_input_affine(ARCH2, params, affine)
+    assert vec(ARCH2, moved).tobytes() == vec(ARCH2, folded).tobytes()
