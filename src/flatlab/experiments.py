@@ -22,7 +22,7 @@ from .errors import TrainingDivergedError
 from .metrics import CSV_COLUMNS, SharpnessConfig, flatness_report
 from .nets import Architecture, Dataset, ParamVector, vec
 from .rng import SeededRng
-from .serialize import format_float, json_int
+from .serialize import format_float, json_float, json_int
 from .transforms import (PowerStretch, Radial, alpha_scale_two_layer,
                          power_stretch_derivative, power_stretch_forward,
                          power_stretch_second_derivative, psi_prime,
@@ -468,6 +468,7 @@ def demo_spec_from_dict(raw: dict) -> tuple[str, PowerStretch | Radial,
         )
     if (not isinstance(grid, (list, tuple))) or len(grid) != 3:
         raise ValueError("demo grid must be [lo, hi, count]")
-    lo, hi = float(grid[0]), float(grid[1])
+    lo = json_float(grid[0], "demo grid lo")
+    hi = json_float(grid[1], "demo grid hi")
     count = json_int(grid[2], "demo grid count")
     return str(loss_name), spec, lo, hi, count

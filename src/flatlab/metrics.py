@@ -206,7 +206,30 @@ def hessian_measures(hess: np.ndarray,
         evals = symmetric_eigenspectrum(hess)
     except ValueError as exc:
         raise ValueError(f"hessian: {exc}") from None
-    trace = float(np.trace(hess))
+    return _measures(evals, float(np.trace(hess)), thresholds)
+
+
+def _gram_measures(jac: np.ndarray,
+                   thresholds: tuple[float, ...]) -> HessianMeasures:
+    """:func:`hessian_measures` of ``H = (2/m) J^T J`` without building H.
+
+    ``jac`` is the ``(m, n)`` output Jacobian. The nonzero spectrum of H is
+    that of the smaller of ``(2/m) J J^T`` and ``(2/m) J^T J``; the other
+    ``n - m`` eigenvalues are exactly 0. The trace is ``(2/m) |J|_F^2``.
+    """
+    m, n = jac.shape
+    gram = jac @ jac.T if m <= n else jac.T @ jac
+    gram *= 2.0 / m
+    evals = symmetric_eigenspectrum(gram)
+    cut = int(np.count_nonzero(evals > 0.0))  # descending: zeros go here
+    evals = np.concatenate([evals[:cut], np.zeros(n - evals.size), evals[cut:]])
+    trace = (2.0 / m) * float(np.einsum("ij,ij->", jac, jac))
+    return _measures(evals, trace, thresholds)
+
+
+def _measures(evals: np.ndarray, trace: float,
+              thresholds: tuple[float, ...]) -> HessianMeasures:
+    """Everything from a descending spectrum, checked against the trace."""
     esum = float(np.sum(evals))
     tol = 1e-6 * max(1.0, abs(trace))
     if abs(trace - esum) > tol:
@@ -400,11 +423,17 @@ class FlatnessReport:
     Hessian-derived fields are None when a hidden preactivation sits within
     rounding of a rectifier kink, where the activation pattern the exact
     Hessian belongs to is not determined; ``skipped`` records why.
+    ``curvature_path`` says how they were obtained: ``"gram"`` at a point
+    whose every residual is exactly zero (the spectrum of the Gauss-Newton
+    term from the ``m x m`` Gram matrix, with ``n - m`` eigenvalues exactly
+    0.0), ``"hessian"`` elsewhere (the dense exact Hessian), None when
+    skipped.
     """
 
     loss: float
     grad_norm: float
     kink_dist: float | None
+    curvature_path: str | None
     spec_norm: float | None
     trace: float | None
     eigenvalues: tuple[float, ...] | None
@@ -435,6 +464,7 @@ class FlatnessReport:
             "loss": self.loss,
             "grad_norm": self.grad_norm,
             "kink_dist": self.kink_dist,
+            "curvature_path": self.curvature_path,
             "spec_norm": self.spec_norm,
             "trace": self.trace,
             "eigenvalues": (list(self.eigenvalues)
@@ -475,28 +505,41 @@ def flatness_report(arch: Architecture, params: ParamVector, data: Dataset,
                     jobs: int = 1) -> FlatnessReport:
     """Measure one point; skip second-order entries within rounding of a kink.
 
+    The curvature comes from one forward pass and the kink guard, then from
+    the Gram matrix of the output Jacobian where every residual is exactly
+    zero, so no ``n x n`` matrix is built at an exact minimum, and from
+    :func:`hessian_measures` of :func:`nets.hessian` elsewhere.
     ``volume_epsilon``, when given, adds a volume certificate at that loss
     tolerance. ``jobs`` is accepted and has no effect: the work runs serially.
     """
     nets.check_params(arch, params)
     loss_value, grad = nets.loss_and_gradient(arch, params, data)
     grad_norm = float(np.linalg.norm(grad))
-    kink = nets.kink_distance(arch, params, data)
+    acts, pre = nets._forward_full(params.weights, params.biases, data.inputs)
+    kink = nets._kink_argmin(pre)[0]
     kink_field = None if np.isinf(kink) else kink
 
     skipped: list[tuple[str, str]] = []
     spec_norm = trace = None
     evals = counts = None
-    sharp_2nd = None
+    sharp_2nd = path = None
     try:
-        hess = nets.hessian(arch, params, data)
+        nets._kink_guard(params.weights, params.biases, acts, pre)
     except KinkProximityError as exc:
         reason = str(exc)
         for field in ("spec_norm", "trace", "eigenvalues", "counts_above",
                       "sharp_2nd"):
             skipped.append((field, reason))
     else:
-        measures = hessian_measures(hess, thresholds)
+        if np.all(acts[-1][:, 0] == data.targets):
+            path = "gram"
+            measures = _gram_measures(nets._output_jacobian(
+                FlatIndex(arch), params.weights, params.biases, acts, pre),
+                thresholds)
+        else:
+            path = "hessian"
+            measures = hessian_measures(nets.hessian(arch, params, data),
+                                        thresholds)
         spec_norm = measures.spectral_norm
         trace = measures.trace
         evals = tuple(float(x) for x in measures.eigenvalues)
@@ -518,6 +561,7 @@ def flatness_report(arch: Architecture, params: ParamVector, data: Dataset,
         loss=loss_value,
         grad_norm=grad_norm,
         kink_dist=kink_field,
+        curvature_path=path,
         spec_norm=spec_norm,
         trace=trace,
         eigenvalues=evals,

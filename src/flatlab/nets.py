@@ -18,6 +18,11 @@ evaluate it at many flat vectors pass :class:`Objective` stacks of at
 most :func:`_block_rows` rows. The Hessian is exact on the activation
 pattern at the point: Hessian-vector products by forward-over-reverse
 differentiation, one stacked call per block of columns; see :func:`hessian`.
+Where every residual is exactly zero the Hessian on the pattern is exactly
+the Gauss-Newton term ``(2/m) J^T J``; :func:`_output_jacobian` gives the
+``(m, n)`` output Jacobian ``J`` so its spectrum can come from the smaller
+Gram matrix without building the ``n x n`` Hessian. Both refuse within
+rounding of a kink through the same guard, :func:`_kink_guard`.
 """
 
 from __future__ import annotations
@@ -435,23 +440,54 @@ def _rounding_band(weights, biases, acts) -> float:
     return band
 
 
+def _kink_guard(weights, biases, acts, pre) -> None:
+    """Refuse second derivatives within rounding of a kink.
+
+    The loss is twice differentiable wherever no hidden preactivation is
+    zero; ``acts`` and ``pre`` come from :func:`_forward_full` at the point,
+    and :class:`KinkProximityError` is raised only when the smallest
+    preactivation magnitude lies within :func:`_rounding_band`.
+    """
+    band = _rounding_band(weights, biases, acts)
+    dist, example, layer, unit = _kink_argmin(pre)
+    if dist <= band:
+        raise KinkProximityError(dist, band, example, layer, unit)
+
+
+def _output_jacobian(index: FlatIndex, weights, biases, acts,
+                     pre) -> np.ndarray:
+    """Jacobian of the outputs in the flat parameters, ``(m, n)``.
+
+    Row ``i`` is the gradient of the output at example ``i``: backprop of
+    one unit output seed per example from the forward pass at the point
+    (``acts``, ``pre``), written straight into the per-layer views that
+    ``index.split`` gives of the result. Exact on the activation pattern.
+    """
+    jac = np.empty((acts[0].shape[0], index.total))
+    jac_w, jac_b = index.split(jac)
+    delta = np.ones_like(acts[-1])
+    for k in range(len(weights) - 1, -1, -1):
+        np.multiply(acts[k][:, :, None], delta[:, None, :], out=jac_w[k])
+        if jac_b is not None:
+            jac_b[k][...] = delta
+        if k > 0:
+            delta = (delta @ weights[k].T) * (pre[k - 1] > 0.0)
+    return jac
+
+
 def hessian(arch: Architecture, params: ParamVector,
             data: Dataset) -> np.ndarray:
     """Exact loss Hessian on the activation pattern at the point.
 
     Columns are Hessian-vector products (:func:`_mse_hvp`) with blocks of
     :func:`_block_rows` unit tangents, each row bit-identical to its
-    tangent alone; the result is symmetrized. The loss is twice
-    differentiable wherever no hidden preactivation is zero, so this
-    refuses only when one lies within :func:`_rounding_band` of a kink.
+    tangent alone; the result is symmetrized. Refused by
+    :func:`_kink_guard` within rounding of a kink.
     """
     check_params(arch, params)
     objective = Objective(arch, data)
     acts, pre = _forward_full(params.weights, params.biases, data.inputs)
-    band = _rounding_band(params.weights, params.biases, acts)
-    dist, example, layer, unit = _kink_argmin(pre)
-    if dist <= band:
-        raise KinkProximityError(dist, band, example, layer, unit)
+    _kink_guard(params.weights, params.biases, acts, pre)
 
     n = objective.size
     columns = np.empty((n, n))

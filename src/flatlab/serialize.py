@@ -83,3 +83,16 @@ def json_int(value: Any, name: str) -> int:
             or (isinstance(value, float) and not value.is_integer())):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def json_float(value: Any, name: str) -> float:
+    """Float JSON field; a bool, a non-number (a string too) or a non-finite
+    number (``Infinity``, ``NaN``, or an overflowing literal) is an error."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal past the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ValueError(f"{name} must be a finite number, got {value!r}")

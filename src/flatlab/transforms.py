@@ -29,7 +29,7 @@ import numpy as np
 
 from .linalg import require_symmetric, symmetric_eigenspectrum
 from .nets import Architecture, FlatIndex, ParamVector, check_params, unvec, vec
-from .serialize import json_int
+from .serialize import json_float, json_int
 
 ALPHA_PRODUCT_RTOL = 1e-12
 # Condition-number ceiling past which a preprocessing matrix is treated
@@ -210,12 +210,17 @@ def transform_to_dict(spec: TransformSpec) -> dict:
 def _decode_field(name: str, annotation: str, value):
     """Coerce one JSON value by the field's annotated type."""
     if annotation == "float":
-        return float(value)
+        return json_float(value, f"field {name!r}")
     if annotation == "int":
         return json_int(value, f"field {name!r}")
     if annotation.startswith("tuple"):
-        return tuple(value)
-    return np.asarray(value, dtype=float)  # np.ndarray
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"field {name!r} must be a list, got {value!r}")
+        return tuple(json_float(v, f"field {name!r} entry") for v in value)
+    entries = np.asarray(value, dtype=object)  # np.ndarray
+    for entry in entries.flat:
+        json_float(entry, f"field {name!r} entry")
+    return entries.astype(float)
 
 
 def transform_from_dict(raw: dict) -> TransformSpec:

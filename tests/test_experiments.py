@@ -226,6 +226,11 @@ def test_demo_spec_from_dict():
         with pytest.raises(ValueError, match="grid count"):
             demo_spec_from_dict(dict(raw, grid=[-2.0, 2.0, count]))
     assert demo_spec_from_dict(dict(raw, grid=[-2.0, 2.0, 401.0]))[4] == 401
+    # grid bounds are numbers: no booleans, no numeric strings
+    for grid, which in (([False, True, 9], "lo"), ([-2.0, "2", 9], "hi")):
+        with pytest.raises(ValueError, match=f"grid {which}"):
+            demo_spec_from_dict(dict(raw, grid=grid))
+    assert demo_spec_from_dict(dict(raw, grid=[-2, 2, 9]))[2:4] == (-2.0, 2.0)
 
 
 def test_probe_inputs_deterministic_and_bounded():

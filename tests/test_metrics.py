@@ -6,15 +6,17 @@ from flatlab.metrics import (CSV_COLUMNS, SharpnessConfig, SharpnessResult,
                              epsilon_sharpness, flatness_report,
                              hessian_measures, second_order_sharpness,
                              sublevel_volume_mc, volume_flatness_certificate)
-from flatlab.nets import (Architecture, Dataset, Objective, ParamVector,
-                          forward, hessian, loss, uniform_params, unvec, vec)
+from flatlab.linalg import symmetric_eigenspectrum
+from flatlab.nets import (Architecture, Dataset, FlatIndex, Objective,
+                          ParamVector, forward, hessian, loss, uniform_params,
+                          unvec, vec)
 from flatlab.rng import SeededRng
 from flatlab.transforms import disjoint_box_alpha, transform_multipliers
 
 
-def _teacher_setup(widths=(2, 6, 1), seed=50, m=32):
+def _teacher_setup(widths=(2, 6, 1), seed=50, m=32, bias=False):
     from flatlab.experiments import make_teacher_student
-    arch = Architecture(widths)
+    arch = Architecture(widths, use_bias=bias)
     data, teacher = make_teacher_student(arch, seed, m)
     return arch, data, teacher
 
@@ -401,6 +403,8 @@ def test_flatness_report_skips_hessian_near_kink():
     report = flatness_report(arch, params, data, cfg)
     assert report.spec_norm is None
     assert report.sharp_2nd is None
+    assert report.curvature_path is None
+    assert report.to_dict()["curvature_path"] is None
     skipped_fields = {field for field, _ in report.skipped}
     assert "spec_norm" in skipped_fields
     row = report.csv_row()
@@ -429,3 +433,103 @@ def test_flatness_report_internal_consistency():
     hess = hessian(arch, teacher, data)
     assert np.isclose(report.spec_norm,
                       np.max(np.abs(np.linalg.eigvalsh(hess))), rtol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# curvature at zero-residual minima
+
+
+def _gram_at(arch, params, data):
+    acts, pre = nets._forward_full(params.weights, params.biases, data.inputs)
+    assert np.all(acts[-1][:, 0] == data.targets)
+    jac = nets._output_jacobian(FlatIndex(arch), params.weights,
+                                params.biases, acts, pre)
+    return metrics._gram_measures(jac, (1.0, 1e-9))
+
+
+@pytest.mark.parametrize("widths, bias, m", [
+    ((2, 8, 1), False, 48), ((2, 8, 1), True, 48), ((2, 8, 1), True, 16),
+    ((3, 4, 4, 1), True, 48), ((4, 32, 1), False, 256),
+    ((10, 192, 1), False, 64)])
+def test_gram_spectrum_matches_dense_hessian(widths, bias, m):
+    arch, data, teacher = _teacher_setup(widths, seed=70, m=m, bias=bias)
+    hess = hessian(arch, teacher, data)
+    dense = symmetric_eigenspectrum(hess)
+    gram = _gram_at(arch, teacher, data)
+    n = hess.shape[0]
+    norm = float(np.max(np.abs(dense)))
+    assert gram.eigenvalues.shape == (n,)
+    assert np.all(np.diff(gram.eigenvalues) <= 0.0)
+    assert np.max(np.abs(gram.eigenvalues - dense)) <= 1e-12 * norm
+    assert abs(gram.spectral_norm - norm) <= 1e-12 * norm
+    assert abs(gram.trace - float(np.trace(hess))) <= 1e-12 * norm
+    assert gram.counts_above[0] == (1.0, int(np.sum(dense > 1.0)))
+    if m < n:
+        # the bulk is exactly zero, where the dense solve leaves noise
+        assert np.count_nonzero(gram.eigenvalues == 0.0) >= n - m
+        assert gram.counts_above[1][1] <= m
+
+
+def test_report_at_teacher_takes_gram_path():
+    arch, data, teacher = _teacher_setup(widths=(2, 8, 1), seed=71, m=16)
+    cfg = SharpnessConfig(epsilon=1e-2, seed=12)
+    report = flatness_report(arch, teacher, data, cfg, thresholds=(1.0,))
+    gram = _gram_at(arch, teacher, data)
+    assert report.curvature_path == "gram"
+    assert report.to_dict()["curvature_path"] == "gram"
+    assert report.eigenvalues == tuple(gram.eigenvalues.tolist())
+    assert report.eigenvalues.count(0.0) >= 24 - 16
+    assert (report.spec_norm, report.trace) == (gram.spectral_norm, gram.trace)
+    assert report.counts_above == ((1.0, gram.counts_above[0][1]),)
+
+
+def test_report_off_minimum_takes_dense_path_bit_identical():
+    # one perturbed target: a nonzero residual, so the dense Hessian
+    arch, data, teacher = _teacher_setup(widths=(2, 8, 1), seed=72, m=16)
+    targets = data.targets.copy()
+    targets[3] += 1e-3
+    data = Dataset(data.inputs, targets)
+    cfg = SharpnessConfig(epsilon=1e-2, seed=13)
+    report = flatness_report(arch, teacher, data, cfg, thresholds=(0.5,))
+    dense = hessian_measures(hessian(arch, teacher, data), (0.5,))
+    assert report.curvature_path == "hessian"
+    assert report.spec_norm == dense.spectral_norm
+    assert report.trace == dense.trace
+    assert report.eigenvalues == tuple(dense.eigenvalues.tolist())
+    assert report.counts_above == dense.counts_above
+    assert report.sharp_2nd == second_order_sharpness(
+        dense.spectral_norm, cfg.epsilon, report.loss)
+
+
+def test_report_at_deep_teacher_builds_no_hessian(monkeypatch):
+    arch, data, teacher = _teacher_setup(widths=(10, 64, 64, 1), seed=73,
+                                         m=64)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the n x n Hessian was built")
+
+    monkeypatch.setattr(nets, "hessian", refuse)
+    cfg = SharpnessConfig(epsilon=1e-2, restarts=1, steps=2, seed=14)
+    report = flatness_report(arch, teacher, data, cfg)
+    assert report.curvature_path == "gram"
+    assert report.skipped == ()
+    assert len(report.eigenvalues) == 4800
+    assert report.spec_norm > 0.0
+    assert report.eigenvalues.count(0.0) >= 4800 - 64
+
+
+def test_gram_path_keeps_the_kink_guard():
+    # the output is exactly the target, but the one preactivation is
+    # 5.55e-17, within its rounding band: curvature is skipped, not taken
+    arch = Architecture((2, 1, 1), use_bias=True)
+    params = ParamVector([np.array([[0.1], [0.2]]), np.array([[1.0]])],
+                         [np.array([-0.3]), np.array([0.0])])
+    x = np.array([[1.0, 1.0]])
+    data = Dataset(x, forward(arch, params, x))
+    report = flatness_report(arch, params, data,
+                             SharpnessConfig(epsilon=1e-2, seed=15))
+    assert report.loss == 0.0
+    assert report.curvature_path is None
+    assert report.spec_norm is None
+    assert all(reason.startswith("kink proximity")
+               for _, reason in report.skipped)

@@ -370,3 +370,21 @@ def test_input_gradient_matches_fd():
         e[0, j] = h
         fd = (forward(arch, params, x + e) - forward(arch, params, x - e)) / (2 * h)
         assert np.allclose(dg[:, j], fd, atol=1e-6)
+
+
+@pytest.mark.parametrize("widths, bias, m", [
+    ((2, 3, 1), False, 5), ((2, 4, 1), True, 3), ((3, 4, 4, 1), True, 7),
+    ((1, 1), True, 4)])
+def test_output_jacobian_rows_are_per_example_gradients(widths, bias, m):
+    # the loss of one example with residual 1/2 has gradient 2 (1/2) grad f
+    arch = Architecture(widths, use_bias=bias)
+    params = uniform_params(arch, SeededRng(31).generator())
+    x = SeededRng(32).generator().uniform(-1, 1, (m, widths[0]))
+    acts, pre = nets._forward_full(params.weights, params.biases, x)
+    jac = nets._output_jacobian(FlatIndex(arch), params.weights,
+                                params.biases, acts, pre)
+    assert jac.shape == (m, FlatIndex(arch).total)
+    for i in range(m):
+        row = Dataset(x[i:i + 1], forward(arch, params, x[i:i + 1]) - 0.5)
+        assert np.allclose(jac[i], gradient(arch, params, row),
+                           rtol=1e-12, atol=1e-15)

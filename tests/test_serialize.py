@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flatlab.serialize import format_float, read_json, to_json, write_json
+from flatlab.serialize import (format_float, json_float, json_int, read_json,
+                               to_json, write_json)
 
 
 def test_float_has_enough_digits():
@@ -54,3 +55,16 @@ def test_file_round_trip(tmp_path):
 def test_insertion_order_preserved():
     text = to_json({"z": 1, "a": 2})
     assert text.index('"z"') < text.index('"a"')
+
+
+def test_json_numbers_are_typed():
+    assert json_float(2, "x") == 2.0 and type(json_float(2, "x")) is float
+    assert json_float(0.5, "x") == 0.5
+    assert json_int(401.0, "n") == 401
+    for bad in (True, False, "0.5", None, [1.0], math.inf, -math.inf,
+                math.nan, json.loads("1e400"), 10 ** 400):
+        with pytest.raises(ValueError, match="^x must be a finite number"):
+            json_float(bad, "x")
+    for bad in (True, 1.5, "3", None):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            json_int(bad, "n")

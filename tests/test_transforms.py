@@ -454,6 +454,33 @@ def test_codec_rejects_missing_and_extra_fields():
                                  "alpha": 2.0})
     assert transform_from_dict({"kind": "weight_norm", "layer": 1.0,
                                 "alpha": 2.0}).layer == 1
+    # a float field takes a finite number only: no booleans, no numeric
+    # strings; a tuple field is a list of numbers, not a string to
+    # iterate; an array field holds numbers only, in a regular nesting
+    deep, radial = "alpha_scale_deep", "radial"
+    ball = {"delta": 1.0, "rho": 0.5, "rhat": 0.5}
+    for raw, field in (
+            ({"kind": "alpha_scale_two_layer", "alpha": True}, "alpha"),
+            ({"kind": "alpha_scale_two_layer", "alpha": "0.5"}, "alpha"),
+            ({"kind": "alpha_scale_two_layer", "alpha": float("inf")},
+             "alpha"),
+            ({"kind": deep, "alphas": "11"}, "alphas"),
+            ({"kind": deep, "alphas": [True, 1.0]}, "alphas"),
+            ({"kind": deep, "alphas": ["2", 0.5]}, "alphas"),
+            ({"kind": radial, "center": [True, 0.5], **ball}, "center"),
+            ({"kind": "input_affine", "matrix": [[1.0, 0.0], [0.0]],
+              "shift": [0.0, 0.0]}, "matrix"),
+            ({"kind": "input_affine", "matrix": [[1.0, 0.0], [0.0, 1.0]],
+              "shift": ["0", 0.0]}, "shift")):
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            transform_from_dict(raw)
+    assert transform_from_dict({"kind": "alpha_scale_two_layer",
+                                "alpha": 2}).alpha == 2.0
+    assert transform_from_dict({"kind": "alpha_scale_deep",
+                                "alphas": [2, 0.5]}).alphas == (2.0, 0.5)
+    center = transform_from_dict({"kind": radial, "center": [1, 0.5],
+                                  **ball}).center
+    assert center.dtype == np.float64 and center.tolist() == [1.0, 0.5]
 
 
 def test_apply_transform_dispatch():
