@@ -41,17 +41,43 @@ DIVERGENCE_FACTOR = 1e6
 # teacher inputs are drawn uniformly from [-_INPUT_RANGE, _INPUT_RANGE]
 _INPUT_RANGE = 1.0
 _TEACHER_ATTEMPTS = 200
+# draws allowed for each teacher input row before the attempt is given up
+_INPUT_TRIES = 500
 # initial weights of train_sgd are drawn from [-_INIT_SCALE, _INIT_SCALE]
 _INIT_SCALE = 0.5
 
 
-def _min_preactivation(arch: Architecture, params: ParamVector,
-                       x: np.ndarray) -> float:
-    """Smallest |hidden preactivation| for a single input row."""
-    if arch.depth == 1:
-        return np.inf
-    data = Dataset(x[None, :], np.zeros(1))
-    return nets.kink_distance(arch, params, data)
+def _screened_inputs(arch: Architecture, teacher: ParamVector,
+                     gen: np.random.Generator, m: int,
+                     margin: float) -> np.ndarray | None:
+    """``m`` input rows whose hidden preactivations all clear ``margin``.
+
+    Row ``i`` is the first clear draw after row ``i - 1``; ``None`` when
+    ``_INPUT_TRIES`` draws in a row fail. Candidates come from ``gen`` in
+    blocks of at most ``m`` rows and ``nets._BLOCK_ELEMENTS`` activations
+    and are screened with one forward pass, each row a ``(1, d)`` slice
+    that takes the BLAS call a lone row takes. Draws past the last row are
+    wasted, which is harmless: each attempt's generator is discarded.
+    """
+    block = min(m, max(1, nets._BLOCK_ELEMENTS // sum(arch.layer_widths)))
+    rows = []
+    misses = 0
+    while True:
+        x = gen.uniform(-_INPUT_RANGE, _INPUT_RANGE, size=(block, arch.input_width))
+        _, pre = nets._forward_full(teacher.weights, teacher.biases, x[:, None, :])
+        dist = np.full(block, np.inf)
+        for z in pre:
+            dist = np.minimum(dist, np.min(np.abs(z), axis=(1, 2)))
+        for row, clear in zip(x, (dist > margin).tolist()):
+            if not clear:
+                misses += 1
+                if misses == _INPUT_TRIES:
+                    return None
+                continue
+            rows.append(row)
+            if len(rows) == m:
+                return np.stack(rows)
+            misses = 0
 
 
 def make_teacher_student(arch: Architecture, seed: int, m: int,
@@ -71,20 +97,9 @@ def make_teacher_student(arch: Architecture, seed: int, m: int,
         teacher = nets.uniform_params(
             arch, SeededRng(seed, _STREAM_TEACHER + 16 * attempt).generator())
         gen = SeededRng(seed, _STREAM_INPUTS + 16 * attempt).generator()
-        rows = []
-        exhausted = False
-        for _ in range(m):
-            for _ in range(500):
-                x = gen.uniform(-_INPUT_RANGE, _INPUT_RANGE, size=arch.input_width)
-                if _min_preactivation(arch, teacher, x) > margin:
-                    rows.append(x)
-                    break
-            else:
-                exhausted = True
-                break
-        if exhausted:
+        inputs = _screened_inputs(arch, teacher, gen, m, margin)
+        if inputs is None:
             continue
-        inputs = np.stack(rows)
         targets = nets.forward(arch, teacher, inputs)
         if float(np.max(np.abs(targets))) < 1e-6:
             continue  # constant-zero teacher on this sample

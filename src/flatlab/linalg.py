@@ -24,6 +24,11 @@ def require_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, by the dot product ``np.linalg.norm`` uses."""
+    return np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
+
+
 def symmetry_defect(a: np.ndarray) -> float:
     """Largest elementwise deviation of ``a`` from its transpose."""
     a = np.asarray(a, dtype=float)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import nets
 from .errors import KinkProximityError
-from .linalg import symmetric_eigenspectrum
+from .linalg import _row_norms, symmetric_eigenspectrum
 from .nets import Architecture, Dataset, FlatIndex, Objective, ParamVector, vec
 from .rng import SeededRng
 from .serialize import format_float
@@ -95,11 +95,6 @@ def _subspace_basis(dim: int, subspace_dim: int, rng: SeededRng) -> np.ndarray:
     raw = gen.standard_normal((dim, subspace_dim))
     q, _ = np.linalg.qr(raw)
     return q
-
-
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, by the dot product ``np.linalg.norm`` uses."""
-    return np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
 
 
 def epsilon_sharpness(arch: Architecture, params: ParamVector, data: Dataset,

@@ -33,7 +33,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import KinkProximityError
-from .serialize import read_json, write_json
+from .serialize import json_float, json_int, read_json, write_json
 
 # Floats of activations a stack of rows is sized to (128 KiB): past glibc's
 # mmap threshold its temporaries page-fault on every call (sweep in CHANGES.md).
@@ -515,6 +515,13 @@ def save_checkpoint(path: str, arch: Architecture, params: ParamVector) -> None:
     write_json(path, checkpoint_payload(arch, params))
 
 
+def _json_floats(values, name: str) -> np.ndarray:
+    """A JSON list of finite numbers as a float array; see ``json_float``."""
+    if not isinstance(values, list):
+        raise ValueError(f"{name} must be a list, got {values!r}")
+    return np.array([json_float(v, f"{name} entry") for v in values], dtype=float)
+
+
 def load_checkpoint(path: str) -> tuple[Architecture, ParamVector]:
     raw = read_json(path)
     if not isinstance(raw, dict):
@@ -526,7 +533,15 @@ def load_checkpoint(path: str) -> tuple[Architecture, ParamVector]:
         biases_raw = raw["biases"]
     except KeyError as exc:
         raise ValueError(f"checkpoint {path}: missing field {exc}") from None
-    arch = Architecture(tuple(int(w) for w in widths), bool(use_bias))
+    for name in ("layer_widths", "weights"):
+        if not isinstance(raw[name], list):
+            raise ValueError(f"checkpoint {path}: {name} must be a list")
+    if not isinstance(use_bias, bool):
+        raise ValueError(
+            f"checkpoint {path}: use_bias must be true or false, got {use_bias!r}")
+    arch = Architecture(
+        tuple(json_int(w, f"checkpoint {path}: layer_widths entry") for w in widths),
+        use_bias)
     if len(weights_raw) != arch.depth:
         raise ValueError(
             f"checkpoint {path}: {len(weights_raw)} weight layers, "
@@ -535,7 +550,7 @@ def load_checkpoint(path: str) -> tuple[Architecture, ParamVector]:
     weights = []
     for k, flat in enumerate(weights_raw):
         shape = arch.weight_shape(k)
-        flat = np.asarray(flat, dtype=float)
+        flat = _json_floats(flat, f"checkpoint {path}: layer {k} weights")
         if flat.shape != (shape[0] * shape[1],):
             raise ValueError(
                 f"checkpoint {path}: layer {k} has {flat.size} weights, "
@@ -544,14 +559,12 @@ def load_checkpoint(path: str) -> tuple[Architecture, ParamVector]:
         weights.append(flat.reshape(shape))
     biases = None
     if arch.use_bias:
-        if biases_raw is None or len(biases_raw) != arch.depth:
+        if not isinstance(biases_raw, list) or len(biases_raw) != arch.depth:
             raise ValueError(f"checkpoint {path}: bias layers missing")
-        biases = tuple(np.asarray(b, dtype=float) for b in biases_raw)
+        biases = tuple(_json_floats(b, f"checkpoint {path}: layer {k} biases")
+                       for k, b in enumerate(biases_raw))
     elif biases_raw is not None:
         raise ValueError(f"checkpoint {path}: biases present but use_bias is false")
     params = ParamVector(tuple(weights), biases)
     check_params(arch, params)
-    flat_all = vec(arch, params)
-    if not np.all(np.isfinite(flat_all)):
-        raise ValueError(f"checkpoint {path}: non-finite parameter values")
     return arch, params

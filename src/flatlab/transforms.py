@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import require_symmetric, symmetric_eigenspectrum
+from .linalg import _row_norms, require_symmetric, symmetric_eigenspectrum
 from .nets import Architecture, FlatIndex, ParamVector, check_params, unvec, vec
 from .serialize import json_float, json_int
 
@@ -532,91 +532,114 @@ def weight_norm_scale(arch: Architecture, params: ParamVector,
 # radial reparametrization
 
 
-def psi(r: float, spec: Radial) -> float:
-    """Piecewise-linear radius remap; identity outside [0, delta]."""
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
-    if r <= spec.rhat:
-        return spec.rho * r / spec.rhat
-    if r <= spec.delta:
-        return (spec.rho - spec.delta) * (r - spec.delta) / (spec.rhat - spec.delta) + spec.delta
+def _radii(r) -> np.ndarray:
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0):
+        raise ValueError(f"radius must be >= 0, got {r[r < 0][0]}")
     return r
 
 
-def psi_prime(r: float, spec: Radial) -> float:
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
-    if r <= spec.rhat:
-        return spec.rho / spec.rhat
-    if r <= spec.delta:
-        return (spec.rho - spec.delta) / (spec.rhat - spec.delta)
-    return 1.0
+def psi(r, spec: Radial):
+    """Piecewise-linear radius remap; identity outside [0, delta].
+
+    Elementwise: a float gives a float, an array an array of that shape.
+    """
+    r = _radii(r)
+    out = np.where(
+        r <= spec.rhat, spec.rho * r / spec.rhat,
+        np.where(r <= spec.delta,
+                 (spec.rho - spec.delta) * (r - spec.delta)
+                 / (spec.rhat - spec.delta) + spec.delta,
+                 r))
+    return out if out.ndim else float(out)
 
 
-def psi_inverse(q: float, spec: Radial) -> float:
-    """Exact inverse of the radius remap, segment by segment."""
-    if q < 0:
-        raise ValueError(f"radius must be >= 0, got {q}")
-    if q <= spec.rho:
-        return q * spec.rhat / spec.rho
-    if q <= spec.delta:
-        return spec.delta + (q - spec.delta) * (spec.rhat - spec.delta) / (spec.rho - spec.delta)
-    return q
+def psi_prime(r, spec: Radial):
+    """Slope of :func:`psi`, elementwise."""
+    r = _radii(r)
+    out = np.where(r <= spec.rhat, spec.rho / spec.rhat,
+                   np.where(r <= spec.delta,
+                            (spec.rho - spec.delta) / (spec.rhat - spec.delta),
+                            1.0))
+    return out if out.ndim else float(out)
+
+
+def psi_inverse(q, spec: Radial):
+    """Exact inverse of the radius remap, segment by segment, elementwise."""
+    q = _radii(q)
+    out = np.where(
+        q <= spec.rho, q * spec.rhat / spec.rho,
+        np.where(q <= spec.delta,
+                 spec.delta + (q - spec.delta) * (spec.rhat - spec.delta)
+                 / (spec.rho - spec.delta),
+                 q))
+    return out if out.ndim else float(out)
+
+
+def _point_rows(points: np.ndarray, spec: Radial) -> np.ndarray:
+    """A point ``(d,)`` or a stack ``(S, d)`` as an ``(S, d)`` view."""
+    if points.ndim not in (1, 2) or points.shape[-1] != spec.center.size:
+        raise ValueError(
+            f"points of shape {points.shape} do not match center length "
+            f"{spec.center.size}"
+        )
+    return points.reshape(-1, spec.center.size)
+
+
+def _remap_radius(points, spec: Radial, remap) -> np.ndarray:
+    """Move each row along its offset from the center to radius ``remap(r)``.
+
+    Rows at the center return the center and rows at ``r >= delta`` come
+    back untouched; every row gets the arithmetic a single point gets.
+    """
+    points = np.asarray(points, dtype=float)
+    rows = _point_rows(points, spec)
+    u = rows - spec.center
+    r = _row_norms(u)
+    out = rows.copy()
+    out[r == 0.0] = spec.center
+    moved = ~((r == 0.0) | (r >= spec.delta))  # a NaN radius is moved to NaN
+    r, u = r[moved], u[moved]
+    out[moved] = spec.center + (remap(r, spec) / r)[:, None] * u
+    return out.reshape(points.shape)
 
 
 def radial_forward(theta: np.ndarray, spec: Radial) -> np.ndarray:
-    """Remap the radius of theta around the center; direction is kept."""
-    theta = np.asarray(theta, dtype=float).ravel()
-    if theta.shape != spec.center.shape:
-        raise ValueError(
-            f"point length {theta.size} != center length {spec.center.size}"
-        )
-    u = theta - spec.center
-    r = float(np.linalg.norm(u))
-    if r == 0.0:
-        return spec.center.copy()
-    if r >= spec.delta:  # untouched, not merely re-assembled
-        return theta.copy()
-    return spec.center + (psi(r, spec) / r) * u
+    """Remap the radius of each point around the center; direction is kept.
+
+    ``theta`` is one point ``(d,)`` or a stack ``(S, d)``; the result has
+    its shape.
+    """
+    return _remap_radius(theta, spec, psi)
 
 
 def radial_inverse(eta: np.ndarray, spec: Radial) -> np.ndarray:
-    eta = np.asarray(eta, dtype=float).ravel()
-    if eta.shape != spec.center.shape:
-        raise ValueError(
-            f"point length {eta.size} != center length {spec.center.size}"
-        )
-    u = eta - spec.center
-    q = float(np.linalg.norm(u))
-    if q == 0.0:
-        return spec.center.copy()
-    if q >= spec.delta:
-        return eta.copy()
-    return spec.center + (psi_inverse(q, spec) / q) * u
+    """Exact inverse of :func:`radial_forward`, for a point or a stack."""
+    return _remap_radius(eta, spec, psi_inverse)
 
 
 def radial_jacobian(theta: np.ndarray, spec: Radial) -> np.ndarray:
-    """Derivative matrix of :func:`radial_forward` at theta.
+    """Derivative matrix of :func:`radial_forward` at each point.
 
     psi'(r) I everywhere, plus a rank-one correction on the outer linear
-    segment where the map is not a pure dilation of the offset.
+    segment where the map is not a pure dilation of the offset. A point
+    ``(d,)`` gives ``(d, d)``, a stack ``(S, d)`` gives ``(S, d, d)``.
     """
-    theta = np.asarray(theta, dtype=float).ravel()
-    if theta.shape != spec.center.shape:
-        raise ValueError(
-            f"point length {theta.size} != center length {spec.center.size}"
-        )
-    n = theta.size
-    u = theta - spec.center
-    r = float(np.linalg.norm(u))
-    if r == 0.0:
-        return (spec.rho / spec.rhat) * np.eye(n)
-    jac = psi_prime(r, spec) * np.eye(n)
-    if spec.rhat < r <= spec.delta:
-        coeff = spec.delta * (spec.rhat - spec.rho) / (spec.rhat - spec.delta)
-        jac += (coeff / r) * np.eye(n)
-        jac -= (coeff / r**3) * np.outer(u, u)
-    return jac
+    theta = np.asarray(theta, dtype=float)
+    rows = _point_rows(theta, spec)
+    n = spec.center.size
+    u = rows - spec.center
+    r = _row_norms(u)
+    jac = psi_prime(r, spec)[:, None, None] * np.eye(n)
+    middle = (spec.rhat < r) & (r <= spec.delta)
+    r, u = r[middle], u[middle]
+    coeff = spec.delta * (spec.rhat - spec.rho) / (spec.rhat - spec.delta)
+    # Python's ** is libm pow; np.power may take a SIMD pow that rounds
+    # differently in the last bit
+    cubes = np.array([x ** 3 for x in r.tolist()])
+    jac[middle] += (coeff / r)[:, None, None] * np.eye(n)
+    jac[middle] -= (coeff / cubes)[:, None, None] * (u[:, :, None] * u[:, None, :])
+    return jac.reshape(theta.shape + (n,))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from . import nets
 from .errors import KinkProximityError
 from .experiments import (forward_deviation, make_teacher_student,
                           probe_inputs, reparam_demo_1d)
-from .linalg import symmetric_eigenspectrum
+from .linalg import _row_norms, symmetric_eigenspectrum
 from .metrics import (SharpnessConfig, epsilon_sharpness, hessian_measures,
                       volume_flatness_certificate)
 from .nets import Architecture, Dataset, FlatIndex, uniform_params
@@ -475,7 +475,12 @@ _RADIAL_DIM = 7
 
 
 def _check_radial(seed: int) -> CheckOutcome:
-    """Round trips, printed Jacobian, and bitwise identity outside."""
+    """Round trips, printed Jacobian, and bitwise identity outside.
+
+    Each band draws its points one at a time, then evaluates them in
+    blocks. The finite-difference Jacobian is two stacked forward calls on
+    the rows moved by +-step along each axis.
+    """
     gen = SeededRng(_unit_seed(seed, 8, 0), 7).generator()
     center = gen.uniform(-1.0, 1.0, size=_RADIAL_DIM)
     spec = Radial(center, delta=1.3, rho=0.45, rhat=0.7)
@@ -484,36 +489,44 @@ def _check_radial(seed: int) -> CheckOutcome:
         ("middle", spec.rhat + 0.02, spec.delta - 0.02),
         ("outer", spec.delta + 0.02, spec.delta + 2.0),
     )
+    # a (points, dim, dim) stack gets a quarter of nets._BLOCK_ELEMENTS: the
+    # finite-difference pass holds several at once, and full-size blocks
+    # raised the suite's peak resident set by 0.5 MB (CHANGES.md)
+    block = max(1, nets._BLOCK_ELEMENTS // (4 * _RADIAL_DIM ** 2))
 
     def fd_jacobian(u: np.ndarray, step: float = 1e-6) -> np.ndarray:
-        cols = []
-        for j in range(u.size):
-            e = np.zeros_like(u)
-            e[j] = step
-            cols.append((radial_forward(u + e, spec)
-                         - radial_forward(u - e, spec)) / (2.0 * step))
-        return np.stack(cols, axis=1)
+        moves = step * np.eye(_RADIAL_DIM)
+        plus = (u[:, None, :] + moves).reshape(-1, _RADIAL_DIM)
+        minus = (u[:, None, :] - moves).reshape(-1, _RADIAL_DIM)
+        cols = (radial_forward(plus, spec)
+                - radial_forward(minus, spec)) / (2.0 * step)
+        return cols.reshape(len(u), _RADIAL_DIM, _RADIAL_DIM).transpose(0, 2, 1)
 
     def one(band_index: int) -> dict:
         _, lo, hi = bands[band_index]
         local = SeededRng(_unit_seed(seed, 8, 1 + band_index), 7).generator()
+        directions = np.empty((_RADIAL_POINTS, _RADIAL_DIM))
+        radii = np.empty(_RADIAL_POINTS)
+        for i in range(_RADIAL_POINTS):
+            directions[i] = local.normal(size=_RADIAL_DIM)
+            radii[i] = local.uniform(lo, hi)
+        directions /= _row_norms(directions)[:, None]
+        points = center + radii[:, None] * directions
         worst_round = 0.0
         worst_jac = 0.0
         outer_exact = True
-        for _ in range(_RADIAL_POINTS):
-            direction = local.normal(size=_RADIAL_DIM)
-            direction /= np.linalg.norm(direction)
-            u = center + local.uniform(lo, hi) * direction
+        for start in range(0, _RADIAL_POINTS, block):
+            u = points[start:start + block]
             v = radial_forward(u, spec)
-            worst_round = max(worst_round, float(np.max(np.abs(
-                radial_inverse(v, spec) - u))))
             w = radial_inverse(u, spec)
-            worst_round = max(worst_round, float(np.max(np.abs(
-                radial_forward(w, spec) - u))))
+            worst_round = max(
+                worst_round,
+                float(np.max(np.abs(radial_inverse(v, spec) - u))),
+                float(np.max(np.abs(radial_forward(w, spec) - u))))
             jac = radial_jacobian(u, spec)
-            num = fd_jacobian(u)
-            worst_jac = max(worst_jac, float(
-                np.linalg.norm(jac - num) / max(np.linalg.norm(jac), 1.0)))
+            err = _row_norms((jac - fd_jacobian(u)).reshape(len(u), -1))
+            scale = np.maximum(_row_norms(jac.reshape(len(u), -1)), 1.0)
+            worst_jac = max(worst_jac, float(np.max(err / scale)))
             if band_index == 2 and not (np.array_equal(v, u)
                                         and np.array_equal(w, u)):
                 outer_exact = False

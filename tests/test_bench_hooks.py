@@ -1,23 +1,32 @@
-"""The benchmark's tracer names flatlab functions; each name must resolve.
+"""The benchmark names flatlab functions and modules; each must resolve.
 
 ``bench/tracer.py`` wraps the functions in its ``TARGETS`` by module and
-name, so a rename or removal under ``src/`` would break traced benchmark
-runs. The file is loaded as it is, without importing anything else from
+name, and ``bench/run.py`` times the imports in its ``IMPORT_MODULES``
+from ``python -X importtime -c "import flatlab"``, so a rename, a removal
+or a dropped import under ``src/`` would break traced benchmark runs.
+Each file is loaded as it is, without importing anything else from
 ``bench/``.
 """
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("flatlab_bench_tracer", TRACER)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(
+        f"flatlab_bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracer():
+    return _load("tracer")
 
 
 def test_tracer_targets_resolve_in_flatlab():
@@ -47,3 +56,16 @@ def test_tracer_installs_and_restores():
     for (module_name, func), original in originals.items():
         assert getattr(importlib.import_module(module_name), func) is original
     assert flatlab.verify.CHECKS == checks
+
+
+def test_import_flatlab_loads_every_timed_module(cli_env):
+    modules = _load("run").IMPORT_MODULES
+    assert "flatlab" in modules
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import flatlab"],
+        env=cli_env, capture_output=True, text=True, timeout=120, check=True)
+    imported = {parts[2].strip() for parts in
+                (line.split("|") for line in proc.stderr.splitlines())
+                if len(parts) == 3}
+    missing = sorted(set(modules) - imported)
+    assert not missing, f"import flatlab no longer imports {missing}"

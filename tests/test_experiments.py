@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flatlab import experiments, nets
 from flatlab.errors import TrainingDivergedError
 from flatlab.experiments import (TrainConfig, alpha_sweep, demo_spec_from_dict,
                                  make_teacher_student, probe_inputs,
@@ -50,6 +51,93 @@ def test_teacher_deterministic():
 def test_teacher_rejects_bad_counts():
     with pytest.raises(ValueError):
         make_teacher_student(Architecture((2, 3, 1)), 0, 0)
+
+
+def _per_row_teacher(arch, seed, m, margin, tries=500, attempts=200):
+    """The one-candidate-at-a-time screening loop, kept as an oracle.
+
+    Returns the dataset, the teacher and how many attempts ran out of
+    tries on some row; raises ``ValueError`` when no attempt succeeds.
+    """
+    exhausted = 0
+    for attempt in range(attempts):
+        teacher = nets.uniform_params(
+            arch, SeededRng(seed, 1 + 16 * attempt).generator())
+        gen = SeededRng(seed, 2 + 16 * attempt).generator()
+        rows = []
+        for _ in range(m):
+            for _ in range(tries):
+                x = gen.uniform(-1.0, 1.0, size=arch.input_width)
+                far = (np.inf if arch.depth == 1 else kink_distance(
+                    arch, teacher, Dataset(x[None, :], np.zeros(1))))
+                if far > margin:
+                    rows.append(x)
+                    break
+            else:
+                break
+        if len(rows) < m:
+            exhausted += 1
+            continue
+        inputs = np.stack(rows)
+        targets = nets.forward(arch, teacher, inputs)
+        if float(np.max(np.abs(targets))) < 1e-6:
+            continue
+        return Dataset(inputs, targets), teacher, exhausted
+    raise ValueError("no usable teacher")
+
+
+def _assert_same_teacher(got, want):
+    (data, teacher), (ref_data, ref_teacher, _) = got, want
+    assert data.inputs.tobytes() == ref_data.inputs.tobytes()
+    assert data.targets.tobytes() == ref_data.targets.tobytes()
+    for a, b in zip(teacher.weights + (teacher.biases or ()),
+                    ref_teacher.weights + (ref_teacher.biases or ())):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("widths,bias,seed", [
+    ((1, 256, 1), False, 0), ((1, 256, 1), False, 1),
+    ((2, 8, 1), False, 2), ((2, 8, 1), True, 3), ((3, 4, 4, 1), False, 4),
+    ((10, 192, 1), False, 5), ((3, 1), False, 6),
+])
+def test_blocked_screening_matches_per_row_loop(widths, bias, seed):
+    arch = Architecture(widths, bias)
+    want = _per_row_teacher(arch, seed, 64, experiments.KINK_MARGIN)
+    _assert_same_teacher(make_teacher_student(arch, seed, 64), want)
+    if widths == (1, 256, 1) and seed == 0:
+        assert want[2] > 0  # attempts that ran out of their 500 tries
+
+
+@pytest.mark.parametrize("budget", [1, 40, nets._BLOCK_ELEMENTS])
+@pytest.mark.parametrize("widths,bias", [((2, 8, 1), False), ((2, 8, 1), True),
+                                         ((3, 4, 4, 1), False)])
+def test_blocked_screening_counts_each_rows_tries(monkeypatch, widths, bias,
+                                                  budget):
+    # a try limit of 3 at margin 0.05 runs some attempts out of tries and
+    # lets others through with rows that needed exactly 3 draws
+    monkeypatch.setattr(experiments, "_INPUT_TRIES", 3)
+    monkeypatch.setattr(nets, "_BLOCK_ELEMENTS", budget)
+    arch = Architecture(widths, bias)
+    exhausted = 0
+    for seed in range(6):
+        want = _per_row_teacher(arch, seed, 16, 0.05, tries=3)
+        _assert_same_teacher(make_teacher_student(arch, seed, 16, 0.05), want)
+        exhausted += want[2]
+    assert exhausted > 0
+
+
+def test_blocked_screening_gives_up_like_per_row_loop(monkeypatch):
+    # at margin 0.3 attempts 0-2 of this (2,8,1) seed exhaust their 500
+    # tries and attempt 3 succeeds; with two attempts allowed, none does
+    arch = Architecture((2, 8, 1))
+    want = _per_row_teacher(arch, 2, 8, 0.3)
+    assert want[2] == 3
+    _assert_same_teacher(make_teacher_student(arch, 2, 8, 0.3), want)
+    monkeypatch.setattr(experiments, "_TEACHER_ATTEMPTS", 2)
+    with pytest.raises(ValueError):
+        _per_row_teacher(arch, 2, 8, 0.3, attempts=2)
+    with pytest.raises(ValueError, match="no usable teacher found in 2 attempts"):
+        make_teacher_student(arch, 2, 8, 0.3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -326,14 +328,21 @@ def test_kink_argmin_matches_enumeration():
 def test_checkpoint_round_trip_bitwise(tmp_path):
     arch = Architecture((2, 5, 1), use_bias=True)
     params = uniform_params(arch, SeededRng(28).generator())
+    gen = SeededRng(29).generator()
+    deep = Architecture((3, 4, 4, 1), use_bias=True)
+    extreme = ParamVector(  # magnitudes from 1e-300 to 1e300
+        tuple(gen.normal(size=deep.weight_shape(k))
+              * 10.0 ** gen.integers(-300, 300, size=deep.weight_shape(k))
+              for k in range(deep.depth)),
+        tuple(gen.normal(size=w) for w in deep.layer_widths[1:]))
     path = str(tmp_path / "ckpt.json")
-    save_checkpoint(path, arch, params)
-    arch2, params2 = load_checkpoint(path)
-    assert arch2 == arch
-    for a, b in zip(params.weights, params2.weights):
-        assert np.array_equal(a, b)
-    for a, b in zip(params.biases, params2.biases):
-        assert np.array_equal(a, b)
+    for arch, params in ((arch, params), (deep, extreme)):
+        save_checkpoint(path, arch, params)
+        arch2, params2 = load_checkpoint(path)
+        assert arch2 == arch
+        for a, b in zip(params.weights + params.biases,
+                        params2.weights + params2.biases):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_checkpoint_rejects_malformed(tmp_path):
@@ -341,6 +350,33 @@ def test_checkpoint_rejects_malformed(tmp_path):
     path.write_text('{"layer_widths": [2, 3, 1], "use_bias": false, '
                     '"weights": [[1.0]], "biases": null}\n')
     with pytest.raises(ValueError):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_rejects_coercible_json(tmp_path):
+    good = {"layer_widths": [2, 1, 1], "use_bias": False,
+            "weights": [[0.25, 0.5], [2.0]], "biases": None}
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps(good))
+    arch, params = load_checkpoint(str(path))
+    assert arch == Architecture((2, 1, 1))
+    assert params.weights[0].tolist() == [[0.25], [0.5]]
+    for field, value in (("layer_widths", [2.7, 1, 1.0]),
+                         ("layer_widths", "211"),
+                         ("use_bias", "false"),
+                         ("use_bias", 0),
+                         ("weights", [[True, "0.5"], ["2"]]),
+                         ("weights", [[0.25, 0.5], "2"]),
+                         ("weights", 5)):
+        path.write_text(json.dumps({**good, field: value}))
+        with pytest.raises(ValueError, match=field):
+            load_checkpoint(str(path))
+    for biases in ([[0.5], [False]], 5):
+        path.write_text(json.dumps({**good, "use_bias": True, "biases": biases}))
+        with pytest.raises(ValueError, match="bias"):
+            load_checkpoint(str(path))
+    path.write_text(json.dumps({**good, "weights": [[0.25, float("nan")], [2.0]]}))
+    with pytest.raises(ValueError, match="weights"):
         load_checkpoint(str(path))
 
 

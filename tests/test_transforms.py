@@ -327,6 +327,98 @@ def test_radial_jacobian_matches_fd():
         assert np.allclose(jac, fd, atol=1e-6)
 
 
+# dyadic center and radii: the offsets of the axis points below, and so
+# their norms, are exact
+DYADIC = Radial(np.array([0.25, -0.5, 0.125, 0.0, 0.5, -0.25, 0.75]),
+                delta=1.25, rho=0.5, rhat=0.75)
+
+
+def _radial_stack():
+    """The center, 40 points in each band, and r == rhat, r == delta exactly."""
+    gen = SeededRng(17, 41).generator()
+    d = DYADIC.center.size
+    rows = [DYADIC.center.copy()]
+    for lo, hi in ((0.0, 0.75), (0.75, 1.25), (1.25, 3.0)):
+        for _ in range(40):
+            direction = gen.normal(size=d)
+            direction /= np.linalg.norm(direction)
+            rows.append(DYADIC.center + gen.uniform(lo, hi) * direction)
+    for radius in (DYADIC.rhat, DYADIC.delta):
+        rows.append(DYADIC.center + radius * np.eye(d)[2])
+    stack = np.stack(rows)
+    radii = np.linalg.norm(stack - DYADIC.center, axis=1)
+    assert radii[0] == 0.0 and radii[-2] == DYADIC.rhat and radii[-1] == DYADIC.delta
+    return stack
+
+
+def _one_point_forward(theta, spec, remap=psi):
+    """Single-point radial map written out with ``np.linalg.norm``."""
+    u = theta - spec.center
+    r = float(np.linalg.norm(u))
+    if r == 0.0:
+        return spec.center.copy()
+    if r >= spec.delta:
+        return theta.copy()
+    return spec.center + (remap(r, spec) / r) * u
+
+
+def _one_point_jacobian(theta, spec):
+    n = theta.size
+    u = theta - spec.center
+    r = float(np.linalg.norm(u))
+    jac = psi_prime(r, spec) * np.eye(n)
+    if spec.rhat < r <= spec.delta:
+        coeff = spec.delta * (spec.rhat - spec.rho) / (spec.rhat - spec.delta)
+        jac += (coeff / r) * np.eye(n)
+        jac -= (coeff / r**3) * np.outer(u, u)
+    return jac
+
+
+def test_radial_maps_of_a_stack_equal_each_row_bitwise():
+    stack = _radial_stack()
+    oracles = (
+        (radial_forward, _one_point_forward),
+        (radial_inverse, lambda t, s: _one_point_forward(t, s, psi_inverse)),
+        (radial_jacobian, _one_point_jacobian),
+    )
+    for fn, oracle in oracles:
+        out = fn(stack, DYADIC)
+        assert out.shape == (len(stack),) + (DYADIC.center.size,) * (
+            2 if fn is radial_jacobian else 1)
+        for row, got in zip(stack, out):
+            assert np.array_equal(got, fn(row, DYADIC))
+            assert np.array_equal(got, oracle(row, DYADIC))
+    outer = stack[81:121]
+    assert np.array_equal(radial_forward(outer, DYADIC), outer)
+    assert np.array_equal(radial_inverse(outer, DYADIC), outer)
+
+
+def test_radius_maps_are_elementwise():
+    radii = np.linalg.norm(_radial_stack() - DYADIC.center, axis=1)
+    for fn in (psi, psi_prime, psi_inverse):
+        values = fn(radii, DYADIC)
+        assert values.shape == radii.shape
+        for r, value in zip(radii, values):
+            one = fn(float(r), DYADIC)
+            assert isinstance(one, float)
+            assert value == one
+        with pytest.raises(ValueError):
+            fn(np.array([0.5, -1e-300]), DYADIC)
+
+
+def test_radial_maps_keep_the_point_shape_and_check_width():
+    point = DYADIC.center + 0.5
+    d = point.size
+    assert radial_forward(point, DYADIC).shape == (d,)
+    assert radial_inverse(point, DYADIC).shape == (d,)
+    assert radial_jacobian(point, DYADIC).shape == (d, d)
+    for fn in (radial_forward, radial_inverse, radial_jacobian):
+        for bad in (np.zeros(d + 1), np.zeros((4, d - 1)), np.zeros((2, 2, d)),
+                    np.float64(0.5)):
+            with pytest.raises(ValueError, match="center length"):
+                fn(bad, DYADIC)
+
+
 def test_radial_validation():
     with pytest.raises(ValueError):
         Radial(np.array([0.0]), delta=1.0, rho=1.5, rhat=0.5)  # rho >= delta
