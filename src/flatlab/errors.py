@@ -27,11 +27,13 @@ class KinkProximityError(RuntimeError):
 class TrainingDivergedError(RuntimeError):
     """Gradient descent blew up instead of settling into a minimum."""
 
-    def __init__(self, epoch: int, loss: float, initial_loss: float):
+    def __init__(self, epoch: int, loss: float, initial_loss: float,
+                 factor: float):
         self.epoch = epoch
         self.loss = loss
         self.initial_loss = initial_loss
+        self.factor = factor
         super().__init__(
             f"training diverged at epoch {epoch}: loss {loss:.3e} "
-            f"exceeds 1e6 x initial loss {initial_loss:.3e}"
+            f"exceeds {factor:g} x initial loss {initial_loss:.3e}"
         )

@@ -12,7 +12,7 @@ one-dimensional reparametrization demo back the CLI and the checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -92,6 +92,8 @@ def make_teacher_student(arch: Architecture, seed: int, m: int,
     """
     if m < 1:
         raise ValueError(f"need at least one example, got {m}")
+    if not (np.isfinite(margin) and margin >= 0):
+        raise ValueError(f"margin must be finite and >= 0, got {margin}")
 
     for attempt in range(_TEACHER_ATTEMPTS):
         teacher = nets.uniform_params(
@@ -162,7 +164,8 @@ def train_sgd(arch: Architecture, data: Dataset, cfg: TrainConfig,
             initial_loss = loss_value
         if not np.isfinite(loss_value) or (
                 loss_value > DIVERGENCE_FACTOR * max(initial_loss, 1e-12)):
-            raise TrainingDivergedError(epoch, loss_value, initial_loss)
+            raise TrainingDivergedError(epoch, loss_value, initial_loss,
+                                        DIVERGENCE_FACTOR)
         if loss_value < best_loss:
             best_loss = loss_value
             best_flat = flat.copy()
@@ -331,12 +334,6 @@ class MinimumCurvature:
     predicted_curvature: float
     rel_err: float
 
-    def to_dict(self) -> dict:
-        return {"eta": self.eta, "theta": self.theta,
-                "fd_curvature": self.fd_curvature,
-                "predicted_curvature": self.predicted_curvature,
-                "rel_err": self.rel_err}
-
 
 @dataclass(frozen=True)
 class NonCriticalCheck:
@@ -344,10 +341,6 @@ class NonCriticalCheck:
     fd_value: float
     formula_value: float
     rel_err: float
-
-    def to_dict(self) -> dict:
-        return {"eta": self.eta, "fd_value": self.fd_value,
-                "formula_value": self.formula_value, "rel_err": self.rel_err}
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,8 +359,8 @@ class Demo1D:
 
     def to_dict(self) -> dict:
         return {
-            "minima": [m.to_dict() for m in self.minima],
-            "noncritical": [c.to_dict() for c in self.noncritical],
+            "minima": [asdict(m) for m in self.minima],
+            "noncritical": [asdict(c) for c in self.noncritical],
             "notes": list(self.notes),
         }
 

@@ -16,7 +16,7 @@ copies whose summed volume grows without bound in the number of copies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -441,56 +441,23 @@ class FlatnessReport:
     skipped: tuple[tuple[str, str], ...]
 
     def to_dict(self) -> dict:
-        volume = None
+        """JSON-ready fields in declaration order; the certificate, the
+        threshold counts and the skip reasons become nested objects."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.counts_above is not None:
+            out["counts_above"] = [{"threshold": m, "count": c}
+                                   for m, c in self.counts_above]
         if self.volume is not None:
-            volume = {
-                "r": self.volume.r,
-                "v": self.volume.v,
-                "alpha": self.volume.alpha,
-                "boxes_checked": self.volume.boxes_checked,
-                "max_deviations": list(self.volume.max_deviations),
-                "lower_bounds": list(self.volume.lower_bounds),
-                "disjointness_verified": self.volume.disjointness_verified,
-                "valid": self.volume.valid,
-                "failed_box": self.volume.failed_box,
-                "shrink_steps": self.volume.shrink_steps,
-            }
-        return {
-            "loss": self.loss,
-            "grad_norm": self.grad_norm,
-            "kink_dist": self.kink_dist,
-            "curvature_path": self.curvature_path,
-            "spec_norm": self.spec_norm,
-            "trace": self.trace,
-            "eigenvalues": (list(self.eigenvalues)
-                            if self.eigenvalues is not None else None),
-            "counts_above": ([{"threshold": m, "count": c}
-                              for m, c in self.counts_above]
-                             if self.counts_above is not None else None),
-            "eps_sharp": self.eps_sharp,
-            "eps_sharp_offset": list(self.eps_sharp_offset),
-            "eps_sharp_discarded": self.eps_sharp_discarded,
-            "sharp_2nd": self.sharp_2nd,
-            "volume": volume,
-            "skipped": [{"field": f, "reason": r} for f, r in self.skipped],
-        }
+            out["volume"] = asdict(self.volume)
+        out["skipped"] = [{"field": f, "reason": r} for f, r in self.skipped]
+        return out
 
     def csv_row(self) -> list[str]:
-        cells = []
-        for column in CSV_COLUMNS:
-            value = {
-                "loss": self.loss,
-                "grad_norm": self.grad_norm,
-                "kink_dist": self.kink_dist,
-                "spec_norm": self.spec_norm,
-                "trace": self.trace,
-                "eps_sharp": self.eps_sharp,
-                "sharp_2nd": self.sharp_2nd,
-                "vol_lb": (self.volume.volume_lower_bound
-                           if self.volume is not None else None),
-            }[column]
-            cells.append("" if value is None else format_float(float(value)))
-        return cells
+        """One cell per :data:`CSV_COLUMNS` entry, empty where None."""
+        vol_lb = None if self.volume is None else self.volume.volume_lower_bound
+        values = [vol_lb if c == "vol_lb" else getattr(self, c)
+                  for c in CSV_COLUMNS]
+        return ["" if v is None else format_float(float(v)) for v in values]
 
 
 def flatness_report(arch: Architecture, params: ParamVector, data: Dataset,

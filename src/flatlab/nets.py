@@ -335,6 +335,7 @@ def loss_and_gradient(arch: Architecture, params: ParamVector,
     in particular the derivative at a kink is taken to be 0.
     """
     check_params(arch, params)
+    _check_input_width(arch, data.inputs)
     return _mse_and_gradient(params.weights, params.biases, data)
 
 
@@ -383,6 +384,7 @@ def input_gradient(arch: Architecture, params: ParamVector,
     """Derivative of the scalar output with respect to each input, rowwise."""
     check_params(arch, params)
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
+    _check_input_width(arch, x)
     _, pre = _forward_full(params.weights, params.biases, x)
     delta = np.ones((x.shape[0], 1))
     for k in range(arch.depth - 1, 0, -1):
@@ -400,6 +402,7 @@ def kink_argmin(arch: Architecture, params: ParamVector,
     are ``-1``.
     """
     check_params(arch, params)
+    _check_input_width(arch, data.inputs)
     _, pre = _forward_full(params.weights, params.biases, data.inputs)
     return _kink_argmin(pre)
 

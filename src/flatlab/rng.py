@@ -29,7 +29,3 @@ class SeededRng:
         key = np.array([self.seed & _MASK64, self.stream_id & _MASK64],
                        dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
-
-    def stream(self, offset: int) -> "SeededRng":
-        """Sibling stream whose id is shifted by ``offset``."""
-        return SeededRng(self.seed, (self.stream_id + offset) & _MASK64)

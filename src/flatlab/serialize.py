@@ -1,11 +1,12 @@
 """Deterministic JSON serialization.
 
-The stock ``json`` module would work for reading, but its float output is
-not pinned down tightly enough for byte-identical reproducibility across
-runs, so writing goes through a small recursive emitter instead. Floats
-are rendered with ``repr``-grade precision (17 significant digits), which
-round-trips every float64 exactly; dict keys keep insertion order, which
-the callers control deterministically.
+Reading uses the stock ``json`` module. Writing goes through a small
+recursive emitter that renders every float with 17 significant digits
+(``0.10000000000000001``, and ``2`` for 2.0), the text of every output
+this package has written; stock ``json`` is deterministic too, but its
+``float.__repr__`` text (``0.1``, ``2.0``) would change those bytes.
+Either round-trips every float64 exactly. Dict keys keep insertion
+order, which the callers control deterministically.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ where ``d`` is the flat multiplier vector of :class:`DiagonalScaling`.
 from __future__ import annotations
 
 import dataclasses
+import typing
 import warnings
 from dataclasses import dataclass
 
@@ -47,20 +48,20 @@ _SHARPEN_STEPS = 300
 class AlphaScaleTwoLayer:
     """(theta_1, theta_2) -> (alpha theta_1, alpha^-1 theta_2)."""
 
+    kind = "alpha_scale_two_layer"
+
     alpha: float
 
     def __post_init__(self):
         if not (self.alpha > 0):
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
 
-    @property
-    def kind(self) -> str:
-        return "alpha_scale_two_layer"
-
 
 @dataclass(frozen=True)
 class AlphaScaleDeep:
     """Layer k scaled by alphas[k]; the product of all factors is 1."""
+
+    kind = "alpha_scale_deep"
 
     alphas: tuple[float, ...]
 
@@ -78,14 +79,12 @@ class AlphaScaleDeep:
                 f"{ALPHA_PRODUCT_RTOL:.0e}"
             )
 
-    @property
-    def kind(self) -> str:
-        return "alpha_scale_deep"
-
 
 @dataclass(frozen=True)
 class WeightNormScale:
     """Scale the unnormalized weight v of one layer; w = s v/|v| is kept."""
+
+    kind = "weight_norm"
 
     layer: int
     alpha: float
@@ -96,10 +95,6 @@ class WeightNormScale:
         if self.layer < 0:
             raise ValueError(f"layer index must be >= 0, got {self.layer}")
 
-    @property
-    def kind(self) -> str:
-        return "weight_norm"
-
 
 @dataclass(frozen=True, eq=False)
 class Radial:
@@ -109,6 +104,8 @@ class Radial:
     delta] stretch linearly to (rho, delta]; everything outside the ball
     is untouched.
     """
+
+    kind = "radial"
 
     center: np.ndarray
     delta: float
@@ -125,14 +122,12 @@ class Radial:
         if not (0 < self.rhat < self.delta):
             raise ValueError(f"rhat must lie in (0, delta), got {self.rhat}")
 
-    @property
-    def kind(self) -> str:
-        return "radial"
-
 
 @dataclass(frozen=True)
 class PowerStretch:
     """Scalar bijection eta = (|t - center|^2 + b)^a (t - center)."""
+
+    kind = "power_stretch"
 
     center: float
     a: float
@@ -144,14 +139,12 @@ class PowerStretch:
         if not (self.b >= 0):
             raise ValueError(f"b must be >= 0, got {self.b}")
 
-    @property
-    def kind(self) -> str:
-        return "power_stretch"
-
 
 @dataclass(frozen=True, eq=False)
 class InputAffine:
     """Invertible input preprocessing x = A u + shift."""
+
+    kind = "input_affine"
 
     matrix: np.ndarray
     shift: np.ndarray
@@ -173,23 +166,13 @@ class InputAffine:
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "shift", c)
 
-    @property
-    def kind(self) -> str:
-        return "input_affine"
-
 
 TransformSpec = (AlphaScaleTwoLayer | AlphaScaleDeep | WeightNormScale
                  | Radial | PowerStretch | InputAffine)
 
 
-_TRANSFORM_KINDS = {
-    "alpha_scale_two_layer": AlphaScaleTwoLayer,
-    "alpha_scale_deep": AlphaScaleDeep,
-    "weight_norm": WeightNormScale,
-    "radial": Radial,
-    "power_stretch": PowerStretch,
-    "input_affine": InputAffine,
-}
+# each spec's ``kind`` JSON tag is a plain class attribute, not a field
+_TRANSFORM_KINDS = {cls.kind: cls for cls in typing.get_args(TransformSpec)}
 
 
 def transform_to_dict(spec: TransformSpec) -> dict:

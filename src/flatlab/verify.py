@@ -9,7 +9,7 @@ identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,10 +38,6 @@ class CheckOutcome:
     stats: dict
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed,
-                "stats": self.stats, "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class SuiteReport:
@@ -58,7 +54,7 @@ class SuiteReport:
             "suite": self.suite,
             "seed": self.seed,
             "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 

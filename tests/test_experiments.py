@@ -1,9 +1,12 @@
+from dataclasses import astuple, fields
+
 import numpy as np
 import pytest
 
 from flatlab import experiments, nets
 from flatlab.errors import TrainingDivergedError
-from flatlab.experiments import (TrainConfig, alpha_sweep, demo_spec_from_dict,
+from flatlab.experiments import (MinimumCurvature, NonCriticalCheck,
+                                 TrainConfig, alpha_sweep, demo_spec_from_dict,
                                  make_teacher_student, probe_inputs,
                                  reparam_demo_1d, train_sgd)
 from flatlab.metrics import CSV_COLUMNS, SharpnessConfig
@@ -51,6 +54,16 @@ def test_teacher_deterministic():
 def test_teacher_rejects_bad_counts():
     with pytest.raises(ValueError):
         make_teacher_student(Architecture((2, 3, 1)), 0, 0)
+
+
+@pytest.mark.parametrize("margin", [float("nan"), float("inf"), -0.1])
+def test_teacher_rejects_bad_margin(monkeypatch, margin):
+    def refuse(*args, **kwargs):
+        raise AssertionError("inputs were screened")
+
+    monkeypatch.setattr(experiments, "_screened_inputs", refuse)
+    with pytest.raises(ValueError, match="margin"):
+        make_teacher_student(Architecture((2, 8, 1)), 0, 16, margin=margin)
 
 
 def _per_row_teacher(arch, seed, m, margin, tries=500, attempts=200):
@@ -173,6 +186,9 @@ def test_train_divergence_raises_with_epoch():
     with pytest.raises(TrainingDivergedError) as info:
         train_sgd(arch, data, cfg)
     assert info.value.epoch >= 0
+    assert info.value.factor == experiments.DIVERGENCE_FACTOR
+    assert f"exceeds {experiments.DIVERGENCE_FACTOR:g} x initial" in str(
+        info.value)
 
 
 def test_train_trace_monotone_near_minimum():
@@ -277,6 +293,20 @@ def test_demo_notes_when_no_interior_minimum():
                            1.0, 2.0, 51)
     assert demo.minima == ()
     assert any("no interior minima" in note for note in demo.notes)
+
+
+def test_demo_dict_carries_each_record_field():
+    demo = reparam_demo_1d("double_well", PowerStretch(0.2, 1.0, 0.0),
+                           -2.0, 2.0)
+    payload = demo.to_dict()
+    assert list(payload) == ["minima", "noncritical", "notes"]
+    assert payload["minima"] and payload["noncritical"]
+    for record, entry in zip(demo.minima, payload["minima"]):
+        assert list(entry) == [f.name for f in fields(MinimumCurvature)]
+        assert list(entry.values()) == list(astuple(record))
+    for record, entry in zip(demo.noncritical, payload["noncritical"]):
+        assert list(entry) == [f.name for f in fields(NonCriticalCheck)]
+        assert list(entry.values()) == list(astuple(record))
 
 
 def test_demo_curve_csv_shape():

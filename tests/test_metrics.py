@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from flatlab import metrics, nets
-from flatlab.metrics import (CSV_COLUMNS, SharpnessConfig, SharpnessResult,
+from flatlab.metrics import (CSV_COLUMNS, FlatnessReport, SharpnessConfig,
+                             SharpnessResult, VolumeCertificate,
                              epsilon_sharpness, flatness_report,
                              hessian_measures, second_order_sharpness,
                              sublevel_volume_mc, volume_flatness_certificate)
@@ -11,6 +14,7 @@ from flatlab.nets import (Architecture, Dataset, FlatIndex, Objective,
                           ParamVector, forward, hessian, loss, uniform_params,
                           unvec, vec)
 from flatlab.rng import SeededRng
+from flatlab.serialize import format_float
 from flatlab.transforms import disjoint_box_alpha, transform_multipliers
 
 
@@ -410,6 +414,31 @@ def test_flatness_report_skips_hessian_near_kink():
     row = report.csv_row()
     assert row[CSV_COLUMNS.index("spec_norm")] == ""
     assert row[CSV_COLUMNS.index("eps_sharp")] != ""
+
+
+@pytest.mark.parametrize("volume_epsilon", [None, 1e-2])
+def test_flatness_report_serializes_its_fields_in_order(volume_epsilon):
+    arch, data, teacher = _teacher_setup(widths=(2, 4, 1), seed=61)
+    cfg = SharpnessConfig(epsilon=1e-2, seed=8)
+    report = flatness_report(arch, teacher, data, cfg, thresholds=(0.5, 2.0),
+                             volume_epsilon=volume_epsilon)
+    payload = report.to_dict()
+    assert list(payload) == [f.name for f in fields(FlatnessReport)]
+    assert payload["eigenvalues"] == report.eigenvalues
+    assert payload["counts_above"] == [{"threshold": m, "count": c}
+                                       for m, c in report.counts_above]
+    if volume_epsilon is None:
+        assert payload["volume"] is None
+    else:
+        assert list(payload["volume"]) == [
+            f.name for f in fields(VolumeCertificate)]
+        assert payload["volume"]["lower_bounds"] == report.volume.lower_bounds
+    row = report.csv_row()
+    assert CSV_COLUMNS[-1] == "vol_lb"
+    for column, cell in zip(CSV_COLUMNS[:-1], row):
+        assert cell == format_float(getattr(report, column))
+    assert row[-1] == ("" if report.volume is None else
+                       format_float(report.volume.volume_lower_bound))
 
 
 def test_flatness_report_volume_skipped_for_deep_net():

@@ -5,7 +5,11 @@ import pytest
 
 from flatlab import nets
 from flatlab.errors import KinkProximityError
-from flatlab.experiments import make_teacher_student
+from flatlab.experiments import (TrainConfig, alpha_sweep,
+                                 make_teacher_student, train_sgd)
+from flatlab.metrics import (SharpnessConfig, epsilon_sharpness,
+                             flatness_report, sublevel_volume_mc,
+                             volume_flatness_certificate)
 from flatlab.nets import (Architecture, Dataset, FlatIndex, Objective,
                           ParamVector, check_params, forward, gradient, hessian,
                           input_gradient, kink_argmin, kink_distance,
@@ -94,6 +98,37 @@ def test_gradient_is_zero_on_inactive_path():
     # hidden unit off: only the (zero) activation reaches w2, and w1 gets
     # no signal through the dead rectifier
     assert np.allclose(g, [0.0, 0.0])
+
+
+_WIDE_ARCH = Architecture((2, 3, 1))
+_WIDE_PARAMS = uniform_params(_WIDE_ARCH, SeededRng(26).generator())
+_WIDE_DATA = Dataset(np.ones((4, 3)), np.zeros(4))
+_SHARPNESS = SharpnessConfig(epsilon=1e-2)
+WIDTH_ENTRY_POINTS = {
+    "forward": lambda a, p, d: forward(a, p, d.inputs),
+    "input_gradient": lambda a, p, d: input_gradient(a, p, d.inputs),
+    "loss": loss,
+    "loss_and_gradient": loss_and_gradient,
+    "gradient": gradient,
+    "hessian": hessian,
+    "kink_argmin": kink_argmin,
+    "kink_distance": kink_distance,
+    "Objective": lambda a, p, d: Objective(a, d),
+    "epsilon_sharpness": lambda a, p, d: epsilon_sharpness(a, p, d, _SHARPNESS),
+    "flatness_report": lambda a, p, d: flatness_report(a, p, d, _SHARPNESS),
+    "volume_flatness_certificate": lambda a, p, d: volume_flatness_certificate(
+        a, p, d, 1e-2, 2, 4, SeededRng(0)),
+    "sublevel_volume_mc": lambda a, p, d: sublevel_volume_mc(
+        a, p, d, 1e-2, 0.1, 4, SeededRng(0)),
+    "train_sgd": lambda a, p, d: train_sgd(a, d, TrainConfig(0.1, 2), p),
+    "alpha_sweep": lambda a, p, d: alpha_sweep(a, p, d, (1.0,), _SHARPNESS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDTH_ENTRY_POINTS))
+def test_wrong_input_width_is_named_at_every_entry_point(name):
+    with pytest.raises(ValueError, match=r"^input width 3 != 2$"):
+        WIDTH_ENTRY_POINTS[name](_WIDE_ARCH, _WIDE_PARAMS, _WIDE_DATA)
 
 
 def test_vec_unvec_round_trip():

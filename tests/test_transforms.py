@@ -1,3 +1,6 @@
+from dataclasses import fields
+from typing import get_args
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +10,10 @@ from flatlab.linalg import symmetric_eigenspectrum
 from flatlab.nets import (Architecture, Dataset, ParamVector, forward,
                           gradient, hessian, uniform_params, vec)
 from flatlab.rng import SeededRng
-from flatlab.transforms import (AlphaScaleDeep, AlphaScaleTwoLayer,
-                                InputAffine, PowerStretch, Radial,
-                                WeightNormScale, alpha_scale_deep,
+from flatlab.transforms import (_TRANSFORM_KINDS, AlphaScaleDeep,
+                                AlphaScaleTwoLayer, InputAffine, PowerStretch,
+                                Radial, TransformSpec, WeightNormScale,
+                                alpha_scale_deep,
                                 alpha_scale_two_layer, apply_transform,
                                 diagonal_scaling, disjoint_box_alpha,
                                 epsilon_sharp_alpha, first_last_alphas,
@@ -526,6 +530,16 @@ def test_transform_codec_round_trip(spec):
     back = transform_from_dict(transform_to_dict(spec))
     assert type(back) is type(spec)
     assert transform_to_dict(back) == transform_to_dict(spec)
+
+
+def test_each_kind_tag_is_a_class_attribute_not_a_field():
+    assert sorted(_TRANSFORM_KINDS) == sorted(s.kind for s in CODEC_CASES)
+    assert set(_TRANSFORM_KINDS.values()) == set(get_args(TransformSpec))
+    for spec in CODEC_CASES:
+        names = [f.name for f in fields(spec)]
+        assert "kind" not in names
+        assert _TRANSFORM_KINDS[type(spec).kind] is type(spec)
+        assert list(transform_to_dict(spec)) == ["kind", *names]
 
 
 def test_codec_rejects_unknown_kind():

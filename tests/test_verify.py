@@ -1,9 +1,11 @@
 import json
+from dataclasses import fields
 
 import pytest
 
 from flatlab.serialize import to_json
-from flatlab.verify import CHECK_ORDER, CHECKS, SUITES, run_suite
+from flatlab.verify import (CHECK_ORDER, CHECKS, SUITES, CheckOutcome,
+                            run_suite)
 
 
 def test_suite_names_cover_checks():
@@ -26,6 +28,8 @@ def test_single_suite_runs_and_serializes():
     assert report.checks[0].name == "radial"
     assert report.checks[0].passed
     payload = json.loads(to_json(report.to_dict()))
+    assert list(payload) == ["suite", "seed", "passed", "checks"]
+    assert list(payload["checks"][0]) == [f.name for f in fields(CheckOutcome)]
     assert payload["passed"] is True
     assert payload["checks"][0]["stats"]["points_per_region"] == 500
 
