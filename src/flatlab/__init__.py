@@ -10,11 +10,10 @@ from .experiments import (Demo1D, TrainConfig, TrainResult, alpha_sweep,
 from .metrics import (FlatnessReport, HessianMeasures, SharpnessConfig,
                       SharpnessResult, VolumeCertificate,
                       epsilon_sharpness, flatness_report, hessian_measures,
-                      second_order_sharpness, sublevel_volume_mc,
-                      volume_flatness_certificate)
+                      second_order_sharpness, volume_flatness_certificate)
 from .nets import (Architecture, Dataset, FlatIndex, ParamVector, forward,
                    gradient, hessian, kink_distance, load_checkpoint, loss,
-                   save_checkpoint, unvec, vec)
+                   unvec, vec)
 from .rng import SeededRng
 from .transforms import (AlphaScaleDeep, AlphaScaleTwoLayer, DiagonalScaling,
                          InputAffine, PowerStretch, Radial, TransformSpec,
@@ -35,7 +34,7 @@ __all__ = [
     "Architecture", "Dataset", "FlatIndex", "ParamVector", "SeededRng",
     "KinkProximityError", "TrainingDivergedError",
     "forward", "loss", "gradient", "hessian", "kink_distance",
-    "vec", "unvec", "save_checkpoint", "load_checkpoint",
+    "vec", "unvec", "load_checkpoint",
     "TransformSpec", "AlphaScaleTwoLayer", "AlphaScaleDeep",
     "WeightNormScale", "Radial", "PowerStretch", "InputAffine",
     "DiagonalScaling", "transform_to_dict", "transform_from_dict",
@@ -48,7 +47,7 @@ __all__ = [
     "SharpnessConfig", "SharpnessResult", "HessianMeasures",
     "VolumeCertificate", "FlatnessReport",
     "epsilon_sharpness", "second_order_sharpness", "hessian_measures",
-    "volume_flatness_certificate", "sublevel_volume_mc", "flatness_report",
+    "volume_flatness_certificate", "flatness_report",
     "TrainConfig", "TrainResult", "Demo1D", "make_teacher_student",
     "train_sgd", "alpha_sweep", "reparam_demo_1d",
     "SuiteReport", "SUITES", "run_suite",

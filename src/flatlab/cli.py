@@ -7,6 +7,7 @@ Diagnostics go to standard error; data goes to files or standard output.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -43,12 +44,25 @@ def _parse_arch(text: str) -> tuple[int, ...]:
     return widths
 
 
+def _checked(convert, accept, expected: str):
+    """An argparse type: ``convert`` the text, refused unless ``accept`` holds."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+_parse_finite = _checked(float, math.isfinite, "a finite number")
+_parse_jobs = _checked(int, lambda jobs: jobs >= 1, "an integer >= 1")
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}")
+    return tuple(_parse_finite(part) for part in text.split(","))
 
 
 def _add_data_flags(parser, default_m: int = 64):
@@ -59,7 +73,7 @@ def _add_data_flags(parser, default_m: int = 64):
 
 
 def _add_jobs_flag(parser):
-    parser.add_argument("--jobs", type=int, default=1, metavar="INT",
+    parser.add_argument("--jobs", type=_parse_jobs, default=1, metavar="INT",
                         help="accepted for compatibility; work runs serially")
 
 
@@ -87,7 +101,8 @@ def build_parser() -> _Parser:
         "metrics", help="flatness report for a checkpoint")
     metrics.add_argument("--checkpoint", required=True, metavar="PATH")
     _add_data_flags(metrics)
-    metrics.add_argument("--eps", type=float, default=1e-2, metavar="REAL",
+    metrics.add_argument("--eps", type=_parse_finite, default=1e-2,
+                         metavar="REAL",
                          help="neighborhood size for sharpness and volume")
     metrics.add_argument("--thresholds", type=_parse_floats, default=(),
                          metavar="LIST", help="eigenvalue count thresholds")
@@ -108,7 +123,8 @@ def build_parser() -> _Parser:
     sweep.add_argument("--alpha", type=_parse_floats, required=True,
                        metavar="REAL-or-list", help="scale factors")
     _add_data_flags(sweep)
-    sweep.add_argument("--eps", type=float, default=1e-2, metavar="REAL")
+    sweep.add_argument("--eps", type=_parse_finite, default=1e-2,
+                       metavar="REAL")
     sweep.add_argument("--thresholds", type=_parse_floats, default=(),
                        metavar="LIST")
     _add_jobs_flag(sweep)

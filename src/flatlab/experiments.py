@@ -155,23 +155,25 @@ def train_sgd(arch: Architecture, data: Dataset, cfg: TrainConfig,
     initial_loss = None
     trace: list[tuple[float, float]] = []
     epochs_run = 0
-    for epoch in range(cfg.epochs):
-        loss_value, grad = objective.loss_grad(flat)
-        grad_norm = float(np.linalg.norm(grad))
-        trace.append((loss_value, grad_norm))
-        epochs_run = epoch + 1
-        if initial_loss is None:
-            initial_loss = loss_value
-        if not np.isfinite(loss_value) or (
-                loss_value > DIVERGENCE_FACTOR * max(initial_loss, 1e-12)):
-            raise TrainingDivergedError(epoch, loss_value, initial_loss,
-                                        DIVERGENCE_FACTOR)
-        if loss_value < best_loss:
-            best_loss = loss_value
-            best_flat = flat.copy()
-        if grad_norm <= cfg.stop_grad_norm:
-            break
-        flat = flat - cfg.learning_rate * grad
+    # a diverging step overflows; the error below reports it, not numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            loss_value, grad = objective.loss_grad(flat)
+            grad_norm = float(np.linalg.norm(grad))
+            trace.append((loss_value, grad_norm))
+            epochs_run = epoch + 1
+            if initial_loss is None:
+                initial_loss = loss_value
+            if not np.isfinite(loss_value) or (
+                    loss_value > DIVERGENCE_FACTOR * max(initial_loss, 1e-12)):
+                raise TrainingDivergedError(epoch, loss_value, initial_loss,
+                                            DIVERGENCE_FACTOR)
+            if loss_value < best_loss:
+                best_loss = loss_value
+                best_flat = flat.copy()
+            if grad_norm <= cfg.stop_grad_norm:
+                break
+            flat = flat - cfg.learning_rate * grad
     return TrainResult(nets.unvec(arch, best_flat), tuple(trace), epochs_run)
 
 

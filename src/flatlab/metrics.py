@@ -5,8 +5,8 @@ gradient ascent inside the epsilon ball from a deterministic start along
 the gradient plus seeded random restarts. Reported values never claim to
 be the true maximum. The starts advance in lockstep, one stacked
 :class:`~flatlab.nets.Objective` evaluation a step; the volume
-certificate and the Monte Carlo volume evaluate their samples as stacks
-too. Each row of a stack is bit-identical to evaluating it alone.
+certificate evaluates its samples as stacks too. Each row of a stack is
+bit-identical to evaluating it alone.
 
 The volume certificate is the constructive side of the infinite-volume
 argument: a sup-norm box of nearly constant loss around the point,
@@ -30,9 +30,12 @@ from .transforms import disjoint_box_alpha, transform_multipliers
 
 # stream-id bases; keep distinct so no two purposes share a stream
 _STREAM_SHARPNESS = 1000
-_STREAM_SUBSPACE = 1500
-_STREAM_MC = 2000
 _STREAM_BOX = 3000
+
+# seeded random starts of the ball-sharpness ascent, and its step as a
+# fraction of epsilon
+_RESTARTS = 8
+_STEP_SIZE = 0.1
 
 # the volume certificate inside a full report
 _REPORT_BOXES = 20
@@ -46,24 +49,18 @@ CSV_COLUMNS = ("loss", "grad_norm", "kink_dist", "spec_norm", "trace",
 
 @dataclass(frozen=True)
 class SharpnessConfig:
-    """Knobs of the ball-sharpness ascent."""
+    """Ball radius, step count and seed of the ball-sharpness ascent; its
+    :data:`_RESTARTS` seeded restarts each step :data:`_STEP_SIZE` epsilon."""
 
     epsilon: float
-    restarts: int = 8
     steps: int = 60
-    step_size: float = 0.1
-    subspace_dim: int | None = None
     seed: int = 0
 
     def __post_init__(self):
         if not (self.epsilon > 0):
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.restarts < 1 or self.steps < 1:
-            raise ValueError("restarts and steps must be >= 1")
-        if not (self.step_size > 0):
-            raise ValueError(f"step_size must be > 0, got {self.step_size}")
-        if self.subspace_dim is not None and self.subspace_dim < 1:
-            raise ValueError("subspace_dim must be >= 1 when present")
+        if self.steps < 1:
+            raise ValueError(f"steps must be >= 1, got {self.steps}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,18 +82,6 @@ def _ball_point(gen: np.random.Generator, dim: int, radius: float) -> np.ndarray
     return (scale / norm) * direction
 
 
-def _subspace_basis(dim: int, subspace_dim: int, rng: SeededRng) -> np.ndarray:
-    """Column-orthonormal basis of a seeded random subspace."""
-    if subspace_dim > dim:
-        raise ValueError(
-            f"subspace_dim {subspace_dim} exceeds parameter count {dim}"
-        )
-    gen = rng.generator()
-    raw = gen.standard_normal((dim, subspace_dim))
-    q, _ = np.linalg.qr(raw)
-    return q
-
-
 def epsilon_sharpness(arch: Architecture, params: ParamVector, data: Dataset,
                       cfg: SharpnessConfig) -> SharpnessResult:
     """Lower bound on max over the epsilon ball of the relative loss rise.
@@ -112,30 +97,19 @@ def epsilon_sharpness(arch: Architecture, params: ParamVector, data: Dataset,
     nets.check_params(arch, params)
     flat0 = vec(arch, params)
     base_loss = nets.loss(arch, params, data)
-    basis = None
-    if cfg.subspace_dim is not None:
-        basis = _subspace_basis(flat0.size, cfg.subspace_dim,
-                                SeededRng(cfg.seed, _STREAM_SUBSPACE))
     objective = Objective(arch, data)
     eps = cfg.epsilon
 
-    def loss_grad_at(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if basis is None:
-            return objective.loss_grad(flat0 + z)
-        values, g = objective.loss_grad(flat0 + (basis @ z[:, :, None])[:, :, 0])
-        return values, (basis.T @ g[:, :, None])[:, :, 0]
-
-    inner = flat0.size if basis is None else basis.shape[1]
-    z = np.zeros((2 + cfg.restarts, inner))
-    g_center = loss_grad_at(z[:1])[1]
+    z = np.zeros((2 + _RESTARTS, flat0.size))
+    g_center = objective.loss_grad(flat0 + z[:1])[1]
     norm = _row_norms(g_center)[0]
     if norm != 0.0 and np.isfinite(norm):
         z[1] = (eps / norm) * g_center[0]
     for sid in range(2, len(z)):
         gen = SeededRng(cfg.seed, _STREAM_SHARPNESS + sid).generator()
-        z[sid] = _ball_point(gen, inner, eps)
+        z[sid] = _ball_point(gen, flat0.size, eps)
 
-    best, g = loss_grad_at(z)
+    best, g = objective.loss_grad(flat0 + z)
     kept = np.isfinite(best)
     best_z = z.copy()
     rows = np.flatnonzero(kept)
@@ -145,11 +119,11 @@ def epsilon_sharpness(arch: Architecture, params: ParamVector, data: Dataset,
         rows, norms = rows[moving], norms[moving]
         if rows.size == 0:
             break
-        step = z[rows] + ((cfg.step_size * eps) / norms)[:, None] * g[rows]
+        step = z[rows] + ((_STEP_SIZE * eps) / norms)[:, None] * g[rows]
         znorms = _row_norms(step)
         out = znorms > eps
         step[out] = (eps / znorms[out])[:, None] * step[out]
-        values, g[rows] = loss_grad_at(step)
+        values, g[rows] = objective.loss_grad(flat0 + step)
         z[rows] = step
         finite = np.isfinite(values)
         kept[rows[~finite]] = False
@@ -163,7 +137,7 @@ def epsilon_sharpness(arch: Architecture, params: ParamVector, data: Dataset,
     for sid in np.flatnonzero(kept):
         if best[sid] > best_loss:
             best_loss = float(best[sid])
-            best_offset = best_z[sid] if basis is None else basis @ best_z[sid]
+            best_offset = best_z[sid]
     value = (best_loss - base_loss) / (1.0 + base_loss)
     return SharpnessResult(max(value, 0.0), best_offset,
                            int(np.count_nonzero(~kept)))
@@ -262,17 +236,6 @@ class VolumeCertificate:
         return self.lower_bounds[-1] if self.lower_bounds else 0.0
 
 
-def _sample_losses(objective: Objective, count: int, make_rows):
-    """Losses of ``count`` sample rows, one stacked evaluation a block.
-
-    ``make_rows(start, rows)`` builds the next ``rows`` rows from row
-    ``start`` on, so the rows are built in order and only one block is held.
-    """
-    block = nets._block_rows(objective)
-    for start in range(0, count, block):
-        yield objective.loss(make_rows(start, min(block, count - start)))
-
-
 def volume_flatness_certificate(arch: Architecture, params: ParamVector,
                                 data: Dataset, epsilon: float,
                                 boxes: int, samples_per_box: int,
@@ -314,13 +277,14 @@ def volume_flatness_certificate(arch: Architecture, params: ParamVector,
     base_offsets = gen.uniform(-1.0, 1.0, size=(samples_per_box, n))
 
     objective = Objective(arch, data)
+    block = nets._block_rows(objective)
 
     def box_max_deviation(mult: np.ndarray, radius: float) -> float:
+        # one stacked evaluation a block, so only one block of rows is held
         worst = 0.0
-        for losses in _sample_losses(
-                objective, samples_per_box,
-                lambda i, k: (flat0 + radius * base_offsets[i:i + k]) * mult):
-            worst = max([worst, *(losses - base_loss).tolist()])
+        for i in range(0, samples_per_box, block):
+            rows = (flat0 + radius * base_offsets[i:i + block]) * mult
+            worst = max([worst, *(objective.loss(rows) - base_loss).tolist()])
         return worst
 
     # validate the base box, shrinking r until the loss bound holds on it
@@ -382,33 +346,6 @@ def volume_flatness_certificate(arch: Architecture, params: ParamVector,
         failed_box=failed_box,
         shrink_steps=shrink_steps,
     )
-
-
-def sublevel_volume_mc(arch: Architecture, params: ParamVector, data: Dataset,
-                       epsilon: float, halfwidth: float, samples: int,
-                       rng: SeededRng) -> tuple[float, float]:
-    """Monte Carlo fraction of a box around the point with loss below
-    loss + epsilon, with its binomial standard error.
-
-    Illustrates the bounded-window view of the near-constant region; it
-    says nothing about connectivity and is not a certified bound.
-    """
-    nets.check_params(arch, params)
-    if not (halfwidth > 0) or samples < 1:
-        raise ValueError("halfwidth must be > 0 and samples >= 1")
-    flat0 = vec(arch, params)
-    base_loss = nets.loss(arch, params, data)
-    objective = Objective(arch, data)
-    gen = rng.generator()
-    hits = 0
-    for losses in _sample_losses(
-            objective, samples,
-            lambda _, rows: flat0 + gen.uniform(-halfwidth, halfwidth,
-                                                size=(rows, flat0.size))):
-        hits += int(np.count_nonzero(losses < base_loss + epsilon))
-    fraction = hits / samples
-    stderr = float(np.sqrt(fraction * (1.0 - fraction) / samples))
-    return fraction, stderr
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,7 +33,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import KinkProximityError
-from .serialize import json_float, json_int, read_json, write_json
+from .serialize import json_float, json_int, read_json
 
 # Floats of activations a stack of rows is sized to (128 KiB): past glibc's
 # mmap threshold its temporaries page-fault on every call (sweep in CHANGES.md).
@@ -379,19 +379,6 @@ def _block_rows(objective: Objective) -> int:
     return max(1, _BLOCK_ELEMENTS // row_elements)
 
 
-def input_gradient(arch: Architecture, params: ParamVector,
-                   inputs: np.ndarray) -> np.ndarray:
-    """Derivative of the scalar output with respect to each input, rowwise."""
-    check_params(arch, params)
-    x = np.atleast_2d(np.asarray(inputs, dtype=float))
-    _check_input_width(arch, x)
-    _, pre = _forward_full(params.weights, params.biases, x)
-    delta = np.ones((x.shape[0], 1))
-    for k in range(arch.depth - 1, 0, -1):
-        delta = (delta @ params.weights[k].T) * (pre[k - 1] > 0.0)
-    return delta @ params.weights[0].T
-
-
 def kink_argmin(arch: Architecture, params: ParamVector,
                 data: Dataset) -> tuple[float, int, int, int]:
     """Smallest hidden-unit preactivation magnitude and where it occurs.
@@ -512,10 +499,6 @@ def checkpoint_payload(arch: Architecture, params: ParamVector) -> dict:
         "biases": ([b.tolist() for b in params.biases]
                    if arch.use_bias else None),
     }
-
-
-def save_checkpoint(path: str, arch: Architecture, params: ParamVector) -> None:
-    write_json(path, checkpoint_payload(arch, params))
 
 
 def _json_floats(values, name: str) -> np.ndarray:

@@ -67,12 +67,6 @@ def to_json(value: Any) -> str:
     return "".join(pieces)
 
 
-def write_json(path: str, value: Any) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json(value))
-        fh.write("\n")
-
-
 def read_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)

@@ -657,28 +657,6 @@ def power_stretch_second_derivative(t: float, spec: PowerStretch) -> float:
 # input preprocessing
 
 
-def input_affine_apply(spec: InputAffine, u: np.ndarray) -> np.ndarray:
-    """x = A u + shift, rowwise over a batch."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        return spec.matrix @ u + spec.shift
-    if u.ndim == 2 and u.shape[1] == spec.matrix.shape[0]:
-        return u @ spec.matrix.T + spec.shift
-    raise ValueError(f"input shape {u.shape} does not match preprocessing dim")
-
-
-def preprocessed_input_gradient(df_dx: np.ndarray,
-                                spec: InputAffine) -> np.ndarray:
-    """Chain rule for the preprocessed prediction: row gradient times A."""
-    df_dx = np.asarray(df_dx, dtype=float)
-    if df_dx.shape[-1] != spec.matrix.shape[0]:
-        raise ValueError(
-            f"gradient length {df_dx.shape[-1]} != preprocessing dim "
-            f"{spec.matrix.shape[0]}"
-        )
-    return df_dx @ spec.matrix
-
-
 def fold_input_affine(arch: Architecture, params: ParamVector,
                       spec: InputAffine) -> ParamVector:
     """Network computing f(A u + shift) directly on raw u.

@@ -386,8 +386,7 @@ def _check_ball_sharpness(seed: int) -> CheckOutcome:
                                       probe_inputs(arch, unit))
         zero_loss = nets.loss(arch, zero_first_layer(arch, point), data)
         bound = 0.9 * (zero_loss - base_loss) / (1.0 + base_loss)
-        cfg = SharpnessConfig(epsilon=_BALL_EPSILON, restarts=8, steps=100,
-                              step_size=0.1, seed=unit)
+        cfg = SharpnessConfig(epsilon=_BALL_EPSILON, steps=100, seed=unit)
         before = epsilon_sharpness(arch, teacher, data, cfg).value
         after = epsilon_sharpness(arch, point, data, cfg).value
         ok = (after >= bound and after >= before * (1.0 - 1e-9)

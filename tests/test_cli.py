@@ -127,6 +127,23 @@ def test_invalid_inputs_exit_one(tmp_path, capsys):
     assert run_cli(capsys, "verify", "--suite", "nope")[0] == 1
     assert run_cli(capsys, "wat")[0] == 1
     assert run_cli(capsys)[0] == 1
+    # rejected when the arguments are parsed, naming the flag, before the
+    # (valid) checkpoint is read
+    ckpt = tmp_path / "m.json"
+    run_cli(capsys, "train", "--arch", "2,3,1", "--teacher", "--m", "8",
+            "--seed", "1", "--out", str(ckpt))
+    read = ("--checkpoint", str(ckpt), "--m", "8", "--seed", "1")
+    for argv, flag in ((("metrics", *read, "--jobs", "-3"), "--jobs"),
+                       (("sweep", *read, "--alpha", "1", "--jobs", "0"), "--jobs"),
+                       (("verify", "--suite", "radial", "--jobs", "0"), "--jobs"),
+                       (("metrics", *read, "--eps", "inf"), "--eps"),
+                       (("metrics", *read, "--thresholds", "nan"), "--thresholds"),
+                       (("metrics", *read, "--thresholds", "1,inf"), "--thresholds"),
+                       (("sweep", *read, "--alpha", "1,inf"), "--alpha"),
+                       (("sweep", *read, "--alpha", "1", "--eps", "-inf"), "--eps")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert f"argument {flag}: expected" in err
 
 
 def test_error_messages_name_the_problem(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -182,13 +183,18 @@ def test_train_reaches_low_gradient():
 def test_train_divergence_raises_with_epoch():
     arch = Architecture((2, 4, 1))
     data, _ = make_teacher_student(arch, 76, 16)
-    cfg = TrainConfig(learning_rate=50.0, epochs=2000, seed=76)
-    with pytest.raises(TrainingDivergedError) as info:
-        train_sgd(arch, data, cfg)
-    assert info.value.epoch >= 0
-    assert info.value.factor == experiments.DIVERGENCE_FACTOR
-    assert f"exceeds {experiments.DIVERGENCE_FACTOR:g} x initial" in str(
-        info.value)
+    # a rate of 1e200 overflows the forward pass: the error reports it, and
+    # no numpy RuntimeWarning may escape first
+    for rate in (50.0, 1e200):
+        cfg = TrainConfig(learning_rate=rate, epochs=2000, seed=76)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError) as info:
+                train_sgd(arch, data, cfg)
+        assert info.value.epoch >= 0
+        assert info.value.factor == experiments.DIVERGENCE_FACTOR
+        assert f"exceeds {experiments.DIVERGENCE_FACTOR:g} x initial" in str(
+            info.value)
 
 
 def test_train_trace_monotone_near_minimum():
@@ -212,7 +218,7 @@ def test_train_trace_monotone_near_minimum():
 def test_alpha_sweep_loss_constant_and_header():
     arch = Architecture((2, 4, 1))
     data, teacher = make_teacher_student(arch, 82, 24)
-    cfg = SharpnessConfig(epsilon=1e-2, restarts=4, seed=82)
+    cfg = SharpnessConfig(epsilon=1e-2, seed=82)
     csv = alpha_sweep(arch, teacher, data, (1.0, 0.5, 0.25), cfg)
     lines = csv.strip().split("\n")
     assert lines[0] == "alpha," + ",".join(CSV_COLUMNS)
@@ -229,7 +235,7 @@ def test_alpha_sweep_gradient_slope_at_generic_point():
     data = Dataset(gen.uniform(-1, 1, (16, 2)), gen.uniform(-1, 1, 16))
     alphas = tuple(10.0 ** e for e in np.linspace(-1, -3, 5))
     csv = alpha_sweep(arch, params, data, alphas,
-                      SharpnessConfig(epsilon=1e-2, restarts=2, seed=83))
+                      SharpnessConfig(epsilon=1e-2, seed=83))
     rows = [line.split(",") for line in csv.strip().split("\n")[1:]]
     grads = np.array([float(r[1 + CSV_COLUMNS.index("grad_norm")])
                       for r in rows])

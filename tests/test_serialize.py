@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flatlab.serialize import (format_float, json_float, json_int, read_json,
-                               to_json, write_json)
+                               to_json)
 
 
 def test_float_has_enough_digits():
@@ -45,9 +45,7 @@ def test_numpy_scalars_and_arrays():
 def test_file_round_trip(tmp_path):
     path = tmp_path / "data.json"
     payload = {"widths": [2, 8, 1], "value": 1.0 / 3.0}
-    write_json(str(path), payload)
-    text = path.read_text()
-    assert text.endswith("\n")
+    path.write_text(to_json(payload) + "\n")
     loaded = read_json(str(path))
     assert loaded["value"] == payload["value"]
 

@@ -17,14 +17,13 @@ from flatlab.transforms import (_TRANSFORM_KINDS, AlphaScaleDeep,
                                 alpha_scale_two_layer, apply_transform,
                                 diagonal_scaling, disjoint_box_alpha,
                                 epsilon_sharp_alpha, first_last_alphas,
-                                fold_input_affine, input_affine_apply,
-                                many_directions_alphas,
+                                fold_input_affine, many_directions_alphas,
                                 power_stretch_derivative,
                                 power_stretch_forward,
                                 power_stretch_second_derivative,
                                 predicted_gradient, predicted_hessian,
-                                preprocessed_input_gradient, psi, psi_inverse,
-                                psi_prime, radial_forward, radial_inverse,
+                                psi, psi_inverse, psi_prime, radial_forward,
+                                radial_inverse,
                                 radial_jacobian, sharpening_alpha,
                                 transform_from_dict, transform_multipliers,
                                 transform_to_dict, weight_norm_decompose,
@@ -475,18 +474,6 @@ def test_power_stretch_validation():
 # input preprocessing
 
 
-def test_input_affine_apply_and_gradient_rule():
-    gen = SeededRng(17, 41).generator()
-    matrix = gen.normal(size=(3, 3))
-    shift = gen.normal(size=3)
-    spec = InputAffine(matrix, shift)
-    u = gen.normal(size=(5, 3))
-    assert np.allclose(input_affine_apply(spec, u), u @ matrix.T + shift)
-    df_dx = gen.normal(size=(5, 3))
-    assert np.allclose(preprocessed_input_gradient(df_dx, spec),
-                       df_dx @ matrix)
-
-
 def test_fold_input_affine_realizes_composition():
     arch = Architecture((3, 4, 1), use_bias=True)
     params = _params(arch, 18)
@@ -495,7 +482,7 @@ def test_fold_input_affine_realizes_composition():
     folded = fold_input_affine(arch, params, spec)
     u = gen.uniform(-1, 1, (6, 3))
     assert np.allclose(forward(arch, folded, u),
-                       forward(arch, params, input_affine_apply(spec, u)),
+                       forward(arch, params, u @ spec.matrix.T + spec.shift),
                        rtol=1e-12, atol=1e-12)
 
 
