@@ -120,10 +120,14 @@ class TrainConfig:
     stop_grad_norm: float = 1e-8
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not (0 <= self.learning_rate < np.inf):
+            raise ValueError("learning_rate must be finite and >= 0, "
+                             f"got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not np.isfinite(self.stop_grad_norm):
+            raise ValueError(
+                f"stop_grad_norm must be finite, got {self.stop_grad_norm}")
 
 
 @dataclass(frozen=True, eq=False)

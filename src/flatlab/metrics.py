@@ -57,8 +57,9 @@ class SharpnessConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.epsilon > 0):
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not (0 < self.epsilon < np.inf):
+            raise ValueError(
+                f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
@@ -152,7 +153,12 @@ def second_order_sharpness(hessian_norm: float, epsilon: float,
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     if not np.isfinite(hessian_norm):
         raise ValueError("hessian norm must be finite")
-    return hessian_norm * epsilon * epsilon / (2.0 * (1.0 + loss_value))
+    # float arithmetic: an overflow gives inf without a numpy warning
+    value = float(hessian_norm) * epsilon * epsilon / (2.0 * (1.0 + loss_value))
+    if not np.isfinite(value):
+        raise ValueError(
+            f"epsilon {epsilon} makes the second-order sharpness non-finite")
+    return value
 
 
 @dataclass(frozen=True, eq=False)

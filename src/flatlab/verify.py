@@ -5,10 +5,17 @@ suite run is a pure function of (suite, seed, thresholds). Work units
 are keyed by index, each with its own random stream, and run serially in
 index order. Reports serialize canonically: repeated runs produce
 identical bytes.
+
+A check only measures. It returns its stats and its limits, each a
+``(label, measured, relation, bound)`` with every bound a named module
+constant, and :func:`run_suite` derives the verdict and the failure
+detail from the limits: a check passes when every limit holds. A NaN
+measurement fails its limit, since every comparison with NaN is false.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -68,6 +75,18 @@ def _finite(x) -> float | None:
     return value if np.isfinite(value) else None
 
 
+_RELATIONS = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}
+
+
+def _judge(name: str, stats: dict, limits) -> CheckOutcome:
+    """Pass when every limit holds; the detail names each one that fails,
+    its numbers in shortest round-trip form so a near miss stays visible."""
+    failing = [f"{label} {measured} not {relation} {bound}"
+               for label, measured, relation, bound in limits
+               if not _RELATIONS[relation](measured, bound)]
+    return CheckOutcome(name, not failing, stats, "; ".join(failing))
+
+
 # ---------------------------------------------------------------------------
 # function preservation across the scaling families
 
@@ -76,7 +95,7 @@ _EQUIVALENCE_TRIPLES = 1000
 _EQUIVALENCE_TOL = 1e-9
 
 
-def _check_equivalence(seed: int) -> CheckOutcome:
+def _check_equivalence(seed: int) -> tuple[dict, list]:
     """Transformed parameters realize the same function, point by point."""
 
     def one(i: int) -> float:
@@ -112,18 +131,11 @@ def _check_equivalence(seed: int) -> CheckOutcome:
         x = gen.uniform(-2.0, 2.0, size=(1, arch.input_width))
         return forward_deviation(arch, params, moved, x)
 
-    deviations = [one(i) for i in range(_EQUIVALENCE_TRIPLES)]
-    worst = max(deviations)
-    passed = worst <= _EQUIVALENCE_TOL
-    detail = "" if passed else (
-        f"worst forward deviation {worst:.3e} exceeds {_EQUIVALENCE_TOL:.0e} "
-        f"(triple {int(np.argmax(deviations))})"
-    )
-    return CheckOutcome(
-        "equivalence", passed,
+    worst = np.max([one(i) for i in range(_EQUIVALENCE_TRIPLES)])
+    return (
         {"triples": _EQUIVALENCE_TRIPLES, "max_deviation": _finite(worst),
          "tolerance": _EQUIVALENCE_TOL},
-        detail,
+        [("max forward deviation", worst, "<=", _EQUIVALENCE_TOL)],
     )
 
 
@@ -136,7 +148,7 @@ _GRAD_LAW_TOL = 1e-8
 _HESS_LAW_TOL = 1e-12
 
 
-def _check_derivative_laws(seed: int) -> CheckOutcome:
+def _check_derivative_laws(seed: int) -> tuple[dict, list]:
     """Predicted derivatives at the moved point match re-evaluation."""
     pool = (
         ((2, 3, 1), False),
@@ -175,22 +187,16 @@ def _check_derivative_laws(seed: int) -> CheckOutcome:
             return grad_err, hess_err
         raise RuntimeError(f"no smooth point found for unit {i}")
 
-    results = [one(i) for i in range(_DERIVATIVE_POINTS)]
-    worst_grad = max(r[0] for r in results)
-    worst_hess = max(r[1] for r in results)
-    passed = worst_grad <= _GRAD_LAW_TOL and worst_hess <= _HESS_LAW_TOL
-    detail = "" if passed else (
-        f"gradient law error {worst_grad:.3e} (tol {_GRAD_LAW_TOL:.0e}), "
-        f"curvature law error {worst_hess:.3e} (tol {_HESS_LAW_TOL:.0e})"
-    )
-    return CheckOutcome(
-        "derivative_laws", passed,
+    worst_grad, worst_hess = np.max(
+        [one(i) for i in range(_DERIVATIVE_POINTS)], axis=0)
+    return (
         {"points": _DERIVATIVE_POINTS,
          "max_gradient_error": _finite(worst_grad),
          "max_hessian_error": _finite(worst_hess),
          "gradient_tolerance": _GRAD_LAW_TOL,
          "hessian_tolerance": _HESS_LAW_TOL},
-        detail,
+        [("max gradient law error", worst_grad, "<=", _GRAD_LAW_TOL),
+         ("max curvature law error", worst_hess, "<=", _HESS_LAW_TOL)],
     )
 
 
@@ -199,22 +205,15 @@ def _check_derivative_laws(seed: int) -> CheckOutcome:
 
 
 _SHARPEN_TARGETS = (1e3, 1e6)
-_SHARPEN_ARCHS = (
-    ((2, 8, 1), False), ((2, 8, 1), False), ((2, 8, 1), False),
-    ((2, 8, 1), False), ((2, 8, 1), False), ((2, 8, 1), False),
-    ((2, 8, 1), True), ((2, 8, 1), True), ((2, 8, 1), True),
-    ((2, 8, 1), True),
-    ((2, 4, 1), False), ((2, 4, 1), False), ((2, 4, 1), False),
-    ((2, 4, 1), False), ((2, 4, 1), False),
-    ((3, 4, 4, 1), False), ((3, 4, 4, 1), False), ((3, 4, 4, 1), False),
-    ((3, 4, 4, 1), False), ((3, 4, 4, 1), False),
-)
+_SHARPEN_MIN_MARGIN = 1.0  # spectral norm over target, at worst
+_SHARPEN_ARCHS = (6 * (((2, 8, 1), False),) + 4 * (((2, 8, 1), True),)
+                  + 5 * (((2, 4, 1), False),) + 5 * (((3, 4, 4, 1), False),))
 
 
-def _check_sharpening(seed: int) -> CheckOutcome:
+def _check_sharpening(seed: int) -> tuple[dict, list]:
     """Certified scale choice drives the spectral norm past any target."""
 
-    def one(i: int) -> dict:
+    def one(i: int) -> tuple:
         widths, bias = _SHARPEN_ARCHS[i]
         arch = Architecture(widths, use_bias=bias)
         unit = _unit_seed(seed, 3, i)
@@ -222,33 +221,27 @@ def _check_sharpening(seed: int) -> CheckOutcome:
         data, teacher = make_teacher_student(arch, unit, m=48, margin=margin)
         hess = nets.hessian(arch, teacher, data)
         probes = probe_inputs(arch, unit)
-        min_margin = np.inf
-        max_dev = 0.0
+        margins, deviations = [], []
         for target in _SHARPEN_TARGETS:
             alpha = sharpening_alpha(arch, hess, target)
             alphas = first_last_alphas(arch.depth, alpha)
             measures = hessian_measures(
                 predicted_hessian(hess, diagonal_scaling(arch, alphas)))
-            min_margin = min(min_margin, measures.spectral_norm / target)
+            margins.append(measures.spectral_norm / target)
             moved = alpha_scale_deep(arch, teacher, alphas)
-            max_dev = max(max_dev,
-                          forward_deviation(arch, teacher, moved, probes))
-        return {"margin": min_margin, "deviation": max_dev}
+            deviations.append(forward_deviation(arch, teacher, moved, probes))
+        return margins, deviations
 
-    results = [one(i) for i in range(len(_SHARPEN_ARCHS))]
-    min_margin = min(r["margin"] for r in results)
-    max_dev = max(r["deviation"] for r in results)
-    passed = min_margin >= 1.0 and max_dev <= _EQUIVALENCE_TOL
-    detail = "" if passed else (
-        f"spectral norm reached only {min_margin:.3f} of target, "
-        f"or probe deviation {max_dev:.3e} exceeds {_EQUIVALENCE_TOL:.0e}"
-    )
-    return CheckOutcome(
-        "sharpening", passed,
+    margins, deviations = zip(*(one(i) for i in range(len(_SHARPEN_ARCHS))))
+    min_margin = np.min(margins)
+    max_dev = np.max(deviations)
+    return (
         {"minima": len(_SHARPEN_ARCHS), "targets": list(_SHARPEN_TARGETS),
          "min_spectral_margin": _finite(min_margin),
          "max_probe_deviation": _finite(max_dev)},
-        detail,
+        [("min spectral norm over target", min_margin, ">=",
+          _SHARPEN_MIN_MARGIN),
+         ("max probe deviation", max_dev, "<=", _EQUIVALENCE_TOL)],
     )
 
 
@@ -258,12 +251,15 @@ def _check_sharpening(seed: int) -> CheckOutcome:
 
 _MANY_TARGET = 1e3
 _MANY_UNITS = (False, False, False, False, False, True, True, True)
+_MANY_MIN_TOP_EIGENVALUE = 0.0  # strict: the spectrum must have a top
+_MANY_MIN_SURPLUS = 0  # directions above target, minus the guarantee
+_MANY_GRAD_TOL = 1e-6
 
 
-def _check_many_directions(seed: int) -> CheckOutcome:
+def _check_many_directions(seed: int) -> tuple[dict, list]:
     """Layer-wise scaling pushes almost the whole rank past the target."""
 
-    def one(i: int) -> dict:
+    def one(i: int) -> tuple:
         arch = Architecture((3, 4, 4, 1), use_bias=_MANY_UNITS[i])
         unit = _unit_seed(seed, 4, i)
         data, teacher = make_teacher_student(arch, unit, m=48, margin=0.02)
@@ -271,9 +267,8 @@ def _check_many_directions(seed: int) -> CheckOutcome:
         hess = nets.hessian(arch, teacher, data)
         evals = symmetric_eigenspectrum(hess)
         lam1 = float(evals[0])
-        if lam1 <= 0:
-            return {"rank": 0, "guarantee": 0, "count": 0, "beta": 0.0,
-                    "grad_norm": grad_norm, "ok": False}
+        if not lam1 > 0:
+            return lam1, 0, 0, 0, grad_norm
         rank = int(np.sum(evals > 1e-6 * lam1))
         index = FlatIndex(arch)
         last = index.weight_slice(arch.depth - 1)
@@ -290,24 +285,21 @@ def _check_many_directions(seed: int) -> CheckOutcome:
             if count >= guarantee:
                 break
             beta *= 4.0
-        return {"rank": rank, "guarantee": guarantee, "count": count,
-                "beta": beta, "grad_norm": grad_norm,
-                "ok": count >= guarantee and grad_norm <= 1e-6}
+        return lam1, rank, guarantee, count, grad_norm
 
-    results = [one(i) for i in range(len(_MANY_UNITS))]
-    passed = all(r["ok"] for r in results)
-    worst_gap = min(r["count"] - r["guarantee"] for r in results)
-    detail = "" if passed else "; ".join(
-        f"unit {i}: {r['count']} of {r['guarantee']} directions above target"
-        for i, r in enumerate(results) if not r["ok"])
-    return CheckOutcome(
-        "many_directions", passed,
+    lam1s, ranks, guarantees, counts, grad_norms = zip(
+        *(one(i) for i in range(len(_MANY_UNITS))))
+    worst_gap = min(c - g for c, g in zip(counts, guarantees))
+    max_grad = np.max(grad_norms)
+    return (
         {"points": len(_MANY_UNITS), "target": _MANY_TARGET,
-         "min_rank": min(r["rank"] for r in results),
-         "min_guarantee": min(r["guarantee"] for r in results),
-         "min_count_minus_guarantee": int(worst_gap),
-         "max_grad_norm": _finite(max(r["grad_norm"] for r in results))},
-        detail,
+         "min_rank": min(ranks), "min_guarantee": min(guarantees),
+         "min_count_minus_guarantee": worst_gap,
+         "max_grad_norm": _finite(max_grad)},
+        [("min top eigenvalue", np.min(lam1s), ">", _MANY_MIN_TOP_EIGENVALUE),
+         ("min directions above target minus guarantee", worst_gap, ">=",
+          _MANY_MIN_SURPLUS),
+         ("max gradient norm", max_grad, "<=", _MANY_GRAD_TOL)],
     )
 
 
@@ -321,44 +313,44 @@ _VOLUME_UNITS = (
     ((2, 5, 1), False, False),  # growing volume per box
     ((2, 4, 1), True, False),
 )
+_VOLUME_BOXES = 20
+_VOLUME_MAX_UNCERTIFIED = 0  # units whose chain is not valid and disjoint
+_VOLUME_MIN_INCREMENT = 0.0  # strict: every box adds volume
+_VOLUME_CONSTANT_TOL = 1e-9
 
 
-def _check_volume(seed: int) -> CheckOutcome:
+def _check_volume(seed: int) -> tuple[dict, list]:
     """Certified lower bound keeps growing box after box."""
 
-    def one(i: int) -> dict:
+    def one(i: int) -> tuple:
         widths, bias, constant = _VOLUME_UNITS[i]
         arch = Architecture(widths, use_bias=bias)
         unit = _unit_seed(seed, 5, i)
         data, teacher = make_teacher_student(arch, unit, m=32)
         cert = volume_flatness_certificate(
-            arch, teacher, data, epsilon=1e-2, boxes=20, samples_per_box=48,
-            rng=SeededRng(unit, 13))
+            arch, teacher, data, epsilon=1e-2, boxes=_VOLUME_BOXES,
+            samples_per_box=48, rng=SeededRng(unit, 13))
         bounds = np.asarray(cert.lower_bounds)
         increments = np.diff(np.concatenate(([0.0], bounds)))
-        monotone = bool(np.all(increments > 0))
-        ok = cert.valid and cert.disjointness_verified and monotone
         constant_dev = 0.0
         if constant:
             constant_dev = float(np.max(np.abs(increments - cert.v)) / cert.v)
-            ok = ok and constant_dev <= 1e-9
-        return {"ok": ok, "boxes": len(bounds), "bound": float(bounds[-1]),
-                "min_increment": float(np.min(increments)),
-                "constant_dev": constant_dev, "valid": cert.valid}
+        return (cert.valid and cert.disjointness_verified, bounds[-1],
+                np.min(increments), constant_dev)
 
-    results = [one(i) for i in range(len(_VOLUME_UNITS))]
-    passed = all(r["ok"] for r in results)
-    detail = "" if passed else "; ".join(
-        f"unit {i} failed (valid={r['valid']}, "
-        f"min increment {r['min_increment']:.3e})"
-        for i, r in enumerate(results) if not r["ok"])
-    return CheckOutcome(
-        "volume", passed,
-        {"points": len(_VOLUME_UNITS), "boxes": 20,
-         "min_lower_bound": _finite(min(r["bound"] for r in results)),
-         "max_constant_deviation": _finite(
-             max(r["constant_dev"] for r in results))},
-        detail,
+    certified, bounds, increments, constant_devs = zip(
+        *(one(i) for i in range(len(_VOLUME_UNITS))))
+    max_constant_dev = np.max(constant_devs)
+    return (
+        {"points": len(_VOLUME_UNITS), "boxes": _VOLUME_BOXES,
+         "min_lower_bound": _finite(np.min(bounds)),
+         "max_constant_deviation": _finite(max_constant_dev)},
+        [("uncertified units", certified.count(False), "<=",
+          _VOLUME_MAX_UNCERTIFIED),
+         ("min box increment", np.min(increments), ">",
+          _VOLUME_MIN_INCREMENT),
+         ("max constant-volume deviation", max_constant_dev, "<=",
+          _VOLUME_CONSTANT_TOL)],
     )
 
 
@@ -369,12 +361,14 @@ def _check_volume(seed: int) -> CheckOutcome:
 _BALL_ARCHS = ((2, 4, 1), (2, 8, 1), (3, 4, 4, 1))
 _BALL_UNITS = 20
 _BALL_EPSILON = 1e-2
+_BALL_MIN_BOUND_RATIO = 1.0  # sharpness after over the zero-layer bound
+_BALL_MIN_RISE = 1.0 - 1e-9  # sharpness after over before
 
 
-def _check_ball_sharpness(seed: int) -> CheckOutcome:
+def _check_ball_sharpness(seed: int) -> tuple[dict, list]:
     """After rescaling, the ball reaches the zero-first-layer loss level."""
 
-    def one(i: int) -> dict:
+    def one(i: int) -> tuple:
         arch = Architecture(_BALL_ARCHS[i % len(_BALL_ARCHS)])
         unit = _unit_seed(seed, 6, i)
         data, teacher = make_teacher_student(arch, unit, m=48)
@@ -389,24 +383,20 @@ def _check_ball_sharpness(seed: int) -> CheckOutcome:
         cfg = SharpnessConfig(epsilon=_BALL_EPSILON, steps=100, seed=unit)
         before = epsilon_sharpness(arch, teacher, data, cfg).value
         after = epsilon_sharpness(arch, point, data, cfg).value
-        ok = (after >= bound and after >= before * (1.0 - 1e-9)
-              and deviation <= _EQUIVALENCE_TOL)
-        return {"ok": ok, "ratio": after / bound if bound > 0 else np.inf,
-                "after": after, "before": before, "deviation": deviation}
+        return (after / bound if bound > 0 else np.inf,
+                after / before if before > 0 else np.inf, deviation)
 
-    results = [one(i) for i in range(_BALL_UNITS)]
-    passed = all(r["ok"] for r in results)
-    detail = "" if passed else "; ".join(
-        f"unit {i}: sharpness {r['after']:.4e} below bound "
-        f"(ratio {r['ratio']:.3f}) or deviation {r['deviation']:.2e}"
-        for i, r in enumerate(results) if not r["ok"])
-    return CheckOutcome(
-        "ball_sharpness", passed,
+    ratios, rises, deviations = zip(*(one(i) for i in range(_BALL_UNITS)))
+    min_ratio = np.min(ratios)
+    max_dev = np.max(deviations)
+    return (
         {"minima": _BALL_UNITS, "epsilon": _BALL_EPSILON,
-         "min_bound_ratio": _finite(min(r["ratio"] for r in results)),
-         "max_probe_deviation": _finite(
-             max(r["deviation"] for r in results))},
-        detail,
+         "min_bound_ratio": _finite(min_ratio),
+         "max_probe_deviation": _finite(max_dev)},
+        [("min sharpness over bound", min_ratio, ">=", _BALL_MIN_BOUND_RATIO),
+         ("min sharpness after over before", np.min(rises), ">=",
+          _BALL_MIN_RISE),
+         ("max probe deviation", max_dev, "<=", _EQUIVALENCE_TOL)],
     )
 
 
@@ -418,7 +408,7 @@ _SLOPE_UNITS = 3
 _SLOPE_TOL = 0.05
 
 
-def _check_gradient_slope(seed: int) -> CheckOutcome:
+def _check_gradient_slope(seed: int) -> tuple[dict, list]:
     """Log-log slope of gradient norm against the scale factor is -1."""
 
     def one(i: int) -> float:
@@ -449,15 +439,11 @@ def _check_gradient_slope(seed: int) -> CheckOutcome:
         return slope
 
     slopes = [one(i) for i in range(_SLOPE_UNITS)]
-    worst = max(abs(s + 1.0) for s in slopes)
-    passed = worst <= _SLOPE_TOL
-    detail = "" if passed else (
-        f"slope deviates from -1 by {worst:.4f} (tol {_SLOPE_TOL})")
-    return CheckOutcome(
-        "gradient_blowup", passed,
+    worst = np.max(np.abs(np.add(slopes, 1.0)))
+    return (
         {"points": _SLOPE_UNITS, "slopes": [_finite(s) for s in slopes],
          "max_slope_deviation": _finite(worst), "tolerance": _SLOPE_TOL},
-        detail,
+        [("max slope deviation from -1", worst, "<=", _SLOPE_TOL)],
     )
 
 
@@ -467,9 +453,12 @@ def _check_gradient_slope(seed: int) -> CheckOutcome:
 
 _RADIAL_POINTS = 500
 _RADIAL_DIM = 7
+_RADIAL_ROUND_TRIP_TOL = 1e-10
+_RADIAL_JACOBIAN_TOL = 1e-5
+_RADIAL_MAX_OUTSIDE_MOVED = 0  # points outside the ball not mapped exactly
 
 
-def _check_radial(seed: int) -> CheckOutcome:
+def _check_radial(seed: int) -> tuple[dict, list]:
     """Round trips, printed Jacobian, and bitwise identity outside.
 
     Each band draws its points one at a time, then evaluates them in
@@ -497,7 +486,7 @@ def _check_radial(seed: int) -> CheckOutcome:
                 - radial_forward(minus, spec)) / (2.0 * step)
         return cols.reshape(len(u), _RADIAL_DIM, _RADIAL_DIM).transpose(0, 2, 1)
 
-    def one(band_index: int) -> dict:
+    def one(band_index: int) -> tuple:
         _, lo, hi = bands[band_index]
         local = SeededRng(_unit_seed(seed, 8, 1 + band_index), 7).generator()
         directions = np.empty((_RADIAL_POINTS, _RADIAL_DIM))
@@ -507,42 +496,33 @@ def _check_radial(seed: int) -> CheckOutcome:
             radii[i] = local.uniform(lo, hi)
         directions /= _row_norms(directions)[:, None]
         points = center + radii[:, None] * directions
-        worst_round = 0.0
-        worst_jac = 0.0
-        outer_exact = True
+        rounds, jacs, moved = [], [], 0
         for start in range(0, _RADIAL_POINTS, block):
             u = points[start:start + block]
             v = radial_forward(u, spec)
             w = radial_inverse(u, spec)
-            worst_round = max(
-                worst_round,
-                float(np.max(np.abs(radial_inverse(v, spec) - u))),
-                float(np.max(np.abs(radial_forward(w, spec) - u))))
+            rounds += [np.max(np.abs(radial_inverse(v, spec) - u)),
+                       np.max(np.abs(radial_forward(w, spec) - u))]
             jac = radial_jacobian(u, spec)
             err = _row_norms((jac - fd_jacobian(u)).reshape(len(u), -1))
             scale = np.maximum(_row_norms(jac.reshape(len(u), -1)), 1.0)
-            worst_jac = max(worst_jac, float(np.max(err / scale)))
-            if band_index == 2 and not (np.array_equal(v, u)
-                                        and np.array_equal(w, u)):
-                outer_exact = False
-        return {"round": worst_round, "jac": worst_jac, "exact": outer_exact}
+            jacs.append(np.max(err / scale))
+            moved += int(np.sum(np.any((v != u) | (w != u), axis=1)))
+        return np.max(rounds), np.max(jacs), moved
 
-    results = [one(i) for i in range(len(bands))]
-    worst_round = max(r["round"] for r in results)
-    worst_jac = max(r["jac"] for r in results)
-    outer_exact = results[2]["exact"]
-    passed = worst_round <= 1e-10 and worst_jac <= 1e-5 and outer_exact
-    detail = "" if passed else (
-        f"round-trip {worst_round:.3e}, Jacobian error {worst_jac:.3e}, "
-        f"outside identity exact: {outer_exact}"
-    )
-    return CheckOutcome(
-        "radial", passed,
+    rounds, jacs, moved = zip(*(one(i) for i in range(len(bands))))
+    worst_round = np.max(rounds)
+    worst_jac = np.max(jacs)
+    outside_moved = moved[2]
+    return (
         {"points_per_region": _RADIAL_POINTS, "dim": _RADIAL_DIM,
          "max_round_trip": _finite(worst_round),
          "max_jacobian_error": _finite(worst_jac),
-         "outside_identity_exact": outer_exact},
-        detail,
+         "outside_identity_exact": outside_moved == 0},
+        [("max round trip", worst_round, "<=", _RADIAL_ROUND_TRIP_TOL),
+         ("max Jacobian error", worst_jac, "<=", _RADIAL_JACOBIAN_TOL),
+         ("outside points moved", outside_moved, "<=",
+          _RADIAL_MAX_OUTSIDE_MOVED)],
     )
 
 
@@ -551,6 +531,8 @@ def _check_radial(seed: int) -> CheckOutcome:
 
 
 _CONGRUENCE_TOL = 1e-3
+_CONGRUENCE_MAX_MISCOUNT = 0  # minima found versus minima expected
+_CONGRUENCE_MIN_NONCRITICAL = 2
 _CONGRUENCE_UNITS = (
     ("quadratic", PowerStretch(0.0, 0.0, 1.0), -2.0, 2.0, 401, 1),
     ("double_well", PowerStretch(0.2, 1.0, 0.5), -2.0, 2.0, 801, 2),
@@ -560,36 +542,33 @@ _CONGRUENCE_UNITS = (
 )
 
 
-def _check_curvature_congruence(seed: int) -> CheckOutcome:
+def _check_curvature_congruence(seed: int) -> tuple[dict, list]:
     """Transformed curve curvature equals the congruence prediction."""
 
-    def one(i: int) -> dict:
+    def one(i: int) -> tuple:
         loss_name, spec, lo, hi, count, expected = _CONGRUENCE_UNITS[i]
         demo = reparam_demo_1d(loss_name, spec, lo, hi, count)
-        minima_err = max((m.rel_err for m in demo.minima), default=np.inf)
-        noncrit_err = max((c.rel_err for c in demo.noncritical),
-                          default=np.inf)
-        ok = (len(demo.minima) == expected
-              and len(demo.noncritical) >= 2
-              and minima_err <= _CONGRUENCE_TOL
-              and noncrit_err <= _CONGRUENCE_TOL)
-        return {"ok": ok, "minima": len(demo.minima), "expected": expected,
-                "minima_err": minima_err, "noncrit_err": noncrit_err}
+        # no points found: an infinite error, which fails the tolerance
+        minima_err, noncrit_err = (
+            np.max([p.rel_err for p in points] or [np.inf])
+            for points in (demo.minima, demo.noncritical))
+        return (abs(len(demo.minima) - expected), len(demo.noncritical),
+                minima_err, noncrit_err)
 
-    results = [one(i) for i in range(len(_CONGRUENCE_UNITS))]
-    passed = all(r["ok"] for r in results)
-    detail = "" if passed else "; ".join(
-        f"demo {i}: found {r['minima']} of {r['expected']} minima, "
-        f"errors {r['minima_err']:.2e}/{r['noncrit_err']:.2e}"
-        for i, r in enumerate(results) if not r["ok"])
-    return CheckOutcome(
-        "curvature_congruence", passed,
+    miscounts, noncritical, minima_errs, noncrit_errs = zip(
+        *(one(i) for i in range(len(_CONGRUENCE_UNITS))))
+    max_minima_err = np.max(minima_errs)
+    max_noncrit_err = np.max(noncrit_errs)
+    return (
         {"demos": len(_CONGRUENCE_UNITS), "tolerance": _CONGRUENCE_TOL,
-         "max_minimum_error": _finite(
-             max(r["minima_err"] for r in results)),
-         "max_noncritical_error": _finite(
-             max(r["noncrit_err"] for r in results))},
-        detail,
+         "max_minimum_error": _finite(max_minima_err),
+         "max_noncritical_error": _finite(max_noncrit_err)},
+        [("max minima miscount", np.max(miscounts), "<=",
+          _CONGRUENCE_MAX_MISCOUNT),
+         ("min noncritical points", np.min(noncritical), ">=",
+          _CONGRUENCE_MIN_NONCRITICAL),
+         ("max curvature error", np.max([max_minima_err, max_noncrit_err]),
+          "<=", _CONGRUENCE_TOL)],
     )
 
 
@@ -626,9 +605,9 @@ def run_suite(suite: str, seed: int, jobs: int = 1,
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     outcomes = []
     for name in SUITES[suite]:
-        outcome = CHECKS[name](seed)
+        outcome = _judge(name, *CHECKS[name](seed))
         if progress is not None:
-            verdict = "pass" if outcome.passed else "FAIL"
-            progress(f"check {name}: {verdict}")
+            progress(f"check {name}: pass" if outcome.passed
+                     else f"check {name}: FAIL ({outcome.detail})")
         outcomes.append(outcome)
     return SuiteReport(suite, seed, tuple(outcomes))

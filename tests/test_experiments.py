@@ -158,6 +158,17 @@ def test_blocked_screening_gives_up_like_per_row_loop(monkeypatch):
 # training
 
 
+def test_train_config_validation():
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="learning_rate must be finite"):
+            TrainConfig(learning_rate=bad, epochs=3)
+    with pytest.raises(ValueError, match="epochs"):
+        TrainConfig(learning_rate=0.1, epochs=0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="stop_grad_norm must be finite"):
+            TrainConfig(learning_rate=0.1, epochs=3, stop_grad_norm=bad)
+
+
 def test_train_zero_rate_leaves_parameters():
     arch = Architecture((2, 3, 1))
     data, _ = make_teacher_student(arch, 74, 16)

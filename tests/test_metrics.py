@@ -199,10 +199,15 @@ def test_sharpness_config_validation():
         SharpnessConfig(epsilon=0.0)
     with pytest.raises(ValueError, match="steps"):
         SharpnessConfig(epsilon=1e-2, steps=0)
+    for bad in (np.inf, np.nan, -np.inf):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            SharpnessConfig(epsilon=bad)
 
 
 def test_second_order_sharpness_formula():
     assert second_order_sharpness(8.0, 0.5, 1.0) == 8.0 * 0.25 / (2 * 2.0)
+    with pytest.raises(ValueError, match="epsilon 1e\\+300"):
+        second_order_sharpness(8.0, 1e300, 0.0)
 
 
 # ---------------------------------------------------------------------------

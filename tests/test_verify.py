@@ -1,8 +1,12 @@
 import json
+import re
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
+from flatlab import verify
+from flatlab.cli import main
 from flatlab.serialize import to_json
 from flatlab.verify import (CHECK_ORDER, CHECKS, SUITES, CheckOutcome,
                             run_suite)
@@ -52,3 +56,94 @@ def test_seed_changes_measured_numbers():
     a = run_suite("gradient_blowup", seed=4)
     b = run_suite("gradient_blowup", seed=5)
     assert a.checks[0].stats["slopes"] != b.checks[0].stats["slopes"]
+
+
+
+# every limit of every check: its label, relation and the named bound it reads
+LIMITS = (
+    ("equivalence", "max forward deviation", "<=", "_EQUIVALENCE_TOL"),
+    ("derivative_laws", "max gradient law error", "<=", "_GRAD_LAW_TOL"),
+    ("derivative_laws", "max curvature law error", "<=", "_HESS_LAW_TOL"),
+    ("sharpening", "min spectral norm over target", ">=",
+     "_SHARPEN_MIN_MARGIN"),
+    ("sharpening", "max probe deviation", "<=", "_EQUIVALENCE_TOL"),
+    ("many_directions", "min top eigenvalue", ">",
+     "_MANY_MIN_TOP_EIGENVALUE"),
+    ("many_directions", "min directions above target minus guarantee", ">=",
+     "_MANY_MIN_SURPLUS"),
+    ("many_directions", "max gradient norm", "<=", "_MANY_GRAD_TOL"),
+    ("volume", "uncertified units", "<=", "_VOLUME_MAX_UNCERTIFIED"),
+    ("volume", "min box increment", ">", "_VOLUME_MIN_INCREMENT"),
+    ("volume", "max constant-volume deviation", "<=", "_VOLUME_CONSTANT_TOL"),
+    ("ball_sharpness", "min sharpness over bound", ">=",
+     "_BALL_MIN_BOUND_RATIO"),
+    ("ball_sharpness", "min sharpness after over before", ">=",
+     "_BALL_MIN_RISE"),
+    ("ball_sharpness", "max probe deviation", "<=", "_EQUIVALENCE_TOL"),
+    ("gradient_blowup", "max slope deviation from -1", "<=", "_SLOPE_TOL"),
+    ("radial", "max round trip", "<=", "_RADIAL_ROUND_TRIP_TOL"),
+    ("radial", "max Jacobian error", "<=", "_RADIAL_JACOBIAN_TOL"),
+    ("radial", "outside points moved", "<=", "_RADIAL_MAX_OUTSIDE_MOVED"),
+    ("curvature_congruence", "max minima miscount", "<=",
+     "_CONGRUENCE_MAX_MISCOUNT"),
+    ("curvature_congruence", "min noncritical points", ">=",
+     "_CONGRUENCE_MIN_NONCRITICAL"),
+    ("curvature_congruence", "max curvature error", "<=", "_CONGRUENCE_TOL"),
+)
+
+# a bound that no finite measurement meets under the relation
+UNREACHABLE = {"<=": -np.inf, ">=": np.inf, ">": np.inf}
+
+
+def _recording(monkeypatch, name):
+    """Wrap one check so the test sees the limits it hands the suite."""
+    seen = []
+    original = CHECKS[name]
+
+    def check(seed):
+        seen.append(original(seed))
+        return seen[-1]
+
+    monkeypatch.setitem(CHECKS, name, check)
+    return seen
+
+
+def test_limit_table_names_every_check():
+    assert {check for check, *_ in LIMITS} == set(CHECKS)
+
+
+@pytest.mark.parametrize("check,label,relation,constant", LIMITS,
+                         ids=[f"{c}:{b}" for c, _, _, b in LIMITS])
+def test_one_failing_limit_fails_its_check(monkeypatch, check, label,
+                                           relation, constant):
+    seen = _recording(monkeypatch, check)
+    bound = UNREACHABLE[relation]
+    monkeypatch.setattr(verify, constant, bound)
+    outcome = run_suite(check, seed=1).checks[0]
+    (_, limits), = seen
+    assert [(lab, rel) for lab, _, rel, _ in limits] == [
+        (lab, rel) for c, lab, rel, _ in LIMITS if c == check]
+    (measured, patched), = [(value, b) for lab, value, _, b in limits
+                            if lab == label]
+    assert patched == bound and np.isfinite(measured)
+    assert outcome.passed is False
+    # only this limit fails, and the detail names its value and bound
+    assert outcome.detail == (
+        f"{label} {measured} not {relation} {bound}")
+
+
+@pytest.mark.parametrize("relation", sorted(UNREACHABLE))
+def test_nan_measurement_fails_under_each_relation(monkeypatch, relation):
+    monkeypatch.setitem(CHECKS, "radial", lambda seed: (
+        {}, [("probe", np.nan, relation, 0.0)]))
+    outcome = run_suite("radial", seed=0).checks[0]
+    assert outcome.passed is False
+    assert outcome.detail == f"probe nan not {relation} 0.0"
+
+
+def test_cli_prints_failing_detail_and_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "_RADIAL_JACOBIAN_TOL", -np.inf)
+    assert main(["verify", "--suite", "radial", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"check radial: FAIL \(max Jacobian error "
+                        r"\S+ not <= -inf\)\n", err)
