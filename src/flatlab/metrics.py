@@ -3,10 +3,10 @@
 The ball sharpness maximizer is a lower-bound estimator: projected
 gradient ascent inside the epsilon ball from a deterministic start along
 the gradient plus seeded random restarts. Reported values never claim to
-be the true maximum. The starts advance in lockstep, one stacked
-:class:`~flatlab.nets.Objective` evaluation a step; the volume
-certificate evaluates its samples as stacks too. Each row of a stack is
-bit-identical to evaluating it alone.
+be the true maximum. The starts of one or several centers advance in
+lockstep, one stacked :class:`~flatlab.nets.Objective` evaluation a step;
+the volume certificate evaluates its samples as stacks too. Each row of a
+stack is bit-identical to evaluating it alone.
 
 The volume certificate is the constructive side of the infinite-volume
 argument: a sup-norm box of nearly constant loss around the point,
@@ -85,63 +85,76 @@ def _ball_point(gen: np.random.Generator, dim: int, radius: float) -> np.ndarray
 
 def epsilon_sharpness(arch: Architecture, params: ParamVector, data: Dataset,
                       cfg: SharpnessConfig) -> SharpnessResult:
-    """Lower bound on max over the epsilon ball of the relative loss rise.
-
-    Start 0 is the center itself, 1 the deterministic gradient start, 2
-    onward the seeded random restarts, each from its own stream. All starts
-    step in lockstep: one stacked loss and gradient evaluation a step, whose
-    value scores each start's step and whose gradient drives its next one.
-    A start stops on a zero or non-finite gradient and is discarded on a
-    non-finite loss. Starts are merged in index order, and the center is
-    always a candidate, so the value is >= 0.
-    """
+    """Lower bound on max over the epsilon ball of the relative loss rise:
+    the ascent of :func:`_ascend` from one center."""
     nets.check_params(arch, params)
-    flat0 = vec(arch, params)
-    base_loss = nets.loss(arch, params, data)
-    objective = Objective(arch, data)
+    return _ascend(Objective(arch, data), vec(arch, params)[None], cfg)[0]
+
+
+def _ascend(objective: Objective, centers: np.ndarray,
+            cfg: SharpnessConfig) -> list[SharpnessResult]:
+    """The ball-sharpness ascent from each row of a ``(C, n)`` stack.
+
+    Start 0 is the center, 1 the gradient start, 2 onward the seeded random
+    restarts, each from its own stream and shared by every center. All
+    starts of all centers step in lockstep, one stacked loss and gradient
+    evaluation a step. A start stops on a zero or non-finite gradient and
+    is discarded on a non-finite loss. Each center merges its starts in
+    index order, the center always a candidate, so each value is >= 0 and
+    bit-identical to ascending from that center alone. Raises
+    ``ValueError`` when a center discards every random restart: its ball
+    overflows the loss, and a zero would read as flat.
+    """
     eps = cfg.epsilon
+    z = np.zeros((len(centers), 2 + _RESTARTS, centers.shape[1]))
+    count, starts, dim = z.shape
+    base = objective.loss(centers).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # counted as discarded
+        g_center = objective.loss_grad(centers + z[:, 0])[1]
+        norms = _row_norms(g_center)
+        for c in np.flatnonzero(np.isfinite(norms) & (norms != 0.0)):
+            z[c, 1] = (eps / norms[c]) * g_center[c]
+        for sid in range(2, starts):
+            gen = SeededRng(cfg.seed, _STREAM_SHARPNESS + sid).generator()
+            z[:, sid] = _ball_point(gen, dim, eps)
+        z = z.reshape(count * starts, dim)
+        best, g = objective.loss_grad(np.repeat(centers, starts, axis=0) + z)
+        kept = np.isfinite(best)
+        best_z = z.copy()
+        rows = np.flatnonzero(kept)
+        for _ in range(cfg.steps):
+            norms = _row_norms(g[rows])
+            moving = np.isfinite(norms) & (norms != 0.0)
+            rows, norms = rows[moving], norms[moving]
+            if rows.size == 0:
+                break
+            step = z[rows] + ((_STEP_SIZE * eps) / norms)[:, None] * g[rows]
+            znorms = _row_norms(step)
+            out = znorms > eps
+            step[out] = (eps / znorms[out])[:, None] * step[out]
+            values, g[rows] = objective.loss_grad(centers[rows // starts] + step)
+            z[rows] = step
+            finite = np.isfinite(values)
+            kept[rows[~finite]] = False
+            better = finite & (values > best[rows])
+            best[rows[better]] = values[better]
+            best_z[rows[better]] = step[better]
+            rows = rows[finite]
 
-    z = np.zeros((2 + _RESTARTS, flat0.size))
-    g_center = objective.loss_grad(flat0 + z[:1])[1]
-    norm = _row_norms(g_center)[0]
-    if norm != 0.0 and np.isfinite(norm):
-        z[1] = (eps / norm) * g_center[0]
-    for sid in range(2, len(z)):
-        gen = SeededRng(cfg.seed, _STREAM_SHARPNESS + sid).generator()
-        z[sid] = _ball_point(gen, flat0.size, eps)
-
-    best, g = objective.loss_grad(flat0 + z)
-    kept = np.isfinite(best)
-    best_z = z.copy()
-    rows = np.flatnonzero(kept)
-    for _ in range(cfg.steps):
-        norms = _row_norms(g[rows])
-        moving = np.isfinite(norms) & (norms != 0.0)
-        rows, norms = rows[moving], norms[moving]
-        if rows.size == 0:
-            break
-        step = z[rows] + ((_STEP_SIZE * eps) / norms)[:, None] * g[rows]
-        znorms = _row_norms(step)
-        out = znorms > eps
-        step[out] = (eps / znorms[out])[:, None] * step[out]
-        values, g[rows] = objective.loss_grad(flat0 + step)
-        z[rows] = step
-        finite = np.isfinite(values)
-        kept[rows[~finite]] = False
-        better = finite & (values > best[rows])
-        best[rows[better]] = values[better]
-        best_z[rows[better]] = step[better]
-        rows = rows[finite]
-
-    best_loss = base_loss
-    best_offset = np.zeros(flat0.size)
-    for sid in np.flatnonzero(kept):
-        if best[sid] > best_loss:
-            best_loss = float(best[sid])
-            best_offset = best_z[sid]
-    value = (best_loss - base_loss) / (1.0 + base_loss)
-    return SharpnessResult(max(value, 0.0), best_offset,
-                           int(np.count_nonzero(~kept)))
+    results = []
+    for c, base_loss in enumerate(base):
+        own = slice(c * starts, (c + 1) * starts)
+        if not kept[own][2:].any():
+            raise ValueError(f"epsilon {eps} overflows the loss: all "
+                             f"{_RESTARTS} random restarts were discarded")
+        best_loss, best_offset = base_loss, np.zeros(dim)
+        for sid in np.flatnonzero(kept[own]) + own.start:
+            if best[sid] > best_loss:
+                best_loss, best_offset = float(best[sid]), best_z[sid]
+        value = (best_loss - base_loss) / (1.0 + base_loss)
+        results.append(SharpnessResult(max(value, 0.0), best_offset,
+                                       int(np.count_nonzero(~kept[own]))))
+    return results
 
 
 def second_order_sharpness(hessian_norm: float, epsilon: float,

@@ -25,7 +25,7 @@ from .errors import KinkProximityError
 from .experiments import (forward_deviation, make_teacher_student,
                           probe_inputs, reparam_demo_1d)
 from .linalg import _row_norms, symmetric_eigenspectrum
-from .metrics import (SharpnessConfig, epsilon_sharpness, hessian_measures,
+from .metrics import (SharpnessConfig, _ascend, hessian_measures,
                       volume_flatness_certificate)
 from .nets import Architecture, Dataset, FlatIndex, uniform_params
 from .rng import SeededRng
@@ -381,8 +381,10 @@ def _check_ball_sharpness(seed: int) -> tuple[dict, list]:
         zero_loss = nets.loss(arch, zero_first_layer(arch, point), data)
         bound = 0.9 * (zero_loss - base_loss) / (1.0 + base_loss)
         cfg = SharpnessConfig(epsilon=_BALL_EPSILON, steps=100, seed=unit)
-        before = epsilon_sharpness(arch, teacher, data, cfg).value
-        after = epsilon_sharpness(arch, point, data, cfg).value
+        # one ascent from both centers: same data, config and restarts
+        centers = np.stack([nets.vec(arch, teacher), nets.vec(arch, point)])
+        before, after = (r.value for r in
+                         _ascend(nets.Objective(arch, data), centers, cfg))
         return (after / bound if bound > 0 else np.inf,
                 after / before if before > 0 else np.inf, deviation)
 

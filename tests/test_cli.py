@@ -146,17 +146,22 @@ def test_invalid_inputs_exit_one(tmp_path, capsys):
         assert (code, out) == (1, "")
         assert f"argument {flag}: expected" in err
     # a finite epsilon whose square overflows stops at the curvature proxy,
-    # before the ascent, and no numpy RuntimeWarning escapes first
+    # before the ascent; one whose ball overflows the loss stops when every
+    # random restart of the ascent is discarded; no numpy RuntimeWarning
+    # escapes first
     wide = tmp_path / "wide.json"
     run_cli(capsys, "train", "--arch", "2,8,1", "--teacher", "--m", "48",
             "--seed", "1", "--out", str(wide))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, out, err = run_cli(capsys, "metrics", "--checkpoint", str(wide),
-                                 "--m", "48", "--seed", "1", "--eps", "1e300")
-    assert (code, out) == (1, "")
-    assert "epsilon" in err and "RuntimeWarning" not in err
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    for eps in ("1e300", "1e150"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "metrics", "--checkpoint",
+                                     str(wide), "--m", "48", "--seed", "1",
+                                     "--eps", eps)
+        assert (code, out) == (1, "")
+        assert "epsilon" in err and "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "random restarts" in err
 
 
 def test_error_messages_name_the_problem(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -140,6 +141,21 @@ def _assert_same_sharpness(arch, params, data, cfg):
     return lockstep
 
 
+def _assert_stacked_equals_serial(arch, data, centers, cfg):
+    """Each center of one stacked ascent equals its own serial reference:
+    the value and its type, the offset bit for bit, the discard count."""
+    stacked = metrics._ascend(metrics.Objective(arch, data),
+                              np.stack([vec(arch, p) for p in centers]), cfg)
+    assert len(stacked) == len(centers)
+    for result, params in zip(stacked, centers):
+        serial = _serial_sharpness(arch, params, data, cfg)
+        assert result.value == serial.value
+        assert type(result.value) is type(serial.value)
+        assert result.argmax_offset.tobytes() == serial.argmax_offset.tobytes()
+        assert result.discarded == serial.discarded
+    return stacked
+
+
 @pytest.mark.parametrize("widths,bias", [((2, 6, 1), False),
                                          ((2, 4, 1), True),
                                          ((3, 4, 4, 1), False),
@@ -159,6 +175,21 @@ def test_lockstep_sharpness_equals_serial_starts(widths, bias, restarts,
         assert result.discarded == 0
 
 
+@pytest.mark.parametrize("widths,bias", [((2, 4, 1), False),
+                                         ((2, 4, 1), True),
+                                         ((3, 4, 4, 1), False),
+                                         ((2, 3, 3, 1), True)])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_stacked_centers_equal_serial_ascents(widths, bias, count):
+    from flatlab.experiments import make_teacher_student
+    arch = Architecture(widths, use_bias=bias)
+    data, teacher = make_teacher_student(arch, 67, 24)
+    centers = [ParamVector(tuple(w * f for w in teacher.weights),
+                           teacher.biases) for f in (1.0, 1.3, 0.7)][:count]
+    cfg = SharpnessConfig(epsilon=5e-2, steps=25, seed=15)
+    _assert_stacked_equals_serial(arch, data, centers, cfg)
+
+
 def test_lockstep_sharpness_all_units_dead():
     # every hidden preactivation is far below zero: the gradient vanishes on
     # the whole ball, so each start stops before its first step
@@ -171,6 +202,13 @@ def test_lockstep_sharpness_all_units_dead():
     assert result.value == 0.0
     assert result.discarded == 0
     assert not np.any(result.argmax_offset)
+    # stacked beside a live center, in either order, each keeps its own stops
+    live = ParamVector([np.ones((2, 3)), np.full((3, 1), 0.5)])
+    for order in (1, -1):
+        dead, alive = _assert_stacked_equals_serial(
+            arch, data, (params, live)[::order], cfg)[::order]
+        assert dead.value == 0.0 and not np.any(dead.argmax_offset)
+        assert alive.value > 0.0
 
 
 @pytest.mark.parametrize("coord,rise", [(0, 1e-3),   # poisoned at its start
@@ -192,6 +230,28 @@ def test_lockstep_sharpness_discards_non_finite_start(coord, rise,
     cfg = SharpnessConfig(epsilon=1e-2, seed=14)
     result = _assert_same_sharpness(arch, teacher, data, cfg)
     assert result.discarded == 1
+    # stacked beside a center whose whole ball stays below the limit, only
+    # the poisoned center discards
+    low = vec(arch, teacher)
+    low[coord] -= 0.5
+    stacked = _assert_stacked_equals_serial(
+        arch, data, [teacher, unvec(arch, low)], cfg)
+    assert [r.discarded for r in stacked] == [1, 0]
+
+
+def test_sharpness_refuses_ball_that_overflows_the_loss():
+    # every random restart of the ascent overflows: a zero bound would read
+    # as perfectly flat, so the ascent refuses, without a numpy warning
+    arch, data, teacher = _teacher_setup(widths=(2, 8, 1), seed=1, m=48)
+    cfg = SharpnessConfig(epsilon=1e150, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="epsilon 1e\\+150 .* all 8 random"):
+            epsilon_sharpness(arch, teacher, data, cfg)
+        flat = vec(arch, teacher)
+        with pytest.raises(ValueError, match="epsilon"):
+            metrics._ascend(Objective(arch, data),
+                            np.stack([flat, 2.0 * flat]), cfg)
 
 
 def test_sharpness_config_validation():

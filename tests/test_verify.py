@@ -52,6 +52,24 @@ def test_progress_lines_one_per_check():
     assert "curvature_congruence" in lines[0]
 
 
+def test_ball_sharpness_ascends_both_centers_at_once(monkeypatch):
+    # one ascent a unit from the teacher and its rescaled point together:
+    # 20 units of at most 1 + 1 + 100 stacked steps, where two ascents a
+    # unit would take twice as many
+    from flatlab import nets
+    calls = []
+    loss_grad = nets.Objective.loss_grad
+
+    def counted(self, flat):
+        calls.append(np.shape(flat))
+        return loss_grad(self, flat)
+
+    monkeypatch.setattr(nets.Objective, "loss_grad", counted)
+    verify._check_ball_sharpness(1)
+    assert len(calls) <= verify._BALL_UNITS * 102
+    assert max(shape[0] for shape in calls) == 20
+
+
 def test_seed_changes_measured_numbers():
     a = run_suite("gradient_blowup", seed=4)
     b = run_suite("gradient_blowup", seed=5)
