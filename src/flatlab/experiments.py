@@ -13,9 +13,10 @@ one-dimensional reparametrization demo back the CLI and the checks.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from . import nets
 from .errors import TrainingDivergedError
@@ -25,8 +26,9 @@ from .rng import SeededRng
 from .serialize import format_float, json_float, json_int
 from .transforms import (PowerStretch, Radial, alpha_scale_two_layer,
                          power_stretch_derivative, power_stretch_forward,
-                         power_stretch_second_derivative, psi_prime,
-                         radial_forward, radial_inverse, transform_from_dict)
+                         power_stretch_inverse, power_stretch_second_derivative,
+                         psi_prime, radial_forward, radial_inverse,
+                         transform_from_dict)
 
 _STREAM_TEACHER = 1
 _STREAM_INPUTS = 2
@@ -225,111 +227,49 @@ def alpha_sweep(arch: Architecture, params: ParamVector, data: Dataset,
 # one-dimensional reparametrization demo
 
 
-def _double_well(t: float) -> float:
-    return (t * t - 1.0) ** 2
-
-
-def _double_well_d1(t: float) -> float:
-    return 4.0 * t * (t * t - 1.0)
-
-
-def _double_well_d2(t: float) -> float:
-    return 12.0 * t * t - 4.0
-
-
-def _triple_well(t: float) -> float:
-    return t * t * (t * t - 1.0) ** 2
-
-
-def _triple_well_d1(t: float) -> float:
-    return 2.0 * t * (3.0 * t**4 - 4.0 * t * t + 1.0)
-
-
-def _triple_well_d2(t: float) -> float:
-    return 30.0 * t**4 - 24.0 * t * t + 2.0
-
-
-def _quadratic(t: float) -> float:
-    return t * t
-
-
-def _quadratic_d1(t: float) -> float:
-    return 2.0 * t
-
-
-def _quadratic_d2(t: float) -> float:
-    return 2.0
-
-
-#: name -> (L, L', L'') as closed-form scalar functions, all with L >= 0
+#: name -> (L, L', L'') in closed form, elementwise; every L is >= 0
 LOSS_REGISTRY_1D = {
-    "quadratic": (_quadratic, _quadratic_d1, _quadratic_d2),
-    "double_well": (_double_well, _double_well_d1, _double_well_d2),
-    "triple_well": (_triple_well, _triple_well_d1, _triple_well_d2),
+    "quadratic": (lambda t: t * t, lambda t: 2.0 * t, lambda t: 2.0),
+    "double_well": (lambda t: (t * t - 1.0) ** 2,
+                    lambda t: 4.0 * t * (t * t - 1.0),
+                    lambda t: 12.0 * t * t - 4.0),
+    "triple_well": (lambda t: t * t * (t * t - 1.0) ** 2,
+                    lambda t: 2.0 * t * (3.0 * t**4 - 4.0 * t * t + 1.0),
+                    lambda t: 30.0 * t**4 - 24.0 * t * t + 2.0),
 }
 
 _JOINT_TOL = 1e-3
+_NONCRITICAL_FRACTIONS = (0.12, 0.27, 0.43, 0.58, 0.71, 0.86)
 
 
-class _ScalarMap:
-    """Forward map h, its derivatives, and the inverse g = h^-1."""
+def _demo_map(spec: PowerStretch | Radial) -> tuple:
+    """(h, h', h'', h^-1, joints) of a demo coordinate map.
 
-    def __init__(self, spec: PowerStretch | Radial):
-        if isinstance(spec, Radial):
-            if spec.center.size != 1:
-                raise ValueError("the demo needs a one-dimensional center")
-        elif not isinstance(spec, PowerStretch):
-            raise TypeError(
-                f"demo transform must be power_stretch or radial, "
-                f"got {type(spec).__name__}"
-            )
-        self.spec = spec
+    The four maps are elementwise over arrays of t (or eta); ``joints``
+    are the t where h'' jumps, which curvature checks stay away from.
+    """
+    if isinstance(spec, PowerStretch):
+        joints = () if spec.b > 0 else (spec.center,)
+        return (*(partial(f, spec=spec) for f in (
+            power_stretch_forward, power_stretch_derivative,
+            power_stretch_second_derivative, power_stretch_inverse)), joints)
+    if not isinstance(spec, Radial):
+        raise TypeError(
+            f"demo transform must be power_stretch or radial, "
+            f"got {type(spec).__name__}"
+        )
+    if spec.center.size != 1:
+        raise ValueError("the demo needs a one-dimensional center")
+    c = float(spec.center[0])
 
-    def forward(self, t: float) -> float:
-        if isinstance(self.spec, PowerStretch):
-            return power_stretch_forward(t, self.spec)
-        return float(radial_forward(np.array([t]), self.spec)[0])
+    def as_points(remap):  # each t is one point of the 1-D ball
+        return lambda t: remap(np.reshape(t, (-1, 1)), spec).reshape(np.shape(t))
 
-    def d1(self, t: float) -> float:
-        if isinstance(self.spec, PowerStretch):
-            return power_stretch_derivative(t, self.spec)
-        r = abs(t - float(self.spec.center[0]))
-        return psi_prime(r, self.spec)
-
-    def d2(self, t: float) -> float:
-        if isinstance(self.spec, PowerStretch):
-            return power_stretch_second_derivative(t, self.spec)
-        return 0.0  # piecewise-linear radius map
-
-    def inverse(self, eta: float) -> float:
-        if isinstance(self.spec, Radial):
-            return float(radial_inverse(np.array([eta]), self.spec)[0])
-        center = self.spec.center
-        width = 1.0 + abs(eta - self.forward(center))
-        for _ in range(200):
-            lo, hi = center - width, center + width
-            if self.forward(lo) <= eta <= self.forward(hi):
-                break
-            width *= 2.0
-        else:
-            raise ValueError(f"could not bracket {eta} for inversion")
-        if self.forward(lo) == eta:
-            return lo
-        if self.forward(hi) == eta:
-            return hi
-        return float(brentq(lambda t: self.forward(t) - eta, lo, hi,
-                            xtol=1e-14, rtol=4 * np.finfo(float).eps,
-                            maxiter=200))
-
-    def smooth_at(self, t: float) -> bool:
-        """Away from the (measure-zero) points where h'' jumps."""
-        if isinstance(self.spec, PowerStretch):
-            if self.spec.b > 0:
-                return True
-            return abs(t - self.spec.center) > _JOINT_TOL
-        r = abs(t - float(self.spec.center[0]))
-        return (abs(r - self.spec.rhat) > _JOINT_TOL
-                and abs(r - self.spec.delta) > _JOINT_TOL)
+    return (as_points(radial_forward),
+            lambda t: psi_prime(np.abs(np.asarray(t, dtype=float) - c), spec),
+            lambda t: np.zeros(np.shape(t)),  # piecewise-linear radius map
+            as_points(radial_inverse),
+            (c - spec.delta, c - spec.rhat, c + spec.rhat, c + spec.delta))
 
 
 @dataclass(frozen=True)
@@ -358,10 +298,9 @@ class Demo1D:
     notes: tuple[str, ...]
 
     def curve_csv(self) -> str:
-        lines = ["eta,loss"]
-        for eta, value in zip(self.etas, self.values):
-            lines.append(f"{format_float(float(eta))},{format_float(float(value))}")
-        return "\n".join(lines) + "\n"
+        return "eta,loss\n" + "".join(
+            f"{format_float(float(eta))},{format_float(float(value))}\n"
+            for eta, value in zip(self.etas, self.values))
 
     def to_dict(self) -> dict:
         return {
@@ -376,11 +315,11 @@ def reparam_demo_1d(loss_name: str, spec: PowerStretch | Radial,
     """Transformed loss curve plus curvature congruence checks.
 
     The curve samples L(g(eta)) on a uniform eta grid spanning the image
-    of [lo, hi]. Each interior grid minimum is refined to the actual
-    critical point, where the finite-difference curvature of the curve
-    must match (g')^2 L''. At a spread of non-critical sample points the
-    full transformed second derivative, including the L' g'' term, is
-    checked against finite differences instead.
+    of [lo, hi]. Each interior grid minimum is refined in theta to the
+    actual critical point, where the finite-difference curvature of the
+    curve must match (g')^2 L''. At a spread of non-critical sample points
+    the full transformed second derivative, including the L' g'' term, is
+    checked against finite differences; each map sees whole arrays.
     """
     if loss_name not in LOSS_REGISTRY_1D:
         raise ValueError(
@@ -391,70 +330,74 @@ def reparam_demo_1d(loss_name: str, spec: PowerStretch | Radial,
     if count < 9:
         raise ValueError(f"need at least 9 grid points, got {count}")
     loss_f, loss_d1, loss_d2 = LOSS_REGISTRY_1D[loss_name]
-    mapping = _ScalarMap(spec)
+    h, h_d1, h_d2, g, joints = _demo_map(spec)
 
-    eta_lo = mapping.forward(lo)
-    eta_hi = mapping.forward(hi)
+    def smooth(theta):
+        """Away from the (measure-zero) points where h'' jumps."""
+        return np.all(np.abs(np.asarray(theta)[..., None] - np.array(joints))
+                      > _JOINT_TOL, axis=-1)
+
+    def fd_second(etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Central second differences of L(g(eta)), and g(eta) itself,
+        from one stacked inverse of every probe."""
+        step = 1e-4 * np.maximum(1.0, np.abs(etas))
+        probes = g(np.stack([etas - step, etas, etas + step], axis=1))
+        values = loss_f(probes)
+        fd = (values[:, 0] - 2.0 * values[:, 1] + values[:, 2]) / (step * step)
+        return fd, probes[:, 1]
+
+    eta_lo, eta_hi = h(np.array([lo, hi]))
     etas = np.linspace(eta_lo, eta_hi, count)
+    thetas = g(etas)
+    values = loss_f(thetas)
 
-    thetas = np.array([mapping.inverse(e) for e in etas])
-    values = np.array([loss_f(t) for t in thetas])
-
-    def transformed_loss(eta: float) -> float:
-        return loss_f(mapping.inverse(eta))
-
-    def fd_second(eta: float, step: float) -> float:
-        return (transformed_loss(eta - step) - 2.0 * transformed_loss(eta)
-                + transformed_loss(eta + step)) / (step * step)
-
+    # refine each interior grid minimum in theta, where the loss is known
+    # in closed form; g is monotone, so eta* = h(theta*) minimizes L(g)
+    found = np.flatnonzero((values[1:-1] < values[:-2])
+                           & (values[1:-1] < values[2:])) + 1
     notes: list[str] = []
-    minima: list[MinimumCurvature] = []
-    for i in range(1, count - 1):
-        if not (values[i] < values[i - 1] and values[i] < values[i + 1]):
-            continue
-        result = minimize_scalar(transformed_loss, bounds=(etas[i - 1], etas[i + 1]),
-                                 method="bounded",
-                                 options={"xatol": 1e-12, "maxiter": 500})
-        eta_star = float(result.x)
-        span = etas[i + 1] - etas[i - 1]
-        if (eta_star - etas[i - 1] < 1e-6 * span
-                or etas[i + 1] - eta_star < 1e-6 * span):
+    theta_stars = []
+    for i in found.tolist():
+        left, right = thetas[i - 1] - thetas[i], thetas[i + 1] - thetas[i]
+        offset = minimize_scalar(lambda d: loss_f(thetas[i] + d),
+                                 bounds=(left, right), method="bounded",
+                                 options={"xatol": 1e-12, "maxiter": 500}).x
+        theta_star = thetas[i] + offset
+        if min(offset - left, right - offset) < 1e-6 * (right - left):
             notes.append(
                 f"minimum near eta={etas[i]:.6g} sits on its bracket edge; excluded"
             )
-            continue
-        theta_star = mapping.inverse(eta_star)
-        if not mapping.smooth_at(theta_star):
+        elif not smooth(theta_star):
             notes.append(
-                f"minimum at eta={eta_star:.6g} sits on a map joint; excluded"
+                f"minimum at eta={h(theta_star):.6g} sits on a map joint; excluded"
             )
-            continue
-        g_prime = 1.0 / mapping.d1(theta_star)
-        predicted = g_prime * g_prime * loss_d2(theta_star)
-        step = 1e-4 * max(1.0, abs(eta_star))
-        fd = fd_second(eta_star, step)
-        rel = abs(fd - predicted) / max(abs(predicted), 1e-12)
-        minima.append(MinimumCurvature(eta_star, theta_star, fd, predicted, rel))
+        else:
+            theta_stars.append(theta_star)
+    theta_stars = np.array(theta_stars)
+    eta_stars = h(theta_stars)
+    g_prime = 1.0 / h_d1(theta_stars)
+    predicted = g_prime * g_prime * loss_d2(theta_stars)
+    fd, _ = fd_second(eta_stars)
+    rel = np.abs(fd - predicted) / np.maximum(np.abs(predicted), 1e-12)
+    minima = [MinimumCurvature(*map(float, row)) for row in
+              zip(eta_stars, theta_stars, fd, predicted, rel)]
     if not minima:
         notes.append("no interior minima found on the grid")
 
-    noncritical: list[NonCriticalCheck] = []
-    for frac in (0.12, 0.27, 0.43, 0.58, 0.71, 0.86):
-        eta = float(eta_lo + frac * (eta_hi - eta_lo))
-        theta = mapping.inverse(eta)
-        if not mapping.smooth_at(theta):
-            continue
-        hp = mapping.d1(theta)
-        g_prime = 1.0 / hp
-        g_second = -mapping.d2(theta) / hp**3
-        slope = loss_d1(theta) * g_prime
-        if abs(slope) < 1e-4:
-            continue  # too close to critical for the distinction to matter
-        formula = g_prime * g_prime * loss_d2(theta) + loss_d1(theta) * g_second
-        step = 1e-4 * max(1.0, abs(eta))
-        fd = fd_second(eta, step)
-        rel = abs(fd - formula) / max(abs(formula), 1e-12)
-        noncritical.append(NonCriticalCheck(eta, fd, formula, rel))
+    # the full transformed second derivative, L' g'' term included, at a
+    # spread of points off the minima
+    checked = eta_lo + np.array(_NONCRITICAL_FRACTIONS) * (eta_hi - eta_lo)
+    fd, theta = fd_second(checked)
+    hp = h_d1(theta)
+    g_prime = 1.0 / hp
+    g_second = -h_d2(theta) / hp**3
+    formula = g_prime * g_prime * loss_d2(theta) + loss_d1(theta) * g_second
+    rel = np.abs(fd - formula) / np.maximum(np.abs(formula), 1e-12)
+    # too close to critical for the distinction to matter
+    usable = smooth(theta) & (np.abs(loss_d1(theta) * g_prime) >= 1e-4)
+    noncritical = [NonCriticalCheck(*map(float, row)) for row in
+                   zip(checked[usable], fd[usable], formula[usable],
+                       rel[usable])]
     if not noncritical:
         notes.append("no usable non-critical sample points")
 

@@ -340,8 +340,10 @@ def volume_flatness_certificate(arch: Architecture, params: ParamVector,
     valid = True
     failed_box = None
     for k in range(boxes):
-        mult = transform_multipliers(arch, (alpha ** k, alpha ** (-k)))
-        deviation = box_max_deviation(mult, r)
+        # box 0's multipliers are all 1: it is the base box validated above
+        if k > 0:
+            mult = transform_multipliers(arch, (alpha ** k, alpha ** (-k)))
+            deviation = box_max_deviation(mult, r)
         max_deviations.append(deviation)
         if deviation >= epsilon:
             valid = False

@@ -53,8 +53,8 @@ class AlphaScaleTwoLayer:
     alpha: float
 
     def __post_init__(self):
-        if not (self.alpha > 0):
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if not (0 < self.alpha < np.inf):
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,8 @@ class AlphaScaleDeep:
         object.__setattr__(self, "alphas", alphas)
         if len(alphas) < 1:
             raise ValueError("need at least one factor")
-        if any(not (a > 0) for a in alphas):
-            raise ValueError(f"all factors must be > 0, got {alphas}")
+        if any(not (0 < a < np.inf) for a in alphas):
+            raise ValueError(f"alphas must be finite and > 0, got {alphas}")
         product = float(np.prod(alphas))
         if abs(product - 1.0) > ALPHA_PRODUCT_RTOL:
             raise ValueError(
@@ -90,8 +90,8 @@ class WeightNormScale:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha == 0:
-            raise ValueError("alpha must be nonzero")
+        if not (self.alpha != 0 and np.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be finite and nonzero, got {self.alpha}")
         if self.layer < 0:
             raise ValueError(f"layer index must be >= 0, got {self.layer}")
 
@@ -115,8 +115,10 @@ class Radial:
     def __post_init__(self):
         center = np.ascontiguousarray(self.center, dtype=float).ravel()
         object.__setattr__(self, "center", center)
-        if not (self.delta > 0):
-            raise ValueError(f"delta must be > 0, got {self.delta}")
+        if not np.all(np.isfinite(center)):
+            raise ValueError(f"center must be finite, got {center}")
+        if not (0 < self.delta < np.inf):
+            raise ValueError(f"delta must be finite and > 0, got {self.delta}")
         if not (0 < self.rho < self.delta):
             raise ValueError(f"rho must lie in (0, delta), got {self.rho}")
         if not (0 < self.rhat < self.delta):
@@ -134,10 +136,12 @@ class PowerStretch:
     b: float
 
     def __post_init__(self):
-        if not (self.a > -0.5):
-            raise ValueError(f"a must be > -1/2, got {self.a}")
-        if not (self.b >= 0):
-            raise ValueError(f"b must be >= 0, got {self.b}")
+        if not np.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center}")
+        if not (-0.5 < self.a < np.inf):
+            raise ValueError(f"a must be finite and > -1/2, got {self.a}")
+        if not (0 <= self.b < np.inf):
+            raise ValueError(f"b must be finite and >= 0, got {self.b}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,8 +162,9 @@ class InputAffine:
             raise ValueError(
                 f"shift length {c.shape[0]} != matrix dim {a.shape[0]}"
             )
-        if not np.all(np.isfinite(a)) or not np.all(np.isfinite(c)):
-            raise ValueError("non-finite preprocessing parameters")
+        for name, value in (("matrix", a), ("shift", c)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
         cond = np.linalg.cond(a)
         if not np.isfinite(cond) or cond > MAX_AFFINE_CONDITION:
             raise ValueError(f"matrix is singular (condition number {cond:.3e})")
@@ -626,31 +631,82 @@ def radial_jacobian(theta: np.ndarray, spec: Radial) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# power stretch reparametrization (scalar)
+# power stretch reparametrization
 
 
-def power_stretch_forward(t: float, spec: PowerStretch) -> float:
-    u = float(t) - spec.center
-    return (u * u + spec.b) ** spec.a * u
+def _stretch(t, spec: PowerStretch, formula):
+    """``formula(u, u^2 + b)`` at u = t - center, elementwise, overflow
+    saturating silently. Formulas take numpy's pow, never a scalar's
+    ``**``, so that a lone element gets the bits it gets in a stack."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        u = np.asarray(t, dtype=float) - spec.center
+        out = formula(u, u * u + spec.b)
+    return out if out.ndim else float(out)
 
 
-def power_stretch_derivative(t: float, spec: PowerStretch) -> float:
-    u = float(t) - spec.center
-    base = u * u + spec.b
-    if base == 0.0:
-        # only reachable with b = 0 at the center
-        if spec.a == 0:
-            return 1.0
-        return 0.0 if spec.a > 0 else np.inf
-    return base ** (spec.a - 1.0) * ((2.0 * spec.a + 1.0) * u * u + spec.b)
+def power_stretch_forward(t, spec: PowerStretch):
+    """eta = (u^2 + b)^a u with u = t - center, elementwise.
+
+    At u = 0, and where u^2 + b underflows to 0 or overflows (b is then
+    negligible), the map is evaluated as |u|^(2a + 1) with the sign of u,
+    so every finite t has a non-NaN image.
+    """
+    return _stretch(t, spec, lambda u, base: np.where(
+        (u != 0.0) & (base > 0.0) & (base < np.inf), np.power(base, spec.a) * u,
+        np.copysign(np.power(np.abs(u), 2.0 * spec.a + 1.0), u)))
 
 
-def power_stretch_second_derivative(t: float, spec: PowerStretch) -> float:
-    u = float(t) - spec.center
-    base = u * u + spec.b
-    if base == 0.0:
-        return 0.0
-    return 2.0 * spec.a * u * base ** (spec.a - 2.0) * ((2.0 * spec.a + 1.0) * u * u + 3.0 * spec.b)
+def power_stretch_derivative(t, spec: PowerStretch):
+    """Slope of :func:`power_stretch_forward`, elementwise."""
+    a = spec.a
+    # u^2 + b == 0 only with b = 0 at the center
+    at_zero = 1.0 if a == 0 else (0.0 if a > 0 else np.inf)
+    return _stretch(t, spec, lambda u, base: np.where(
+        base == 0.0, at_zero,
+        np.power(base, a - 1.0) * ((2.0 * a + 1.0) * u * u + spec.b)))
+
+
+def power_stretch_second_derivative(t, spec: PowerStretch):
+    """Second derivative of :func:`power_stretch_forward`, elementwise."""
+    a = spec.a
+    return _stretch(t, spec, lambda u, base: np.where(
+        base == 0.0, 0.0, 2.0 * a * u * np.power(base, a - 2.0)
+        * ((2.0 * a + 1.0) * u * u + 3.0 * spec.b)))
+
+
+def _ordered(x: np.ndarray) -> np.ndarray:
+    """float64 <-> int64 keys that order as the floats do (its own inverse):
+    adjacent keys are adjacent floats, and -0.0 keys as -1, below +0.0."""
+    bits = x.view(np.int64)
+    return np.where(bits < 0, bits ^ np.int64(2**63 - 1), bits)
+
+
+def power_stretch_inverse(eta, spec: PowerStretch):
+    """Exact inverse of :func:`power_stretch_forward`, elementwise.
+
+    Bisects over the ordered float64 bit patterns, starting from the whole
+    finite float line (at most 64 halvings), until each element's bracket
+    is two adjacent floats lo < hi with forward(lo) <= eta < forward(hi);
+    lo is returned. A NaN or infinite eta, or one outside
+    [forward(-max), forward(max)), is refused.
+    """
+    eta = np.asarray(eta, dtype=float)
+    if not np.all(np.isfinite(eta)):
+        raise ValueError("eta must be finite")
+    top = np.finfo(float).max
+    if not np.all((power_stretch_forward(-top, spec) <= eta)
+                  & (eta < power_stretch_forward(top, spec))):
+        raise ValueError("eta lies beyond the image of the finite floats")
+    lo, hi = _ordered(np.full(eta.shape, -top)), _ordered(np.full(eta.shape, top))
+    while np.any(lo < hi - 1):
+        # floor((lo + hi) / 2) without int64 overflow; a closed bracket
+        # has mid == lo and stays put
+        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
+        below = power_stretch_forward(_ordered(mid).view(float), spec) <= eta
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    out = _ordered(lo).view(float)
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -707,9 +763,7 @@ def apply_transform(arch: Architecture, params: ParamVector,
     if isinstance(spec, Radial):
         return unvec(arch, radial_forward(vec(arch, params), spec))
     if isinstance(spec, PowerStretch):
-        flat = vec(arch, params)
-        out = np.array([power_stretch_forward(t, spec) for t in flat])
-        return unvec(arch, out)
+        return unvec(arch, power_stretch_forward(vec(arch, params), spec))
     if isinstance(spec, InputAffine):
         return fold_input_affine(arch, params, spec)
     raise TypeError(f"not a transform spec: {type(spec).__name__}")

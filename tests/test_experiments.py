@@ -1,3 +1,6 @@
+import json
+import subprocess
+import sys
 import warnings
 from dataclasses import astuple, fields
 
@@ -338,6 +341,46 @@ def test_demo_rejects_unknown_loss():
     with pytest.raises(ValueError):
         reparam_demo_1d("septic_well", PowerStretch(0.0, 1.0, 1.0),
                         -1.0, 1.0, 51)
+
+
+@pytest.mark.parametrize("count", (9, 401, 3001))
+@pytest.mark.parametrize("spec", (PowerStretch(0.2, 1.0, 0.5),
+                                  PowerStretch(0.2, 1.0, 0.0),
+                                  Radial(np.array([0.9]), delta=1.5, rho=0.6,
+                                         rhat=0.9)),
+                         ids=("stretch", "stretch_joint", "radial"))
+def test_demo_inverts_whole_stacks(spec, count, monkeypatch):
+    calls = []
+
+    def counted(inverse):
+        def wrapper(eta, spec):
+            calls.append(np.shape(eta))
+            return inverse(eta, spec)
+        return wrapper
+
+    for name in ("power_stretch_inverse", "radial_inverse"):
+        monkeypatch.setattr(experiments, name,
+                            counted(getattr(experiments, name)))
+    reparam_demo_1d("double_well", spec, -2.0, 2.0, count)
+    assert 1 <= len(calls) <= 4
+    assert (count,) in calls or (count, 1) in calls
+
+
+@pytest.mark.parametrize("command", (
+    ["demo-reparam"], ["verify", "--suite", "curvature_congruence"]))
+def test_demo_runs_free_of_runtime_warnings(command, tmp_path, cli_env):
+    spec = tmp_path / "demo.json"
+    spec.write_text(json.dumps({
+        "loss": "triple_well",
+        "transform": {"kind": "power_stretch", "center": -0.3, "a": 0.7,
+                      "b": 0.0},
+        "grid": [-1.6, 1.6, 801]}))
+    if command == ["demo-reparam"]:
+        command = command + ["--spec", str(spec)]
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "flatlab", *command],
+        capture_output=True, text=True, env=cli_env)
+    assert result.returncode == 0, result.stderr
 
 
 def test_demo_spec_from_dict():

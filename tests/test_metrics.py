@@ -344,6 +344,25 @@ def test_volume_certificate_needs_two_layers():
                                     rng=SeededRng(58, 62))
 
 
+@pytest.mark.parametrize("r", (None, 0.4))
+def test_volume_certificate_evaluates_each_box_once(r, monkeypatch):
+    arch, data, teacher = _teacher_setup(widths=(2, 5, 1), seed=55)
+    rows = []
+    objective_loss = Objective.loss
+
+    def counted(self, flat):
+        rows.append(np.atleast_2d(flat).shape[0])
+        return objective_loss(self, flat)
+
+    monkeypatch.setattr(Objective, "loss", counted)
+    boxes, samples = 6, 32
+    cert = volume_flatness_certificate(arch, teacher, data, epsilon=1e-2,
+                                       boxes=boxes, samples_per_box=samples,
+                                       rng=SeededRng(55, 60), r=r)
+    assert cert.boxes_checked == boxes
+    assert sum(rows) == (cert.shrink_steps + boxes) * samples
+
+
 def _box_deviations_per_sample(arch, params, data, cert, samples, rng):
     """Each box's largest loss rise, one public loss call per sample."""
     flat0 = vec(arch, params)

@@ -20,6 +20,7 @@ from flatlab.transforms import (_TRANSFORM_KINDS, AlphaScaleDeep,
                                 fold_input_affine, many_directions_alphas,
                                 power_stretch_derivative,
                                 power_stretch_forward,
+                                power_stretch_inverse,
                                 power_stretch_second_derivative,
                                 predicted_gradient, predicted_hessian,
                                 psi, psi_inverse, psi_prime, radial_forward,
@@ -468,6 +469,100 @@ def test_power_stretch_validation():
         PowerStretch(0.0, -0.6, 1.0)  # a must stay above -1/2
     with pytest.raises(ValueError):
         PowerStretch(0.0, 1.0, -0.1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(center=st.floats(allow_nan=False, allow_infinity=False),
+       a=st.floats(min_value=-0.5, max_value=3.0, exclude_min=True),
+       b=st.floats(min_value=0.0, max_value=2.0),
+       eta=st.floats(min_value=-1e6, max_value=1e6))
+def test_power_stretch_inverse_brackets_eta(center, a, b, eta):
+    spec = PowerStretch(center, a, b)
+    top = np.finfo(float).max
+    try:
+        t = power_stretch_inverse(eta, spec)
+    except ValueError:
+        # refused only when no finite float maps past eta on both sides
+        assert not (power_stretch_forward(-top, spec) <= eta
+                    < power_stretch_forward(top, spec))
+        return
+    assert np.isfinite(t)
+    assert (power_stretch_forward(t, spec) <= eta
+            <= power_stretch_forward(np.nextafter(t, np.inf), spec))
+
+
+@pytest.mark.parametrize("spec", (STRETCH, PowerStretch(-0.3, 0.7, 0.8),
+                                  PowerStretch(0.2, -0.3, 0.0),
+                                  PowerStretch(0.0, 2.0, 0.0)))
+@pytest.mark.parametrize("fn", (power_stretch_forward,
+                                power_stretch_derivative,
+                                power_stretch_second_derivative,
+                                power_stretch_inverse),
+                         ids=lambda fn: fn.__name__)
+def test_power_stretch_stack_gets_each_elements_bits(spec, fn):
+    values = SeededRng(4, 44).generator().uniform(-3.0, 3.0, (40, 3))
+    values[0] = (spec.center, 0.0, -0.0)
+    stacked = fn(values, spec)
+    assert stacked.shape == values.shape
+    alone = np.array([[fn(float(v), spec) for v in row] for row in values])
+    assert isinstance(fn(float(values[1, 0]), spec), float)
+    assert stacked.tobytes() == alone.tobytes()
+
+
+def test_power_stretch_inverse_refuses_non_finite_eta():
+    for eta in (np.nan, np.inf, -np.inf, np.array([0.5, np.nan])):
+        with pytest.raises(ValueError, match="eta must be finite"):
+            power_stretch_inverse(eta, STRETCH)
+
+
+def test_power_stretch_inverse_is_exact_on_images():
+    # the center maps to 0 and back, also where b^a overflows or 0^a is
+    # infinite; a point's image inverts to the point itself
+    for spec in (STRETCH, PowerStretch(0.3, 3.0, 1e308),
+                 PowerStretch(0.3, -0.3, 0.0)):
+        assert power_stretch_forward(0.3, spec) == 0.0
+        assert power_stretch_inverse(0.0, spec) == 0.3
+    for t in (-2.5, -1.0, 0.3, 0.30001, 1.7):
+        assert power_stretch_inverse(power_stretch_forward(t, STRETCH),
+                                     STRETCH) == t
+
+
+# ---------------------------------------------------------------------------
+# non-finite spec fields
+
+
+VALID_FIELDS = {
+    AlphaScaleTwoLayer: {"alpha": 2.0},
+    AlphaScaleDeep: {"alphas": (2.0, 0.5)},
+    WeightNormScale: {"layer": 0, "alpha": 2.0},
+    Radial: {"center": np.zeros(3), "delta": 1.0, "rho": 0.5, "rhat": 0.5},
+    PowerStretch: {"center": 0.0, "a": 1.0, "b": 0.5},
+    InputAffine: {"matrix": np.eye(2), "shift": np.zeros(2)},
+}
+
+
+def _with_bad_entry(value, bad):
+    """The field value with its first entry (or itself) replaced by bad."""
+    if isinstance(value, tuple):
+        return (bad,) + value[1:]
+    if isinstance(value, np.ndarray):
+        out = value.copy()
+        out.flat[0] = bad
+        return out
+    return bad
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+@pytest.mark.parametrize("cls,name", [
+    (cls, name) for cls, valid in VALID_FIELDS.items() for name in valid
+    if name != "layer"], ids=lambda v: getattr(v, "kind", v))
+def test_specs_refuse_non_finite_fields(cls, name, bad):
+    assert set(VALID_FIELDS) == set(get_args(TransformSpec))
+    cls(**VALID_FIELDS[cls])
+    fields_ = {**VALID_FIELDS[cls],
+               name: _with_bad_entry(VALID_FIELDS[cls][name], bad)}
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        cls(**fields_)
 
 
 # ---------------------------------------------------------------------------
