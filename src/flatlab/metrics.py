@@ -322,17 +322,13 @@ def volume_flatness_certificate(arch: Architecture, params: ParamVector,
         r *= 0.5
 
     alpha = disjoint_box_alpha(theta1, r)
-    index = FlatIndex(arch)
-    n1 = index.weight_slice(0).stop - index.weight_slice(0).start
-    n2 = index.weight_slice(1).stop - index.weight_slice(1).start
-    witness = t
-
-    # per-box volume and the exact per-step volume ratio of the scale map:
-    # weights scale by (alpha, 1/alpha), the first bias rides along with
-    # the first layer, the last bias is untouched
+    # per-box volume, and the per-step volume ratio alpha^det_exponent of
+    # the scale map: coordinates it grows minus those it shrinks, counted
+    # on the exact pair (2, 1/2) so the last bias's product is exactly 1
     v = (2.0 * r) ** n
-    n_bias1 = arch.layer_widths[1] if arch.use_bias else 0
-    det_exponent = (n1 + n_bias1) - n2
+    grow = transform_multipliers(arch, (2.0, 0.5))
+    det_exponent = int(np.count_nonzero(grow > 1.0)
+                       - np.count_nonzero(grow < 1.0))
 
     max_deviations: list[float] = []
     lower_bounds: list[float] = []
@@ -352,12 +348,10 @@ def volume_flatness_certificate(arch: Architecture, params: ParamVector,
         total += v * alpha ** (k * det_exponent)
         lower_bounds.append(total)
 
-    # disjointness on the witness coordinate: consecutive scaled intervals
-    # [a^k (w - r), a^k (w + r)] must not touch
-    disjoint = all(
-        alpha ** (k + 1) * (witness - r) > alpha ** k * (witness + r)
-        for k in range(len(max_deviations) - 1)
-    )
+    # disjointness on the first-layer coordinate of largest magnitude t:
+    # box k+1's interval starts at alpha^(k+1) (t - r), past box k's end
+    # alpha^k (t + r); divided by alpha^k that is one inequality for all k
+    disjoint = alpha * (t - r) > t + r
     return VolumeCertificate(
         r=r, v=v, alpha=alpha, boxes_checked=len(lower_bounds),
         max_deviations=tuple(max_deviations),

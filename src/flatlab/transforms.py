@@ -7,10 +7,11 @@ function is unchanged for every input. The reparametrization family
 (radial, power stretch, input affine) changes coordinates instead; the
 point moves, the function family does not.
 
-Scale transformations act diagonally on flat coordinates: layer k's
-weights are multiplied by alpha_k and layer j's bias by the running
-product alpha_1 * ... * alpha_j, which is what pushing the factors
-through the rectifiers demands. The inverse of that diagonal is the
+Scale transformations act diagonally on flat coordinates, as
+:func:`transform_multipliers` states once: layer k's weights are
+multiplied by alpha_k and layer j's bias by the running product
+alpha_1 * ... * alpha_j, which is what pushing the factors through the
+rectifiers demands. The inverse of that diagonal is the
 matrix D that carries gradients and Hessians between equivalent points:
 
     grad_after = grad_before * d        (elementwise)
@@ -238,21 +239,9 @@ def transform_from_dict(raw: dict) -> TransformSpec:
 # alpha-scale transformations
 
 
-def _bias_factors(alphas: tuple[float, ...]) -> np.ndarray:
-    """Running products: bias of layer j scales by alpha_1 ... alpha_j."""
-    return np.cumprod(np.asarray(alphas, dtype=float))
-
-
-def _check_depth(arch: Architecture, alphas: tuple[float, ...]) -> None:
-    if len(alphas) != arch.depth:
-        raise ValueError(
-            f"{len(alphas)} scale factors for a {arch.depth}-layer network"
-        )
-
-
 def alpha_scale_deep(arch: Architecture, params: ParamVector,
                      alphas: tuple[float, ...] | AlphaScaleDeep) -> ParamVector:
-    """Scale layer k by alphas[k]; biases carry the running product.
+    """Multiply the flat parameters by :func:`transform_multipliers`.
 
     The factor product is constrained to 1, which makes the result
     observationally equivalent to the input (the factors cancel through
@@ -260,14 +249,8 @@ def alpha_scale_deep(arch: Architecture, params: ParamVector,
     """
     if not isinstance(alphas, AlphaScaleDeep):
         alphas = AlphaScaleDeep(tuple(alphas))
-    check_params(arch, params)
-    _check_depth(arch, alphas.alphas)
-    weights = tuple(w * a for w, a in zip(params.weights, alphas.alphas))
-    biases = None
-    if arch.use_bias:
-        factors = _bias_factors(alphas.alphas)
-        biases = tuple(b * f for b, f in zip(params.biases, factors))
-    return ParamVector(weights, biases)
+    return unvec(arch, vec(arch, params)
+                 * transform_multipliers(arch, alphas.alphas))
 
 
 def alpha_scale_two_layer(arch: Architecture, params: ParamVector,
@@ -301,8 +284,8 @@ def many_directions_alphas(depth: int, beta: float) -> tuple[float, ...]:
 
     Every layer but the last is shrunk by the same factor; the last layer
     absorbs the product constraint. Under the induced diagonal map this
-    blows up all flat coordinates except the last weight block, which is
-    what pushes many Hessian eigenvalues upward at once.
+    blows up all flat coordinates except the last weight block and the
+    last bias, which is what pushes many Hessian eigenvalues upward at once.
     """
     if depth < 2:
         raise ValueError(f"need depth >= 2, got {depth}")
@@ -313,17 +296,23 @@ def many_directions_alphas(depth: int, beta: float) -> tuple[float, ...]:
 
 def transform_multipliers(arch: Architecture,
                           alphas: tuple[float, ...]) -> np.ndarray:
-    """Flat per-coordinate multipliers of the alpha-scale map itself."""
-    _check_depth(arch, tuple(alphas))
-    index = FlatIndex(arch)
-    out = np.empty(index.total)
-    for k in range(arch.depth):
-        out[index.weight_slice(k)] = alphas[k]
+    """Flat per-coordinate multipliers of the alpha-scale map.
+
+    Weight block k gets alphas[k] and the bias of layer j the running
+    product alphas[0] ... alphas[j]. This is the one statement of which
+    factor multiplies which coordinate; every scale construction reads it.
+    """
+    factors = np.asarray(alphas, dtype=float)
+    if factors.shape != (arch.depth,):
+        raise ValueError(
+            f"{factors.size} scale factors for a {arch.depth}-layer network"
+        )
+    widths = arch.layer_widths
+    sizes = [a * b for a, b in zip(widths, widths[1:])]
     if arch.use_bias:
-        factors = _bias_factors(tuple(alphas))
-        for k in range(arch.depth):
-            out[index.bias_slice(k)] = factors[k]
-    return out
+        factors = np.concatenate([factors, np.cumprod(factors)])
+        sizes += widths[1:]
+    return np.repeat(factors, sizes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -469,26 +458,6 @@ def disjoint_box_alpha(theta1: np.ndarray, r: float) -> float:
     return 2.0 * (t + r) / (t - r)
 
 
-def weight_norm_decompose(params: ParamVector, layer: int) -> tuple[float, np.ndarray]:
-    """Scale-and-direction reading (s, v) of one layer's weight, s = |v|."""
-    if not (0 <= layer < len(params.weights)):
-        raise ValueError(f"layer {layer} out of range")
-    v = params.weights[layer]
-    s = float(np.linalg.norm(v.ravel()))
-    if s == 0.0:
-        raise ValueError(f"layer {layer} weight is zero")
-    return s, v.copy()
-
-
-def weight_norm_realize(s: float, v: np.ndarray) -> np.ndarray:
-    """Realized weight s v / |v|."""
-    v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v.ravel()))
-    if norm == 0.0:
-        raise ValueError("unnormalized weight is zero")
-    return (s / norm) * v
-
-
 def weight_norm_scale(arch: Architecture, params: ParamVector,
                       layer: int, alpha: float) -> ParamVector:
     """Rescale the unnormalized weight of one layer by alpha.
@@ -500,7 +469,11 @@ def weight_norm_scale(arch: Architecture, params: ParamVector,
     """
     spec = WeightNormScale(layer, alpha)
     check_params(arch, params)
-    s, v = weight_norm_decompose(params, spec.layer)
+    if spec.layer >= arch.depth:
+        raise ValueError(f"layer {spec.layer} out of range")
+    s = float(np.linalg.norm(params.weights[spec.layer].ravel()))
+    if s == 0.0:
+        raise ValueError(f"layer {spec.layer} weight is zero")
     if spec.alpha > 0:
         # s v/|v| is exactly invariant: return the input weight untouched
         # rather than recomputing it through two norms
@@ -510,9 +483,12 @@ def weight_norm_scale(arch: Architecture, params: ParamVector,
         "the realized function changes sign structure",
         stacklevel=2,
     )
-    realized = weight_norm_realize(s, spec.alpha * v)
+    v = spec.alpha * params.weights[spec.layer]
+    norm = float(np.linalg.norm(v.ravel()))
+    if norm == 0.0:
+        raise ValueError("unnormalized weight is zero")
     weights = list(params.weights)
-    weights[spec.layer] = realized
+    weights[spec.layer] = (s / norm) * v  # realized weight s v/|v|
     return ParamVector(tuple(weights), params.biases)
 
 
@@ -527,19 +503,23 @@ def _radii(r) -> np.ndarray:
     return r
 
 
+def _two_segments(x, knot: float, value: float, delta: float):
+    """Piecewise-linear map [0, knot] -> [0, value], (knot, delta] ->
+    (value, delta], identity beyond delta; elementwise."""
+    x = _radii(x)
+    out = np.where(
+        x <= knot, value * x / knot,
+        np.where(x <= delta,
+                 (value - delta) * (x - delta) / (knot - delta) + delta, x))
+    return out if out.ndim else float(out)
+
+
 def psi(r, spec: Radial):
     """Piecewise-linear radius remap; identity outside [0, delta].
 
     Elementwise: a float gives a float, an array an array of that shape.
     """
-    r = _radii(r)
-    out = np.where(
-        r <= spec.rhat, spec.rho * r / spec.rhat,
-        np.where(r <= spec.delta,
-                 (spec.rho - spec.delta) * (r - spec.delta)
-                 / (spec.rhat - spec.delta) + spec.delta,
-                 r))
-    return out if out.ndim else float(out)
+    return _two_segments(r, spec.rhat, spec.rho, spec.delta)
 
 
 def psi_prime(r, spec: Radial):
@@ -553,15 +533,9 @@ def psi_prime(r, spec: Radial):
 
 
 def psi_inverse(q, spec: Radial):
-    """Exact inverse of the radius remap, segment by segment, elementwise."""
-    q = _radii(q)
-    out = np.where(
-        q <= spec.rho, q * spec.rhat / spec.rho,
-        np.where(q <= spec.delta,
-                 spec.delta + (q - spec.delta) * (spec.rhat - spec.delta)
-                 / (spec.rho - spec.delta),
-                 q))
-    return out if out.ndim else float(out)
+    """Exact inverse of the radius remap: :func:`psi` with knot and value
+    swapped, elementwise."""
+    return _two_segments(q, spec.rho, spec.rhat, spec.delta)
 
 
 def _point_rows(points: np.ndarray, spec: Radial) -> np.ndarray:
@@ -652,25 +626,45 @@ def power_stretch_forward(t, spec: PowerStretch):
     so every finite t has a non-NaN image.
     """
     return _stretch(t, spec, lambda u, base: np.where(
-        (u != 0.0) & (base > 0.0) & (base < np.inf), np.power(base, spec.a) * u,
+        (u != 0.0) & ~_unrepresented(base), np.power(base, spec.a) * u,
         np.copysign(np.power(np.abs(u), 2.0 * spec.a + 1.0), u)))
 
 
+def _unrepresented(base):
+    """Where u^2 + b underflowed to 0 or overflowed, so that b is
+    negligible or absent and the map is |u|^(2a + 1) sign(u)."""
+    return (base == 0.0) | (base == np.inf)
+
+
 def power_stretch_derivative(t, spec: PowerStretch):
-    """Slope of :func:`power_stretch_forward`, elementwise."""
+    """Slope of :func:`power_stretch_forward`, elementwise.
+
+    Where u^2 + b underflows or overflows it is (2a + 1)|u|^(2a), the
+    slope of the forward map's own form there; at u = 0 with b = 0 it is
+    the limit 1, 0 or inf for a = 0, a > 0, a < 0.
+    """
     a = spec.a
-    # u^2 + b == 0 only with b = 0 at the center
     at_zero = 1.0 if a == 0 else (0.0 if a > 0 else np.inf)
     return _stretch(t, spec, lambda u, base: np.where(
-        base == 0.0, at_zero,
+        _unrepresented(base),
+        np.where(u == 0.0, at_zero,
+                 (2.0 * a + 1.0) * np.power(np.abs(u), 2.0 * a)),
         np.power(base, a - 1.0) * ((2.0 * a + 1.0) * u * u + spec.b)))
 
 
 def power_stretch_second_derivative(t, spec: PowerStretch):
-    """Second derivative of :func:`power_stretch_forward`, elementwise."""
+    """Second derivative of :func:`power_stretch_forward`, elementwise.
+
+    Where u^2 + b underflows or overflows it is 2a(2a + 1) sign(u)
+    |u|^(2a - 1), and 0 at u = 0 with b = 0 or wherever a = 0.
+    """
     a = spec.a
     return _stretch(t, spec, lambda u, base: np.where(
-        base == 0.0, 0.0, 2.0 * a * u * np.power(base, a - 2.0)
+        _unrepresented(base),
+        np.where((u == 0.0) | (a == 0.0), 0.0,
+                 2.0 * a * (2.0 * a + 1.0)
+                 * np.copysign(np.power(np.abs(u), 2.0 * a - 1.0), u)),
+        2.0 * a * u * np.power(base, a - 2.0)
         * ((2.0 * a + 1.0) * u * u + 3.0 * spec.b)))
 
 

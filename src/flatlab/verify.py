@@ -35,7 +35,8 @@ from .transforms import (PowerStretch, Radial, alpha_scale_deep,
                          many_directions_alphas, predicted_gradient,
                          predicted_hessian, radial_forward, radial_inverse,
                          radial_jacobian, sharpening_alpha,
-                         weight_norm_scale, zero_first_layer)
+                         transform_multipliers, weight_norm_scale,
+                         zero_first_layer)
 
 
 @dataclass(frozen=True)
@@ -270,10 +271,10 @@ def _check_many_directions(seed: int) -> tuple[dict, list]:
         if not lam1 > 0:
             return lam1, 0, 0, 0, grad_norm
         rank = int(np.sum(evals > 1e-6 * lam1))
-        index = FlatIndex(arch)
-        last = index.weight_slice(arch.depth - 1)
-        unmoved = (last.stop - last.start) + (
-            arch.layer_widths[-1] if arch.use_bias else 0)
+        # coordinates whose curvature D = 1/multiplier does not grow; a power
+        # of two keeps the last bias's running product exactly 1
+        unmoved = int(np.count_nonzero(transform_multipliers(
+            arch, many_directions_alphas(arch.depth, 2.0)) >= 1.0))
         guarantee = rank - unmoved
         lam_r = float(evals[rank - 1])
         beta = 4.0 * float(np.sqrt(_MANY_TARGET / lam_r))

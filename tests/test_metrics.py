@@ -322,6 +322,28 @@ def test_volume_certificate_constant_increment_when_blocks_match():
     assert np.allclose(increments, cert.v, rtol=1e-9)
 
 
+@pytest.mark.parametrize("bias", (False, True))
+@pytest.mark.parametrize("widths", ((1, 4, 1), (2, 5, 1), (3, 2, 1)))
+def test_volume_bounds_grow_by_the_flat_index_exponent(widths, bias):
+    # oracle exponent from the block sizes: the first weight block and its
+    # bias grow by alpha per box, the second block shrinks, the last bias
+    # stays; every bound is then the running sum v alpha^(k e), bit for bit
+    arch, data, teacher = _teacher_setup(widths=widths, seed=59, bias=bias)
+    cert = volume_flatness_certificate(arch, teacher, data, epsilon=1e-2,
+                                       boxes=5, samples_per_box=8,
+                                       rng=SeededRng(59, 60))
+    index = FlatIndex(arch)
+    n1, n2 = (index.weight_slice(k).stop - index.weight_slice(k).start
+              for k in (0, 1))
+    exponent = n1 + (arch.layer_widths[1] if bias else 0) - n2
+    total, expected = 0.0, []
+    for k in range(cert.boxes_checked):
+        total += cert.v * cert.alpha ** (k * exponent)
+        expected.append(total)
+    assert cert.boxes_checked == 5
+    assert cert.lower_bounds == tuple(expected)
+
+
 def test_volume_certificate_alpha_matches_formula():
     arch, data, teacher = _teacher_setup(widths=(2, 4, 1), seed=57)
     cert = volume_flatness_certificate(arch, teacher, data, epsilon=1e-2,

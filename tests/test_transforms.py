@@ -1,4 +1,7 @@
+import operator
 from dataclasses import fields
+from decimal import Decimal, localcontext
+from itertools import accumulate
 from typing import get_args
 
 import numpy as np
@@ -7,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatlab.linalg import symmetric_eigenspectrum
-from flatlab.nets import (Architecture, Dataset, ParamVector, forward,
-                          gradient, hessian, uniform_params, vec)
+from flatlab.nets import (Architecture, Dataset, FlatIndex, ParamVector,
+                          forward, gradient, hessian, loss_and_gradient,
+                          uniform_params, vec)
 from flatlab.rng import SeededRng
 from flatlab.transforms import (_TRANSFORM_KINDS, AlphaScaleDeep,
                                 AlphaScaleTwoLayer, InputAffine, PowerStretch,
@@ -27,8 +31,7 @@ from flatlab.transforms import (_TRANSFORM_KINDS, AlphaScaleDeep,
                                 radial_inverse,
                                 radial_jacobian, sharpening_alpha,
                                 transform_from_dict, transform_multipliers,
-                                transform_to_dict, weight_norm_decompose,
-                                weight_norm_realize, weight_norm_scale,
+                                transform_to_dict, weight_norm_scale,
                                 zero_first_layer)
 
 ARCH2 = Architecture((2, 4, 1))
@@ -104,6 +107,9 @@ def test_deep_scale_rejects_bad_product():
 def test_deep_scale_rejects_wrong_arity():
     with pytest.raises(ValueError):
         alpha_scale_deep(ARCH2, _params(ARCH2), (2.0, 1.0, 0.5))
+    for alphas in ((2.0,), (2.0, 1.0, 0.5), ()):
+        with pytest.raises(ValueError, match="scale factors for a 2-layer"):
+            transform_multipliers(ARCH2, alphas)
 
 
 def test_two_layer_requires_depth_two():
@@ -142,6 +148,58 @@ def test_multipliers_layout():
         np.full(2, 3.0), np.full(1, 1.0),
     ])
     assert np.allclose(mult, expected)
+
+
+def _per_layer_scaled(arch, params, alphas):
+    """Oracle: each weight matrix times its factor, each bias times the
+    running product of the factors up to its layer."""
+    weights = tuple(w * a for w, a in zip(params.weights, alphas))
+    biases = None
+    if arch.use_bias:
+        running = accumulate(alphas, operator.mul)
+        biases = tuple(b * f for b, f in zip(params.biases, running))
+    return ParamVector(weights, biases)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_deep_scale_equals_per_layer_product_bitwise(seed):
+    gen = SeededRng(seed, 45).generator()
+    depth = 2 + seed % 3
+    widths = tuple(int(w) for w in gen.integers(1, 6, depth)) + (1,)
+    arch = Architecture(widths, use_bias=bool(seed % 2))
+    params = uniform_params(arch, gen)
+    head = tuple(float(a) for a in np.exp(gen.uniform(-3.0, 3.0, depth - 1)))
+    alphas = head + (1.0 / float(np.prod(head)),)
+    moved = alpha_scale_deep(arch, params, alphas)
+    oracle = _per_layer_scaled(arch, params, alphas)
+    assert vec(arch, moved).tobytes() == vec(arch, oracle).tobytes()
+    # the result's weights are views of one flat buffer; the calculus
+    # must not see the difference from separate arrays
+    data = _data(arch, seed)
+    assert (forward(arch, moved, data.inputs).tobytes()
+            == forward(arch, oracle, data.inputs).tobytes())
+    (lm, gm), (lo, go) = (loss_and_gradient(arch, p, data)
+                          for p in (moved, oracle))
+    assert lm == lo and gm.tobytes() == go.tobytes()
+
+
+@pytest.mark.parametrize("use_bias", (False, True))
+@pytest.mark.parametrize("widths", ((1, 4, 1), (2, 5, 1), (3, 2, 1),
+                                    (3, 4, 4, 1), (2, 3, 5, 2, 1)))
+def test_multiplier_counts_equal_flat_index_arithmetic(widths, use_bias):
+    arch = Architecture(widths, use_bias=use_bias)
+    index = FlatIndex(arch)
+    sizes = [s.stop - s.start
+             for s in map(index.weight_slice, range(arch.depth))]
+    biases = list(arch.layer_widths[1:]) if use_bias else [0] * arch.depth
+    # many_directions: the last weight block and the last bias stay unmoved
+    mult = transform_multipliers(arch, many_directions_alphas(arch.depth, 2.0))
+    assert np.count_nonzero(mult >= 1.0) == sizes[-1] + biases[-1]
+    if arch.depth == 2:
+        # volume: the first block and its bias grow, the second block shrinks
+        grow = transform_multipliers(arch, (2.0, 0.5))
+        assert (np.count_nonzero(grow > 1.0) - np.count_nonzero(grow < 1.0)
+                == sizes[0] + biases[0] - sizes[1])
 
 
 def test_diagonal_scaling_inverts_multipliers():
@@ -228,13 +286,6 @@ def test_disjoint_box_alpha_formula():
 
 # ---------------------------------------------------------------------------
 # weight normalization
-
-
-def test_weight_norm_decompose_realize_round_trip():
-    params = _params(ARCH2, 11)
-    s, v = weight_norm_decompose(params, 0)
-    assert np.isclose(s, np.linalg.norm(params.weights[0].ravel()))
-    assert np.allclose(weight_norm_realize(s, v), params.weights[0])
 
 
 def test_weight_norm_scale_positive_is_identity():
@@ -457,6 +508,41 @@ def test_power_stretch_derivatives_match_fd():
                           rtol=1e-5, atol=1e-6)
 
 
+def _stretch_derivatives_50_digits(t, spec):
+    """Oracle: h' and h'' from the closed forms, in 50-digit decimals,
+    whose exponent range holds u^2 for every finite u."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        u = Decimal(t) - Decimal(spec.center)
+        a, b = Decimal(spec.a), Decimal(spec.b)
+        base = u * u + b
+        first = base ** (a - 1) * ((2 * a + 1) * u * u + b)
+        second = 2 * a * u * base ** (a - 2) * ((2 * a + 1) * u * u + 3 * b)
+        return float(first), float(second)
+
+
+@pytest.mark.parametrize("spec", (PowerStretch(0.0, -0.3, 0.0),
+                                  PowerStretch(0.0, 0.7, 0.0),
+                                  PowerStretch(0.0, 0.7, 0.5)))
+@pytest.mark.parametrize("t", (1e200, -1e200, 1e-200, -1e-200))
+def test_power_stretch_derivatives_where_u_squared_leaves_the_floats(spec, t):
+    # u^2 overflows at |u| = 1e200 and underflows to 0 at 1e-200; with
+    # b = 0.5 only the overflow leaves the ordinary formula
+    first, second = _stretch_derivatives_50_digits(t, spec)
+    assert np.isclose(power_stretch_derivative(t, spec), first,
+                      rtol=1e-12, atol=0.0)
+    # h'' is subnormal at |u| = 1e200 with a < 0, where few bits remain
+    assert np.isclose(power_stretch_second_derivative(t, spec), second,
+                      rtol=1e-12, atol=1e-320)
+
+
+def test_power_stretch_derivatives_keep_their_values_at_the_center():
+    for a, slope in ((-0.3, np.inf), (0.0, 1.0), (0.7, 0.0)):
+        spec = PowerStretch(0.2, a, 0.0)
+        assert power_stretch_derivative(0.2, spec) == slope
+        assert power_stretch_second_derivative(0.2, spec) == 0.0
+
+
 def test_power_stretch_monotone_on_grid():
     grid = np.linspace(-3, 3, 601)
     values = [power_stretch_forward(t, STRETCH) for t in grid]
@@ -493,7 +579,9 @@ def test_power_stretch_inverse_brackets_eta(center, a, b, eta):
 
 @pytest.mark.parametrize("spec", (STRETCH, PowerStretch(-0.3, 0.7, 0.8),
                                   PowerStretch(0.2, -0.3, 0.0),
-                                  PowerStretch(0.0, 2.0, 0.0)))
+                                  PowerStretch(0.0, 2.0, 0.0),
+                                  PowerStretch(0.0, -0.3, 0.0),
+                                  PowerStretch(0.0, 0.7, 0.5)))
 @pytest.mark.parametrize("fn", (power_stretch_forward,
                                 power_stretch_derivative,
                                 power_stretch_second_derivative,
@@ -502,6 +590,11 @@ def test_power_stretch_inverse_brackets_eta(center, a, b, eta):
 def test_power_stretch_stack_gets_each_elements_bits(spec, fn):
     values = SeededRng(4, 44).generator().uniform(-3.0, 3.0, (40, 3))
     values[0] = (spec.center, 0.0, -0.0)
+    if fn is not power_stretch_inverse:
+        # u^2 overflows or underflows to 0 (the inverse refuses etas this
+        # far out)
+        values[1:3] = spec.center + np.array([[1e200, -1e200, 1e-200],
+                                              [-1e-200, 2e154, -3e-170]])
     stacked = fn(values, spec)
     assert stacked.shape == values.shape
     alone = np.array([[fn(float(v), spec) for v in row] for row in values])
