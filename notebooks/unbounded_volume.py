@@ -10,9 +10,12 @@ with every box added. A region of near-minimal loss therefore has no
 finite volume, which is awkward for any notion of flatness that counts
 volume.
 
-The certificate below is checked, not assumed: every box is sampled for
-the loss deviation and the disjointness spacing is verified before a box
-may contribute.
+The certificate below is checked, not assumed: the base box is sampled
+for the loss deviation, and the disjointness spacing is verified before
+a box may contribute. alpha is a power of two, so every later box is the
+exact image of the base box: its samples' losses are the base box's, bit
+for bit, wherever a guard on the sampled values proves it, and a box the
+guard cannot prove is sampled too.
 """
 
 from flatlab import (Architecture, SeededRng, make_teacher_student,

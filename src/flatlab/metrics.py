@@ -233,10 +233,11 @@ def _measures(evals: np.ndarray, trace: float,
 class VolumeCertificate:
     """Evidence for the unbounded-volume construction at one point.
 
-    ``lower_bounds`` accumulates the exact volume after each verified
-    box; ``valid`` means every sampled deviation stayed below epsilon and
-    the boxes are pairwise disjoint. ``failed_box`` names the first box
-    that broke the loss bound, if any.
+    ``lower_bounds`` accumulates the volume after each verified box;
+    ``valid`` means every box's deviation stayed below epsilon (sampled, or
+    proved equal to the sampled base box's) and the boxes are pairwise
+    disjoint. ``failed_box`` names the first box that broke the loss
+    bound, if any.
     """
 
     r: float
@@ -265,10 +266,15 @@ def volume_flatness_certificate(arch: Architecture, params: ParamVector,
     Only two-layer networks are supported (the construction scales the
     two weight blocks against each other). The box radius is validated by
     sampling: if any sampled loss deviates by epsilon or more, the radius
-    halves and validation repeats. Each subsequent box reuses the base
-    samples pushed through the exact coordinatewise scale map, and the
-    pairwise disjointness of all boxes is established analytically on the
-    first-layer coordinate of largest magnitude.
+    halves and validation repeats; a trial radius stops sampling at the
+    first block of samples that reaches epsilon. Box k is the base box
+    pushed through the scale map ``transform_multipliers(arch, (alpha**k,
+    alpha**-k))``, with alpha the power of two of :func:`disjoint_box_alpha`,
+    so the map rounds nothing: where :func:`_images_exact` proves that the
+    base samples' images have bit-identical losses, every later box takes
+    the base box's deviation unsampled; otherwise each later box samples
+    the images. The pairwise disjointness of all boxes is established
+    analytically on the first-layer coordinate of largest magnitude.
     """
     nets.check_params(arch, params)
     if arch.depth != 2:
@@ -298,26 +304,31 @@ def volume_flatness_certificate(arch: Architecture, params: ParamVector,
     objective = Objective(arch, data)
     block = nets._block_rows(objective)
 
-    def box_max_deviation(mult: np.ndarray, radius: float) -> float:
-        # one stacked evaluation a block, so only one block of rows is held
+    def box_max_deviation(mult: np.ndarray, radius: float,
+                          stop: float = np.inf) -> float:
+        # one stacked evaluation a block, so only one block of rows is
+        # held; the first block whose deviation reaches ``stop`` ends it
         worst = 0.0
         for i in range(0, samples_per_box, block):
             rows = (flat0 + radius * base_offsets[i:i + block]) * mult
             worst = max([worst, *(objective.loss(rows) - base_loss).tolist()])
+            if worst >= stop:
+                break
         return worst
 
     # validate the base box, shrinking r until the loss bound holds on it
     shrink_steps = 0
     identity = np.ones(n)
     while True:
-        deviation = box_max_deviation(identity, r)
+        deviation = box_max_deviation(identity, r, stop=epsilon)
         if deviation < epsilon:
             break
         shrink_steps += 1
         if shrink_steps > _MAX_SHRINKS:
             raise ValueError(
                 f"no box radius satisfied the loss bound after "
-                f"{_MAX_SHRINKS} halvings (last deviation {deviation:.3e})"
+                f"{_MAX_SHRINKS} halvings (the last radius stopped sampling "
+                f"at deviation {deviation:.3e})"
             )
         r *= 0.5
 
@@ -330,14 +341,20 @@ def volume_flatness_certificate(arch: Architecture, params: ParamVector,
     det_exponent = int(np.count_nonzero(grow > 1.0)
                        - np.count_nonzero(grow < 1.0))
 
+    # the guard at the last box covers every earlier one
+    last = boxes - 1
+    derived = _images_exact(
+        FlatIndex(arch), data.inputs, flat0 + r * base_offsets,
+        transform_multipliers(arch, (alpha ** last, alpha ** -last)))
     max_deviations: list[float] = []
     lower_bounds: list[float] = []
     total = 0.0
     valid = True
     failed_box = None
     for k in range(boxes):
-        # box 0's multipliers are all 1: it is the base box validated above
-        if k > 0:
+        # box 0's multipliers are all 1: it is the base box validated above;
+        # a derived box keeps its deviation
+        if k > 0 and not derived:
             mult = transform_multipliers(arch, (alpha ** k, alpha ** (-k)))
             deviation = box_max_deviation(mult, r)
         max_deviations.append(deviation)
@@ -361,6 +378,54 @@ def volume_flatness_certificate(arch: Architecture, params: ParamVector,
         failed_box=failed_box,
         shrink_steps=shrink_steps,
     )
+
+
+def _images_exact(index: FlatIndex, inputs: np.ndarray, rows: np.ndarray,
+                  mult: np.ndarray) -> bool:
+    """Whether each row of ``rows * mult`` has bit for bit the loss of its
+    row of ``rows``, for the two-layer scale map ``mult`` at alpha = 2**s,
+    s >= 0: the first weight block and its bias times 2**s, the second
+    block times 2**-s, the last bias times exactly 1.
+
+    True only when three cheap bounds hold, each monotone in s, so that a
+    check at the largest s covers every smaller one:
+
+    1. The scaled rows are exact: dividing them by ``mult`` gives ``rows``
+       back. A power-of-two factor rounds only where it overflows or drops
+       bits below 2**-1074, and either changes the quotient.
+    2. Every nonzero first-layer product |x_i theta_ij| of ``rows`` is at
+       least 2**-969, read off the smallest nonzero |x| times the smallest
+       nonzero |theta|.
+    3. (largest row ||x||_1 * largest |theta_1| + largest |b_1|) of the
+       scaled rows stays below 2**1023, which bounds every first-layer
+       value of the scaled evaluation with a factor 2 to spare for
+       rounding: nothing there overflows.
+
+    Proof. Each first-layer value of the scaled evaluation is 2**s times
+    the base evaluation's, by induction over the operations. A nonzero
+    product is normal in both (by 2 and 3), so its rounding commutes with
+    2**s. A product of magnitude >= 2**-969 is a multiple of 2**-1074
+    (its two 53-bit significands leave its last bit there or above), as is
+    every float; so the exact value of every sum, partial or fused with a
+    product, either is below 2**-1022, hence representable and exact in
+    both evaluations, or is normal in both, where rounding commutes with
+    2**s. The rectifier commutes with 2**s. Each second-layer product
+    (2**s h)(2**-s w) is the same real number as h w, so from there on
+    both evaluations perform the same operations on the same values.
+    """
+    first = index.weight_slice(0)
+    x = np.abs(inputs)
+    theta = np.abs(rows[:, first])
+    with np.errstate(over="ignore"):  # an overflow refuses
+        scaled = rows * mult
+        largest = np.max(np.sum(x, axis=1)) * np.max(np.abs(scaled[:, first]))
+        if index.arch.use_bias:
+            largest += np.max(np.abs(scaled[:, index.bias_slice(0)]))
+    smallest = (np.min(x, initial=np.inf, where=x > 0.0)
+                * np.min(theta, initial=np.inf, where=theta > 0.0))
+    # a computed product above 2**-969 proves the exact one is
+    return bool(np.array_equal(scaled / mult, rows)
+                and smallest > 2.0 ** -969 and largest < 2.0 ** 1023)
 
 
 @dataclass(frozen=True, eq=False)
@@ -465,9 +530,14 @@ def flatness_report(arch: Architecture, params: ParamVector, data: Dataset,
     cert = None
     if volume_epsilon is not None:
         if arch.depth == 2:
-            cert = volume_flatness_certificate(
-                arch, params, data, volume_epsilon, _REPORT_BOXES,
-                _REPORT_SAMPLES_PER_BOX, SeededRng(cfg.seed, _STREAM_BOX))
+            try:
+                cert = volume_flatness_certificate(
+                    arch, params, data, volume_epsilon, _REPORT_BOXES,
+                    _REPORT_SAMPLES_PER_BOX, SeededRng(cfg.seed, _STREAM_BOX))
+            except OverflowError:
+                skipped.append(("volume", "the volume bound leaves the float "
+                                          "range (alpha ** (k * det_exponent) "
+                                          "overflows)"))
         else:
             skipped.append(("volume", "certificate requires a two-layer network"))
 

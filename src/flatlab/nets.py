@@ -13,13 +13,16 @@ in layer order. All derivative routines and serialized artifacts share
 that layout via :class:`FlatIndex`.
 
 The loss everywhere is mean squared error over a dataset. Its gradient is
-exact backpropagation with the convention ``phi'(0) = 0``. Loops that
-evaluate it at many flat vectors pass :class:`Objective` stacks of at
-most :func:`_block_rows` rows. The Hessian is exact on the activation
-pattern at the point: Hessian-vector products by forward-over-reverse
-differentiation, one stacked call per block of columns; see :func:`hessian`.
-Where every residual is exactly zero the Hessian on the pattern is exactly
-the Gauss-Newton term ``(2/m) J^T J``; :func:`_output_jacobian` gives the
+exact backpropagation with the convention ``phi'(0) = 0``. Loops over
+many flat vectors evaluate them as :class:`Objective` stacks. Two are
+capped at :func:`_block_rows` rows a stack: the volume certificate's
+samples and the Hessian's columns. The ball-sharpness ascent is not:
+each step stacks every start of every center, ten a center, at once.
+The Hessian is exact on the activation pattern at the point:
+Hessian-vector products by forward-over-reverse differentiation, one
+stacked call per block of columns; see :func:`hessian`. Where every
+residual is exactly zero the Hessian on the pattern is exactly the
+Gauss-Newton term ``(2/m) J^T J``; :func:`_output_jacobian` gives the
 ``(m, n)`` output Jacobian ``J`` so its spectrum can come from the smaller
 Gram matrix without building the ``n x n`` Hessian. Both refuse within
 rounding of a kink through the same guard, :func:`_kink_guard`.

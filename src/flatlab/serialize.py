@@ -25,46 +25,34 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _emit(value: Any, pieces: list[str]) -> None:
-    if isinstance(value, str):
-        pieces.append(json.dumps(value))
-    elif isinstance(value, bool) or isinstance(value, np.bool_):
-        pieces.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        pieces.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        pieces.append(format_float(float(value)))
-    elif value is None:
-        pieces.append("null")
-    elif isinstance(value, dict):
-        pieces.append("{")
-        for i, (k, v) in enumerate(value.items()):
-            if not isinstance(k, str):
-                raise TypeError(f"JSON object keys must be str, got {type(k).__name__}")
-            if i:
-                pieces.append(", ")
-            pieces.append(json.dumps(k))
-            pieces.append(": ")
-            _emit(v, pieces)
-        pieces.append("}")
-    elif isinstance(value, (list, tuple)):
-        pieces.append("[")
-        for i, v in enumerate(value):
-            if i:
-                pieces.append(", ")
-            _emit(v, pieces)
-        pieces.append("]")
-    elif isinstance(value, np.ndarray):
-        _emit(value.tolist(), pieces)
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
-
-
 def to_json(value: Any) -> str:
     """Serialize to a canonical JSON string (no trailing newline)."""
-    pieces: list[str] = []
-    _emit(value, pieces)
-    return "".join(pieces)
+    if type(value) is float:  # the bulk of every output, tested first
+        return format_float(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, bool) or isinstance(value, np.bool_):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format_float(float(value))
+    if value is None:
+        return "null"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_key(k)}: {to_json(v)}"
+                               for k, v in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(to_json, value)) + "]"
+    if isinstance(value, np.ndarray):
+        return to_json(value.tolist())
+    raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
+
+
+def _key(key: Any) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"JSON object keys must be str, got {type(key).__name__}")
+    return json.dumps(key)
 
 
 def read_json(path: str) -> Any:

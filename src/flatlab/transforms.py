@@ -23,6 +23,7 @@ where ``d`` is the flat multiplier vector of :class:`DiagonalScaling`.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 import warnings
 from dataclasses import dataclass
@@ -442,9 +443,13 @@ def disjoint_box_alpha(theta1: np.ndarray, r: float) -> float:
     """Scale factor separating a box around theta from its own image.
 
     For the sup-norm box of radius r around theta (with r below the
-    largest first-layer magnitude t), alpha = 2 (t + r)/(t - r) moves the
-    box's widest first-layer coordinate interval strictly past itself, so
-    the box and all its forward images are pairwise disjoint.
+    largest first-layer magnitude t), any alpha >= 2 (t + r)/(t - r) moves
+    the box's widest first-layer coordinate interval strictly past itself,
+    alpha (t - r) > t + r, so the box and all its forward images are
+    pairwise disjoint. The smallest power of two at or above that bound is
+    returned, exactly: scaling by it rounds nothing, so each image box is
+    the exact image of the base box. A bound whose power of two is not a
+    finite float is refused.
     """
     theta1 = np.asarray(theta1, dtype=float)
     t = float(np.max(np.abs(theta1))) if theta1.size else 0.0
@@ -455,7 +460,15 @@ def disjoint_box_alpha(theta1: np.ndarray, r: float) -> float:
             f"box radius {r} must stay below the largest first-layer "
             f"magnitude {t}"
         )
-    return 2.0 * (t + r) / (t - r)
+    bound = 2.0 * (t + r) / (t - r)
+    if not bound <= 2.0 ** 1023:  # inf too, where frexp's exponent is 0
+        raise ValueError(
+            f"the disjointness bound {bound} has no power of two above it "
+            f"in the float range"
+        )
+    # bound = mantissa * 2**exponent with mantissa in [0.5, 1)
+    mantissa, exponent = math.frexp(bound)
+    return math.ldexp(1.0, exponent - 1 if mantissa == 0.5 else exponent)
 
 
 def weight_norm_scale(arch: Architecture, params: ParamVector,
@@ -636,36 +649,84 @@ def _unrepresented(base):
     return (base == 0.0) | (base == np.inf)
 
 
+def _normal(x):
+    """Where x is a normal float: finite, and neither zero nor subnormal."""
+    mag = np.abs(x)
+    return (mag >= np.finfo(float).tiny) & (mag < np.inf)
+
+
+def _dominant_ratio(u, b: float):
+    """Where u^2 >= b, and the ratio q in [0, 1] of the smaller of u^2 and
+    b to the larger, formed without u^2, so that it neither underflows nor
+    overflows where u^2 does (NaN at u = b = 0)."""
+    mag = np.abs(u)
+    u_dominant = mag >= np.sqrt(b)
+    return u_dominant, np.where(u_dominant, (b / mag) / mag, (mag / b) * mag)
+
+
+def _power_product(v, x, p, k):
+    """v k x^p, with x^p split into two halves, one multiplied onto v and
+    one onto k, so that no intermediate carries the whole of x^p."""
+    half = np.power(x, 0.5 * p)
+    return (v * half) * (k * half)
+
+
 def power_stretch_derivative(t, spec: PowerStretch):
     """Slope of :func:`power_stretch_forward`, elementwise.
 
-    Where u^2 + b underflows or overflows it is (2a + 1)|u|^(2a), the
-    slope of the forward map's own form there; at u = 0 with b = 0 it is
-    the limit 1, 0 or inf for a = 0, a > 0, a < 0.
+    (u^2 + b)^(a - 1) ((2a + 1) u^2 + b) where each of those three factors
+    is a normal float. Elsewhere the same value is factored through the
+    larger of u^2 and b, with q the smaller over the larger:
+    |u|^(2a) (1 + q)^(a - 1) (2a + 1 + q), or b^a (1 + q)^(a - 1)
+    (1 + (2a + 1) q), so that the factor carrying the magnitude is a power
+    of the exact |u| or b. At u = 0 it is b^a, which for b = 0 is the limit
+    1, 0 or inf for a = 0, a > 0, a < 0.
     """
-    a = spec.a
-    at_zero = 1.0 if a == 0 else (0.0 if a > 0 else np.inf)
-    return _stretch(t, spec, lambda u, base: np.where(
-        _unrepresented(base),
-        np.where(u == 0.0, at_zero,
-                 (2.0 * a + 1.0) * np.power(np.abs(u), 2.0 * a)),
-        np.power(base, a - 1.0) * ((2.0 * a + 1.0) * u * u + spec.b)))
+    a, b = spec.a, spec.b
+
+    def formula(u, base):
+        power, rest = np.power(base, a - 1.0), (2.0 * a + 1.0) * u * u + b
+        u_dominant, q = _dominant_ratio(u, b)
+        scaled = _power_product(
+            1.0, np.where(u_dominant, np.abs(u), b),
+            np.where(u_dominant, 2.0 * a, a),
+            np.where(u_dominant, 2.0 * a + 1.0 + q, 1.0 + (2.0 * a + 1.0) * q)
+            * np.power(1.0 + q, a - 1.0))
+        return np.where(
+            _normal(base) & _normal(power) & _normal(rest), power * rest,
+            np.where(u == 0.0, np.power(b, a), scaled))
+
+    return _stretch(t, spec, formula)
 
 
 def power_stretch_second_derivative(t, spec: PowerStretch):
     """Second derivative of :func:`power_stretch_forward`, elementwise.
 
-    Where u^2 + b underflows or overflows it is 2a(2a + 1) sign(u)
-    |u|^(2a - 1), and 0 at u = 0 with b = 0 or wherever a = 0.
+    2a u (u^2 + b)^(a - 2) ((2a + 1) u^2 + 3b) where each of its three
+    non-constant factors is a normal float. Elsewhere, factored as in
+    :func:`power_stretch_derivative`: 2a sign(u) |u|^(2a - 1) (1 + q)^(a - 2)
+    (2a + 1 + 3q), or 2a u b^(a - 1) (1 + q)^(a - 2) (3 + (2a + 1) q); and 0
+    at u = 0 or wherever a = 0.
     """
-    a = spec.a
-    return _stretch(t, spec, lambda u, base: np.where(
-        _unrepresented(base),
-        np.where((u == 0.0) | (a == 0.0), 0.0,
-                 2.0 * a * (2.0 * a + 1.0)
-                 * np.copysign(np.power(np.abs(u), 2.0 * a - 1.0), u)),
-        2.0 * a * u * np.power(base, a - 2.0)
-        * ((2.0 * a + 1.0) * u * u + 3.0 * spec.b)))
+    a, b = spec.a, spec.b
+
+    def formula(u, base):
+        power = np.power(base, a - 2.0)
+        rest = (2.0 * a + 1.0) * u * u + 3.0 * b
+        u_dominant, q = _dominant_ratio(u, b)
+        scaled = _power_product(
+            np.where(u_dominant, np.sign(u), u),
+            np.where(u_dominant, np.abs(u), b),
+            np.where(u_dominant, 2.0 * a - 1.0, a - 1.0),
+            2.0 * a * np.where(u_dominant, 2.0 * a + 1.0 + 3.0 * q,
+                               3.0 + (2.0 * a + 1.0) * q)
+            * np.power(1.0 + q, a - 2.0))
+        return np.where(
+            _normal(base) & _normal(power) & _normal(rest),
+            2.0 * a * u * power * rest,
+            np.where((u == 0.0) | (a == 0.0), 0.0, scaled))
+
+    return _stretch(t, spec, formula)
 
 
 def _ordered(x: np.ndarray) -> np.ndarray:

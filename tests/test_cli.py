@@ -191,3 +191,17 @@ def test_transform_bad_spec_exit_one(tmp_path, capsys):
                            "--spec", str(bad))
     assert code == 1
     assert "mystery" in err
+
+
+def test_metrics_reports_a_volume_bound_that_overflows_as_skipped(tmp_path,
+                                                                  capsys):
+    # a (2,32,1) certificate's bound leaves the float range: the command
+    # still writes the report, without a volume, and says why
+    ckpt = tmp_path / "m.json"
+    assert run_cli(capsys, "train", "--arch", "2,32,1", "--teacher", "--m",
+                   "64", "--seed", "0", "--out", str(ckpt))[0] == 0
+    code, out, err = run_cli(capsys, "metrics", "--checkpoint", str(ckpt),
+                             "--m", "64", "--seed", "0")
+    assert code == 0
+    assert json.loads(out)["volume"] is None
+    assert "skipped volume: the volume bound leaves the float range" in err

@@ -3,6 +3,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatlab import metrics, nets
 from flatlab.metrics import (CSV_COLUMNS, FlatnessReport, SharpnessConfig,
@@ -367,22 +369,46 @@ def test_volume_certificate_needs_two_layers():
 
 
 @pytest.mark.parametrize("r", (None, 0.4))
-def test_volume_certificate_evaluates_each_box_once(r, monkeypatch):
+def test_volume_certificate_samples_only_the_base_box(r, monkeypatch):
+    # one row a block: a failing trial radius is sampled up to its first
+    # sample that reaches epsilon, the accepted one in full, and no image
+    # box k >= 1 at all, since the guard proves each is the base box's
+    monkeypatch.setattr(nets, "_BLOCK_ELEMENTS", 1)
     arch, data, teacher = _teacher_setup(widths=(2, 5, 1), seed=55)
-    rows = []
+    stacks = []
     objective_loss = Objective.loss
 
-    def counted(self, flat):
-        rows.append(np.atleast_2d(flat).shape[0])
+    def recorded(self, flat):
+        stacks.append(np.atleast_2d(flat))
         return objective_loss(self, flat)
 
-    monkeypatch.setattr(Objective, "loss", counted)
-    boxes, samples = 6, 32
-    cert = volume_flatness_certificate(arch, teacher, data, epsilon=1e-2,
+    monkeypatch.setattr(Objective, "loss", recorded)
+    boxes, samples, eps = 6, 32, 1e-2
+    cert = volume_flatness_certificate(arch, teacher, data, epsilon=eps,
                                        boxes=boxes, samples_per_box=samples,
                                        rng=SeededRng(55, 60), r=r)
-    assert cert.boxes_checked == boxes
-    assert sum(rows) == (cert.shrink_steps + boxes) * samples
+    monkeypatch.undo()
+    assert cert.boxes_checked == boxes and cert.alpha == 4.0
+    assert cert.max_deviations == (cert.max_deviations[0],) * boxes
+
+    flat0 = vec(arch, teacher)
+    offsets = SeededRng(55, 60).generator().uniform(
+        -1.0, 1.0, size=(samples, flat0.size))
+    base = loss(arch, teacher, data)
+    radius = 0.5 * np.max(np.abs(teacher.weights[0])) if r is None else r
+    expected = []
+    for _ in range(cert.shrink_steps):
+        for row in flat0 + radius * offsets:
+            expected.append(row)
+            if loss(arch, unvec(arch, row), data) - base >= eps:
+                break
+        radius *= 0.5
+    assert radius == cert.r
+    expected.extend(flat0 + radius * offsets)
+    assert np.array_equal(np.concatenate(stacks), np.array(expected))
+    if r is None:
+        assert cert.shrink_steps > 0
+        assert len(expected) < (cert.shrink_steps + 1) * samples
 
 
 def _box_deviations_per_sample(arch, params, data, cert, samples, rng):
@@ -418,6 +444,82 @@ def test_batched_sample_loops_equal_per_sample(widths, bias, monkeypatch):
     assert cert.shrink_steps > 0
     assert cert.max_deviations == _box_deviations_per_sample(
         arch, teacher, data, cert, samples, SeededRng(67, 69))
+
+
+@settings(max_examples=30, deadline=None)
+@given(widths=st.tuples(st.integers(1, 4), st.integers(1, 8), st.just(1)),
+       bias=st.booleans(), seed=st.integers(0, 2**16),
+       boxes=st.integers(1, 12))
+def test_derived_boxes_equal_the_per_sample_oracle(widths, bias, seed, boxes):
+    from flatlab.experiments import make_teacher_student
+    arch = Architecture(widths, use_bias=bias)
+    data, teacher = make_teacher_student(arch, seed, 12)
+    samples = 8
+    cert = volume_flatness_certificate(arch, teacher, data, epsilon=1e-2,
+                                       boxes=boxes, samples_per_box=samples,
+                                       rng=SeededRng(seed, 69))
+    flat0 = vec(arch, teacher)
+    offsets = SeededRng(seed, 69).generator().uniform(
+        -1.0, 1.0, size=(samples, flat0.size))
+    # the derived path is the one under test: the guard holds here
+    assert metrics._images_exact(
+        FlatIndex(arch), data.inputs, flat0 + cert.r * offsets,
+        transform_multipliers(arch, (cert.alpha ** (boxes - 1),
+                                     cert.alpha ** -(boxes - 1))))
+    assert cert.max_deviations == _box_deviations_per_sample(
+        arch, teacher, data, cert, samples, SeededRng(seed, 69))
+
+
+def test_images_exact_refuses_each_bound():
+    arch = Architecture((2, 3, 1), use_bias=True)
+    index = FlatIndex(arch)
+    rows = SeededRng(73).generator().uniform(-1.0, 1.0, (4, index.total))
+    inputs = SeededRng(74).generator().uniform(-1.0, 1.0, (5, 2))
+
+    def exact(inputs, rows, s):
+        mult = transform_multipliers(arch, (2.0 ** s, 2.0 ** -s))
+        return metrics._images_exact(index, inputs, rows, mult)
+
+    assert exact(inputs, rows, 10)
+    # 1: a second-layer coordinate would drop bits below 2**-1074
+    low = rows.copy()
+    low[0, index.weight_slice(1).start] = 3 * 2.0 ** -1070
+    assert exact(inputs, low, 3) and not exact(inputs, low, 10)
+    # 2: a first-layer product below 2**-969, at any scale
+    small = inputs.copy()
+    small[0, 0] = 2.0 ** -970
+    assert not exact(small, rows, 0)
+    # 3: the first layer's bound reaches 2**1023 at the scale
+    large = inputs * 2.0 ** 1010
+    assert exact(large, rows, 5) and not exact(large, rows, 20)
+
+
+def test_volume_certificate_samples_boxes_the_guard_refuses(monkeypatch):
+    # a zero second-layer weight sampled at r = 2**-1000 shrinks below
+    # 2**-1022 by box 29, where the scaled coordinate drops bits: the guard
+    # refuses, and every box is sampled
+    arch = Architecture((2, 3, 1))
+    teacher = ParamVector((np.array([[1.0, -0.5, 0.25], [0.5, 1.0, -1.0]]),
+                           np.array([[0.0], [1.0], [-2.0]])))
+    inputs = SeededRng(71).generator().uniform(-1.0, 1.0, size=(16, 2))
+    data = Dataset(inputs, forward(arch, teacher, inputs))
+    boxes, samples = 30, 8
+    rows = []
+    objective_loss = Objective.loss
+
+    def counted(self, flat):
+        rows.append(np.atleast_2d(flat).shape[0])
+        return objective_loss(self, flat)
+
+    monkeypatch.setattr(Objective, "loss", counted)
+    cert = volume_flatness_certificate(arch, teacher, data, epsilon=1e-2,
+                                       boxes=boxes, samples_per_box=samples,
+                                       rng=SeededRng(71, 72), r=2.0 ** -1000)
+    monkeypatch.undo()
+    assert cert.alpha == 2.0 and cert.shrink_steps == 0 and cert.valid
+    assert sum(rows) == boxes * samples
+    assert cert.max_deviations == _box_deviations_per_sample(
+        arch, teacher, data, cert, samples, SeededRng(71, 72))
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +596,24 @@ def test_flatness_report_volume_skipped_for_deep_net():
                              volume_epsilon=1e-2)
     assert report.volume is None
     assert any(field == "volume" for field, _ in report.skipped)
+
+
+def test_flatness_report_skips_a_volume_bound_that_overflows():
+    # alpha >= 4 at every radius, so box 19's volume ratio
+    # alpha ** (19 * 32) >= 2**1216 leaves the float range at
+    # det_exponent 32; the certificate raises and the report skips it
+    arch, data, teacher = _teacher_setup((2, 32, 1), seed=0, m=64)
+    assert metrics._REPORT_BOXES == 20
+    with pytest.raises(OverflowError):
+        volume_flatness_certificate(arch, teacher, data, 1e-2, 20, 32,
+                                    SeededRng(0, 3000))
+    report = flatness_report(arch, teacher, data,
+                             SharpnessConfig(epsilon=1e-2, seed=0),
+                             volume_epsilon=1e-2)
+    assert report.volume is None
+    assert [field for field, _ in report.skipped] == ["volume"]
+    assert "float range" in report.skipped[0][1]
+    assert report.spec_norm is not None and report.csv_row()[-1] == ""
 
 
 def test_flatness_report_internal_consistency():

@@ -24,6 +24,17 @@ def test_nonfinite_rejected():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             format_float(bad)
+        # inside a float list, a mixed list and a dict too
+        for payload in ([1.0, bad], (bad,), [1, bad], {"x": [2.0, bad]}):
+            with pytest.raises(ValueError, match="non-finite"):
+                to_json(payload)
+
+
+def test_refuses_what_json_cannot_hold():
+    with pytest.raises(TypeError, match="keys must be str"):
+        to_json({1: 2.0})
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        to_json([1.0, {2.0}])
 
 
 def test_canonical_output_is_stable():

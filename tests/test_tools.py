@@ -16,8 +16,9 @@ def test_digest_repeats_its_lines():
     assert first.returncode == 0, first.stderr
     assert first.stdout == second.stdout
     lines = first.stdout.splitlines()
-    # the suite, four volume certificates and twelve fixed reports
-    assert len(lines) == 17
+    # the suite, four volume certificates, two benchmark certificates and
+    # twelve fixed reports
+    assert len(lines) == 19
     assert lines[0].startswith("suite/all/seed=5 ")
     names = [line.split(" ")[0] for line in lines]
     assert len(set(names)) == len(names)

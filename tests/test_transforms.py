@@ -276,12 +276,23 @@ def test_zero_first_layer():
 
 
 def test_disjoint_box_alpha_formula():
+    # the smallest power of two at or above 2 (t + r)/(t - r)
     theta1 = np.array([1.0, -2.0, 0.5])
-    r = 0.5
-    assert np.isclose(disjoint_box_alpha(theta1, r),
-                      2.0 * (2.0 + 0.5) / (2.0 - 0.5))
+    assert disjoint_box_alpha(theta1, 0.5) == 4.0  # bound 10/3
+    assert disjoint_box_alpha(np.array([3.0]), 1.0) == 4.0  # bound exactly 4
+    assert disjoint_box_alpha(np.array([1.0]), 2.0 ** -60) == 2.0  # bound 2
+    assert disjoint_box_alpha(np.array([-1.0]), 0.75) == 16.0  # bound 14
+    # bound 2**22 - 2
+    assert disjoint_box_alpha(np.array([1.0]), 1.0 - 2.0 ** -20) == 2.0 ** 22
+    for t, r in ((2.0, 0.5), (3.0, 1.0), (1.0, 2.0 ** -60), (5.0, 4.9)):
+        alpha = disjoint_box_alpha(np.array([t]), r)
+        assert np.frexp(alpha)[0] == 0.5  # a power of two
+        assert alpha * (t - r) > t + r  # the boxes are disjoint
     with pytest.raises(ValueError):
         disjoint_box_alpha(theta1, 2.0)  # r must stay below max |entry|
+    # 2 (t + r) overflows to inf: no finite power of two bounds it
+    with pytest.raises(ValueError, match="float range"):
+        disjoint_box_alpha(np.array([1e308]), 0.5e308)
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +545,31 @@ def test_power_stretch_derivatives_where_u_squared_leaves_the_floats(spec, t):
     # h'' is subnormal at |u| = 1e200 with a < 0, where few bits remain
     assert np.isclose(power_stretch_second_derivative(t, spec), second,
                       rtol=1e-12, atol=1e-320)
+
+
+@pytest.mark.parametrize("a", (-0.3, 0.0, 0.7))
+@pytest.mark.parametrize("b", (0.0, 0.5, 5e-324, 1e300))
+def test_power_stretch_derivatives_match_50_digits_on_a_log_grid(a, b):
+    # every decade from 1e-300 to 1e300, both signs: u^2 + b subnormal or
+    # out of range, and (2a + 1) u^2 or the power leaving the normal range,
+    # all take the factored form, through u^2 or (the extreme b) through b;
+    # 1e-12 is the ordinary form's own error, the rounding of the exponents
+    # a - 1 and a - 2 times |log(u^2 + b)|
+    spec = PowerStretch(0.0, a, b)
+    grid = 10.0 ** np.arange(-300.0, 301.0)
+    grid = np.concatenate([grid, -grid])
+    got = (power_stretch_derivative(grid, spec),
+           power_stretch_second_derivative(grid, spec))
+    for i, t in enumerate(grid):
+        for value, exact in zip((got[0][i], got[1][i]),
+                                _stretch_derivatives_50_digits(t, spec)):
+            if np.isinf(exact):  # beyond the largest float
+                assert value == exact, (t, value, exact)
+            else:
+                # subnormal results keep a few units of 2**-1074
+                assert abs(value - exact) <= (1e-12 * abs(exact)
+                                              + 4 * 2.0 ** -1074), (t, value,
+                                                                    exact)
 
 
 def test_power_stretch_derivatives_keep_their_values_at_the_center():

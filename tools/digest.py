@@ -2,9 +2,10 @@
 
     python3 tools/digest.py SEED [SEED ...]
 
-For each seed: the canonical JSON of ``run_suite("all", seed)`` and of the
-volume certificate of each ``volume`` check unit. Then, once: the
-``flatness_report`` of a fixed teacher, rescaled by ``first_last_alphas``
+For each seed: the canonical JSON of ``run_suite("all", seed)``, of the
+volume certificate of each ``volume`` check unit, and of the two volume
+certificates the ``report_wide`` benchmark builds at that seed. Then,
+once: the ``flatness_report`` of a fixed teacher, rescaled by ``first_last_alphas``
 at each of a few factors, on one wide and three biased architectures;
 the biased two-layer reports include a volume certificate (the wide
 one's volume overflows a float). An output that raises digests its
@@ -38,6 +39,8 @@ REPORT_ARCHS = (((4, 32, 1), False, 256, None), ((2, 8, 1), True, 48, 1e-2),
                 ((3, 4, 4, 1), True, 48, 1e-2), ((2, 5, 1), True, 48, 1e-2))
 REPORT_ALPHAS = (1.0, 0.37, 1e-3)
 REPORT_SEED = 3
+# (widths, examples) of the report_wide benchmark's volume certificates
+BENCH_VOLUME_ARCHS = (((10, 192, 1), 64), ((1, 256, 1), 64))
 
 
 def _line(name: str, make) -> str:
@@ -57,6 +60,15 @@ def _certificate(seed: int, i: int) -> dict:
     return asdict(volume_flatness_certificate(
         arch, teacher, data, epsilon=1e-2, boxes=verify._VOLUME_BOXES,
         samples_per_box=48, rng=SeededRng(unit, 13)))
+
+
+def _bench_certificate(widths, m: int, seed: int) -> dict:
+    """A ``report_wide`` volume certificate: 20 boxes of 32 samples."""
+    arch = Architecture(widths)
+    data, teacher = make_teacher_student(arch, seed, m)
+    return asdict(volume_flatness_certificate(
+        arch, teacher, data, epsilon=1e-2, boxes=20, samples_per_box=32,
+        rng=SeededRng(seed, 3000)))
 
 
 def _report(widths, bias: bool, m: int, volume_epsilon, alpha: float) -> dict:
@@ -79,6 +91,10 @@ def digest_lines(seeds) -> list[str]:
             lines.append(_line(
                 f"certificate/{widths}/bias={bias}/seed={seed}".replace(" ", ""),
                 lambda: _certificate(seed, i)))
+        for widths, m in BENCH_VOLUME_ARCHS:
+            lines.append(_line(
+                f"bench-certificate/{widths}/seed={seed}".replace(" ", ""),
+                lambda: _bench_certificate(widths, m, seed)))
     for widths, bias, m, volume_epsilon in REPORT_ARCHS:
         for alpha in REPORT_ALPHAS:
             lines.append(_line(
