@@ -5,18 +5,19 @@ gradient ascent inside the epsilon ball from a deterministic start along
 the gradient plus seeded random restarts. Reported values never claim to
 be the true maximum. The starts of one or several centers advance in
 lockstep, one stacked :class:`~flatlab.nets.Objective` evaluation a step;
-the volume certificate evaluates its samples as stacks too. Each row of a
-stack is bit-identical to evaluating it alone.
+the volume certificate's witness evaluates its samples as stacks too.
+Each row of a stack is bit-identical to evaluating it alone.
 
 The volume certificate is the constructive side of the infinite-volume
-argument: a sup-norm box of nearly constant loss around the point,
-replicated through exact scale transformations into pairwise disjoint
-copies whose summed volume grows without bound in the number of copies.
+argument: a sup-norm box of provably near-constant loss around the
+point, replicated through loss-preserving scale maps into pairwise
+disjoint copies whose summed volume grows without bound in their number.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
+from itertools import accumulate
 
 import numpy as np
 
@@ -231,24 +232,23 @@ def _measures(evals: np.ndarray, trace: float,
 
 @dataclass(frozen=True, eq=False)
 class VolumeCertificate:
-    """Evidence for the unbounded-volume construction at one point.
+    """Proof of the unbounded-volume construction at one point.
 
-    ``lower_bounds`` accumulates the volume after each verified box;
-    ``valid`` means every box's deviation stayed below epsilon (sampled, or
-    proved equal to the sampled base box's) and the boxes are pairwise
-    disjoint. ``failed_box`` names the first box that broke the loss
-    bound, if any.
+    ``deviation_bound`` is a proved bound, below epsilon, on the real loss
+    rise over the base box of radius ``r`` and so over every box;
+    ``sampled_deviation`` is the witness, the largest float rise sampled in
+    the base box (at least 0.0). ``lower_bounds`` accumulates the volume
+    box by box; ``valid`` means the boxes are also pairwise disjoint.
     """
 
     r: float
     v: float
     alpha: float
-    boxes_checked: int
-    max_deviations: tuple[float, ...]
+    deviation_bound: float
+    sampled_deviation: float
     lower_bounds: tuple[float, ...]
     disjointness_verified: bool
     valid: bool
-    failed_box: int | None
     shrink_steps: int
 
     @property
@@ -261,22 +261,42 @@ def volume_flatness_certificate(arch: Architecture, params: ParamVector,
                                 boxes: int, samples_per_box: int,
                                 rng: SeededRng,
                                 r: float | None = None) -> VolumeCertificate:
-    """Constructive lower bound on the volume of the near-constant region.
+    """Proved lower bound on the volume of the near-constant region.
 
-    Only two-layer networks are supported (the construction scales the
-    two weight blocks against each other). The box radius is validated by
-    sampling: if any sampled loss deviates by epsilon or more, the radius
-    halves and validation repeats; a trial radius stops sampling at the
-    first block of samples that reaches epsilon. Box k is the base box
-    pushed through the scale map ``transform_multipliers(arch, (alpha**k,
-    alpha**-k))``, with alpha the power of two of :func:`disjoint_box_alpha`,
-    so the map rounds nothing: where :func:`_images_exact` proves that the
-    base samples' images have bit-identical losses, every later box takes
-    the base box's deviation unsampled; otherwise each later box samples
-    the images. The pairwise disjointness of all boxes is established
-    analytically on the first-layer coordinate of largest magnitude.
+    Two-layer networks only (the construction scales the two weight blocks
+    against each other). The radius r starts at t/2, t the largest
+    first-layer magnitude, and halves until :func:`_deviation_bound` over
+    the whole sup-norm box of radius r falls below epsilon.
+
+    Proof of the bound. In real arithmetic, let x_i, h_ij and e_i be the
+    inputs, hidden units and residuals at theta0, w the output weights,
+    [b] 1 with biases and 0 without, and rho_i = r (|x_i|_1 + [b]). Each
+    hidden preactivation moves by at most rho_i; the rectifier is
+    1-Lipschitz, so each unit moves by at most rho_i and stays in
+    [0, h_ij + rho_i]. The output change sum_j w_j dh_j + sum_j dw_j
+    (h_j + dh_j) + db_2 is then at most delta_i = rho_i |w|_1 +
+    r (sum_j h_ij + width rho_i) + r [b]. As e'^2 - e^2 <= delta
+    (2 |e| + delta) when |e' - e| <= delta, L(theta) - L(theta0) <=
+    mean_i delta_i (2 |e_i| + delta_i), which grows with r. In floats,
+    ``nets._forward_errors`` bounds how far the computed h and e lie from
+    the real ones, so h becomes the computed h plus that bound, and |e|
+    the computed |e| times 1 + 2**-52 (the subtraction's rounding) plus
+    it. The rest are sums and products of non-negative floats, each
+    rounding by a factor 1 + d with |d| <= 2**-53 (barring underflow); at
+    most 2 (d_in + width) + m + 16 such factors compound, those of the
+    forward-error bounds included, so 1 plus that many times 2**-52, times
+    the computed value rounded up one float, bounds the real value.
+
+    Box k is the base box under ``transform_multipliers(arch, (alpha**k,
+    alpha**-k))``, which leaves the real loss unchanged (positive
+    homogeneity), so the bound covers it too. alpha is the power of two of
+    :func:`disjoint_box_alpha`; the boxes' pairwise disjointness is
+    established analytically on the first-layer coordinate of largest
+    magnitude. :func:`_witness` samples the base box and raises
+    ``RuntimeError`` where a sample contradicts the bound.
     """
     nets.check_params(arch, params)
+    nets._check_input_width(arch, data.inputs)
     if arch.depth != 2:
         raise ValueError(
             f"volume certificate needs a two-layer network, got depth {arch.depth}"
@@ -286,8 +306,6 @@ def volume_flatness_certificate(arch: Architecture, params: ParamVector,
     if boxes < 1 or samples_per_box < 1:
         raise ValueError("boxes and samples_per_box must be >= 1")
 
-    flat0 = vec(arch, params)
-    base_loss = nets.loss(arch, params, data)
     theta1 = params.weights[0].ravel()
     t = float(np.max(np.abs(theta1)))
     if t == 0.0:
@@ -297,135 +315,109 @@ def volume_flatness_certificate(arch: Architecture, params: ParamVector,
     if not (0 < r < t):
         raise ValueError(f"r must lie in (0, {t}), got {r}")
 
-    n = flat0.size
-    gen = rng.generator()
-    base_offsets = gen.uniform(-1.0, 1.0, size=(samples_per_box, n))
-
-    objective = Objective(arch, data)
-    block = nets._block_rows(objective)
-
-    def box_max_deviation(mult: np.ndarray, radius: float,
-                          stop: float = np.inf) -> float:
-        # one stacked evaluation a block, so only one block of rows is
-        # held; the first block whose deviation reaches ``stop`` ends it
-        worst = 0.0
-        for i in range(0, samples_per_box, block):
-            rows = (flat0 + radius * base_offsets[i:i + block]) * mult
-            worst = max([worst, *(objective.loss(rows) - base_loss).tolist()])
-            if worst >= stop:
-                break
-        return worst
-
-    # validate the base box, shrinking r until the loss bound holds on it
-    shrink_steps = 0
-    identity = np.ones(n)
-    while True:
-        deviation = box_max_deviation(identity, r, stop=epsilon)
-        if deviation < epsilon:
-            break
-        shrink_steps += 1
-        if shrink_steps > _MAX_SHRINKS:
-            raise ValueError(
-                f"no box radius satisfied the loss bound after "
-                f"{_MAX_SHRINKS} halvings (the last radius stopped sampling "
-                f"at deviation {deviation:.3e})"
-            )
-        r *= 0.5
+    flat0 = vec(arch, params)
+    acts, _ = nets._forward_full(params.weights, params.biases, data.inputs)
+    errors = nets._forward_errors(params.weights, params.biases, acts)
+    radii = r * 0.5 ** np.arange(_MAX_SHRINKS + 1)
+    bounds = _deviation_bound(arch, params, data, acts, errors, radii)
+    fits = np.flatnonzero(bounds < epsilon)  # a NaN bound never fits
+    if fits.size == 0:
+        raise ValueError(
+            f"no box radius satisfied the loss bound after {_MAX_SHRINKS} "
+            f"halvings (last bound {bounds[-1]:.3e})")
+    shrink_steps = int(fits[0])
+    r, bound = float(radii[shrink_steps]), float(bounds[shrink_steps])
+    sampled = _witness(arch, params, data, acts, errors, flat0, r,
+                       samples_per_box, rng)
 
     alpha = disjoint_box_alpha(theta1, r)
     # per-box volume, and the per-step volume ratio alpha^det_exponent of
     # the scale map: coordinates it grows minus those it shrinks, counted
     # on the exact pair (2, 1/2) so the last bias's product is exactly 1
-    v = (2.0 * r) ** n
+    v = (2.0 * r) ** flat0.size
     grow = transform_multipliers(arch, (2.0, 0.5))
     det_exponent = int(np.count_nonzero(grow > 1.0)
                        - np.count_nonzero(grow < 1.0))
-
-    # the guard at the last box covers every earlier one
-    last = boxes - 1
-    derived = _images_exact(
-        FlatIndex(arch), data.inputs, flat0 + r * base_offsets,
-        transform_multipliers(arch, (alpha ** last, alpha ** -last)))
-    max_deviations: list[float] = []
-    lower_bounds: list[float] = []
-    total = 0.0
-    valid = True
-    failed_box = None
-    for k in range(boxes):
-        # box 0's multipliers are all 1: it is the base box validated above;
-        # a derived box keeps its deviation
-        if k > 0 and not derived:
-            mult = transform_multipliers(arch, (alpha ** k, alpha ** (-k)))
-            deviation = box_max_deviation(mult, r)
-        max_deviations.append(deviation)
-        if deviation >= epsilon:
-            valid = False
-            failed_box = k
-            break
-        total += v * alpha ** (k * det_exponent)
-        lower_bounds.append(total)
+    lower_bounds = tuple(accumulate(v * alpha ** (k * det_exponent)
+                                    for k in range(boxes)))
 
     # disjointness on the first-layer coordinate of largest magnitude t:
     # box k+1's interval starts at alpha^(k+1) (t - r), past box k's end
     # alpha^k (t + r); divided by alpha^k that is one inequality for all k
     disjoint = alpha * (t - r) > t + r
     return VolumeCertificate(
-        r=r, v=v, alpha=alpha, boxes_checked=len(lower_bounds),
-        max_deviations=tuple(max_deviations),
-        lower_bounds=tuple(lower_bounds),
-        disjointness_verified=disjoint,
-        valid=valid and disjoint,
-        failed_box=failed_box,
+        r=r, v=v, alpha=alpha, deviation_bound=bound,
+        sampled_deviation=sampled, lower_bounds=lower_bounds,
+        disjointness_verified=disjoint, valid=disjoint,
         shrink_steps=shrink_steps,
     )
 
 
-def _images_exact(index: FlatIndex, inputs: np.ndarray, rows: np.ndarray,
-                  mult: np.ndarray) -> bool:
-    """Whether each row of ``rows * mult`` has bit for bit the loss of its
-    row of ``rows``, for the two-layer scale map ``mult`` at alpha = 2**s,
-    s >= 0: the first weight block and its bias times 2**s, the second
-    block times 2**-s, the last bias times exactly 1.
+def _deviation_bound(arch: Architecture, params: ParamVector, data: Dataset,
+                     acts: list, errors: list, radii) -> np.ndarray:
+    """Upper bound on ``L(theta) - L(theta0)`` over the sup-norm box of each
+    of ``radii`` around a two-layer point, from the forward pass ``acts``
+    there and its ``nets._forward_errors``; proved in
+    :func:`volume_flatness_certificate`. An overflow gives inf or NaN."""
+    r = np.asarray(radii, dtype=float)[:, None]
+    bias, width = float(arch.use_bias), arch.layer_widths[1]
+    ops = 2 * (arch.input_width + width) + data.size + 16
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = r * (np.sum(np.abs(data.inputs), axis=1) + bias)
+        hidden = np.sum(acts[1] + errors[0], axis=1)
+        residual = (np.abs(acts[2][:, 0] - data.targets) * (1.0 + 2.0 ** -52)
+                    + errors[1][:, 0])
+        delta = (rho * np.sum(np.abs(params.weights[1]))
+                 + r * (hidden + width * rho) + r * bias)
+        bound = (np.mean(delta * (2.0 * residual + delta), axis=1)
+                 * (1.0 + ops * 2.0 ** -52))
+    return np.nextafter(bound, np.inf)
 
-    True only when three cheap bounds hold, each monotone in s, so that a
-    check at the largest s covers every smaller one:
 
-    1. The scaled rows are exact: dividing them by ``mult`` gives ``rows``
-       back. A power-of-two factor rounds only where it overflows or drops
-       bits below 2**-1074, and either changes the quotient.
-    2. Every nonzero first-layer product |x_i theta_ij| of ``rows`` is at
-       least 2**-969, read off the smallest nonzero |x| times the smallest
-       nonzero |theta|.
-    3. (largest row ||x||_1 * largest |theta_1| + largest |b_1|) of the
-       scaled rows stays below 2**1023, which bounds every first-layer
-       value of the scaled evaluation with a factor 2 to spare for
-       rounding: nothing there overflows.
+def _witness(arch: Architecture, params: ParamVector, data: Dataset,
+             acts: list, errors: list, flat0: np.ndarray, r: float,
+             samples: int, rng: SeededRng) -> float:
+    """Largest float loss rise over uniform samples of the base box.
 
-    Proof. Each first-layer value of the scaled evaluation is 2**s times
-    the base evaluation's, by induction over the operations. A nonzero
-    product is normal in both (by 2 and 3), so its rounding commutes with
-    2**s. A product of magnitude >= 2**-969 is a multiple of 2**-1074
-    (its two 53-bit significands leave its last bit there or above), as is
-    every float; so the exact value of every sum, partial or fused with a
-    product, either is below 2**-1022, hence representable and exact in
-    both evaluations, or is normal in both, where rounding commutes with
-    2**s. The rectifier commutes with 2**s. Each second-layer product
-    (2**s h)(2**-s w) is the same real number as h w, so from there on
-    both evaluations perform the same operations on the same values.
+    Each sample lies within R, r plus one float spacing of the largest
+    coordinate (its rounding), so its real rise is at most the bound at R.
+    Within R, a computed output errs by at most ``env``: the
+    ``nets._forward_errors`` bound at weights |theta0| + R and hidden
+    units h0 + 2 (their bound + rho), past any the box can compute. So a
+    computed residual e lies within env + 2**-52 |e| of the real one and,
+    as the mean of m squares rounds by at most gamma(m + 1), a computed
+    loss L lies within mean(env^2) + 3 rms(env) sqrt(L) + (m + 1) 2**-50 L
+    of the real one. A rise beyond the bound at R plus both losses' slack
+    (times 1 + 2**-32, for the comparison's own rounding) contradicts the
+    proof and raises ``RuntimeError``. The samples are evaluated as
+    :class:`Objective` stacks of ``nets._block_rows`` rows.
     """
-    first = index.weight_slice(0)
-    x = np.abs(inputs)
-    theta = np.abs(rows[:, first])
-    with np.errstate(over="ignore"):  # an overflow refuses
-        scaled = rows * mult
-        largest = np.max(np.sum(x, axis=1)) * np.max(np.abs(scaled[:, first]))
-        if index.arch.use_bias:
-            largest += np.max(np.abs(scaled[:, index.bias_slice(0)]))
-    smallest = (np.min(x, initial=np.inf, where=x > 0.0)
-                * np.min(theta, initial=np.inf, where=theta > 0.0))
-    # a computed product above 2**-969 proves the exact one is
-    return bool(np.array_equal(scaled / mult, rows)
-                and smallest > 2.0 ** -969 and largest < 2.0 ** 1023)
+    reach = r + np.spacing(np.max(np.abs(flat0)) + r)
+    limit = float(_deviation_bound(arch, params, data, acts, errors,
+                                   [reach])[0])
+    rho = reach * (np.sum(np.abs(data.inputs), axis=1) + arch.use_bias)
+    biases = (None if params.biases is None
+              else [np.abs(b) + reach for b in params.biases])
+    env = nets._forward_errors(
+        [np.abs(w) + reach for w in params.weights], biases,
+        [data.inputs, acts[1] + 2.0 * (errors[0] + rho[:, None])])[-1][:, 0]
+    rows = rng.generator().uniform(-1.0, 1.0, size=(samples, flat0.size))
+    rows *= r  # in place: flat0 + r * offset, with no temporaries
+    rows += flat0
+    objective = Objective(arch, data)
+    block = nets._block_rows(objective)
+    losses = np.concatenate([[objective.loss(flat0)], *(
+        objective.loss(rows[i:i + block]) for i in range(0, samples, block))])
+    slack = (np.mean(env * env) + 3.0 * np.sqrt(np.mean(env * env) * losses)
+             + (data.size + 1) * 2.0 ** -50 * losses)
+    rises = losses[1:] - losses[0]
+    over = rises > (limit + slack[0] + slack[1:]) * (1.0 + 2.0 ** -32)
+    if over.any():
+        j = int(np.argmax(over))
+        raise RuntimeError(
+            f"sampled loss rise {rises[j]:.6e} exceeds the proved bound "
+            f"{limit:.6e} plus rounding {slack[0] + slack[1 + j]:.3e}")
+    return max([0.0, *rises.tolist()])
 
 
 @dataclass(frozen=True, eq=False)

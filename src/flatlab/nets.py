@@ -16,8 +16,8 @@ The loss everywhere is mean squared error over a dataset. Its gradient is
 exact backpropagation with the convention ``phi'(0) = 0``. Loops over
 many flat vectors evaluate them as :class:`Objective` stacks. Two are
 capped at :func:`_block_rows` rows a stack: the volume certificate's
-samples and the Hessian's columns. The ball-sharpness ascent is not:
-each step stacks every start of every center, ten a center, at once.
+witness samples and the Hessian's columns. The ball-sharpness ascent is
+not: each step stacks every start of every center, ten a center, at once.
 The Hessian is exact on the activation pattern at the point:
 Hessian-vector products by forward-over-reverse differentiation, one
 stacked call per block of columns; see :func:`hessian`. Where every
@@ -411,26 +411,27 @@ def kink_distance(arch: Architecture, params: ParamVector, data: Dataset) -> flo
     return kink_argmin(arch, params, data)[0]
 
 
-def _rounding_band(weights, biases, acts) -> float:
-    """Largest first-order forward-error bound over the hidden preactivations.
+def _forward_errors(weights, biases, acts) -> list[np.ndarray]:
+    """Bounds on how far each layer's computed outputs lie from the real ones.
 
-    A preactivation errs by at most ``gamma(fan_in + 1) (|a| |W| + |b|)``
-    plus the error carried in through ``|W|``, where ``gamma(j) = j u /
-    (1 - j u)`` and ``u = 2**-53`` (Higham, Accuracy and Stability of
-    Numerical Algorithms, section 3.1); inside that band the computed sign,
-    and so the activation pattern, is unsure.
+    Layer ``k``'s computed preactivation (at the last layer, the output)
+    errs by at most ``gamma(fan_in + 1) (|a| |W| + |b|)`` plus the error
+    carried in through ``|W|`` (the rectifier is 1-Lipschitz), where
+    ``gamma(j) = j u / (1 - j u)`` and ``u = 2**-53`` (Higham, Accuracy and
+    Stability of Numerical Algorithms, section 3.1), ``a`` being the
+    computed activations in ``acts``. Stacked weights ``(S, r, c)`` give
+    ``(S, m, w)`` bounds, as in :func:`_forward_full`.
     """
-    err = np.zeros_like(acts[0])
-    band = 0.0
-    for k in range(len(weights) - 1):
-        w = np.abs(weights[k])
-        ju = (w.shape[0] + 1) * 2.0 ** -53
+    errors = []
+    for k, w in enumerate(weights):
+        w = np.abs(w)
+        ju = (w.shape[-2] + 1) * 2.0 ** -53
         bound = np.abs(acts[k]) @ w
         if biases is not None:
-            bound = bound + np.abs(biases[k])
-        err = ju / (1.0 - ju) * bound + err @ w
-        band = max(band, float(np.max(err)))
-    return band
+            bound = bound + np.abs(biases[k][..., None, :])
+        err = ju / (1.0 - ju) * bound
+        errors.append(err + errors[-1] @ w if errors else err)
+    return errors
 
 
 def _kink_guard(weights, biases, acts, pre) -> None:
@@ -439,9 +440,12 @@ def _kink_guard(weights, biases, acts, pre) -> None:
     The loss is twice differentiable wherever no hidden preactivation is
     zero; ``acts`` and ``pre`` come from :func:`_forward_full` at the point,
     and :class:`KinkProximityError` is raised only when the smallest
-    preactivation magnitude lies within :func:`_rounding_band`.
+    preactivation magnitude lies within the band of the largest hidden
+    :func:`_forward_errors` bound, where the computed sign, and so the
+    activation pattern, is unsure.
     """
-    band = _rounding_band(weights, biases, acts)
+    band = max([0.0, *(float(np.max(err)) for err in
+                       _forward_errors(weights[:-1], biases, acts))])
     dist, example, layer, unit = _kink_argmin(pre)
     if dist <= band:
         raise KinkProximityError(dist, band, example, layer, unit)

@@ -447,9 +447,11 @@ def disjoint_box_alpha(theta1: np.ndarray, r: float) -> float:
     the box's widest first-layer coordinate interval strictly past itself,
     alpha (t - r) > t + r, so the box and all its forward images are
     pairwise disjoint. The smallest power of two at or above that bound is
-    returned, exactly: scaling by it rounds nothing, so each image box is
-    the exact image of the base box. A bound whose power of two is not a
-    finite float is refused.
+    returned, exactly. The volume certificate's proof does not need it to
+    be one (the real scale map keeps the real loss at any alpha), but a
+    power of two rounds nothing, so the float image boxes are the exact
+    images too. A bound whose power of two is not a finite float is
+    refused.
     """
     theta1 = np.asarray(theta1, dtype=float)
     t = float(np.max(np.abs(theta1))) if theta1.size else 0.0
@@ -634,12 +636,15 @@ def _stretch(t, spec: PowerStretch, formula):
 def power_stretch_forward(t, spec: PowerStretch):
     """eta = (u^2 + b)^a u with u = t - center, elementwise.
 
-    At u = 0, and where u^2 + b underflows to 0 or overflows (b is then
-    negligible), the map is evaluated as |u|^(2a + 1) with the sign of u,
-    so every finite t has a non-NaN image.
+    With b = 0 the map is exactly |u|^(2a + 1) with the sign of u, and is
+    evaluated so everywhere: one power, monotone in the float order, and
+    exact where u^2 would be subnormal. So is it with b > 0 at u = 0, and
+    where u^2 + b underflows to 0 or overflows (b is then negligible), so
+    every finite t has a non-NaN image.
     """
     return _stretch(t, spec, lambda u, base: np.where(
-        (u != 0.0) & ~_unrepresented(base), np.power(base, spec.a) * u,
+        (u != 0.0) & (spec.b != 0.0) & ~_unrepresented(base),
+        np.power(base, spec.a) * u,
         np.copysign(np.power(np.abs(u), 2.0 * spec.a + 1.0), u)))
 
 

@@ -276,16 +276,13 @@ def _check_many_directions(seed: int) -> tuple[dict, list]:
         unmoved = int(np.count_nonzero(transform_multipliers(
             arch, many_directions_alphas(arch.depth, 2.0)) >= 1.0))
         guarantee = rank - unmoved
-        lam_r = float(evals[rank - 1])
-        beta = 4.0 * float(np.sqrt(_MANY_TARGET / lam_r))
-        count = 0
-        for _ in range(12):
-            alphas = many_directions_alphas(arch.depth, beta)
-            moved = predicted_hessian(hess, diagonal_scaling(arch, alphas))
-            count = int(np.sum(symmetric_eigenspectrum(moved) > _MANY_TARGET))
-            if count >= guarantee:
-                break
-            beta *= 4.0
+        # each moved coordinate's D entry is at least beta >= 1, so by Cauchy
+        # interlacing and Ostrowski's theorem the top rank - unmoved
+        # eigenvalues of DHD are at least beta^2 lam_r >= 16 target
+        beta = max(1.0, 4.0 * float(np.sqrt(_MANY_TARGET / evals[rank - 1])))
+        moved = predicted_hessian(hess, diagonal_scaling(
+            arch, many_directions_alphas(arch.depth, beta)))
+        count = int(np.sum(symmetric_eigenspectrum(moved) > _MANY_TARGET))
         return lam1, rank, guarantee, count, grad_norm
 
     lam1s, ranks, guarantees, counts, grad_norms = zip(

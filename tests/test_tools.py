@@ -16,9 +16,9 @@ def test_digest_repeats_its_lines():
     assert first.returncode == 0, first.stderr
     assert first.stdout == second.stdout
     lines = first.stdout.splitlines()
-    # the suite, four volume certificates, two benchmark certificates and
-    # twelve fixed reports
-    assert len(lines) == 19
+    # the suite and its nine checks, four volume certificates, two benchmark
+    # certificates, twelve fixed reports and four notebooks
+    assert len(lines) == 32
     assert lines[0].startswith("suite/all/seed=5 ")
     names = [line.split(" ")[0] for line in lines]
     assert len(set(names)) == len(names)

@@ -6,9 +6,10 @@ from typing import get_args
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from flatlab.errors import KinkProximityError
 from flatlab.linalg import symmetric_eigenspectrum
 from flatlab.nets import (Architecture, Dataset, FlatIndex, ParamVector,
                           forward, gradient, hessian, loss_and_gradient,
@@ -206,6 +207,34 @@ def test_diagonal_scaling_inverts_multipliers():
     mult = transform_multipliers(ARCH2, (2.0, 0.5))
     scaling = diagonal_scaling(ARCH2, (2.0, 0.5))
     assert np.allclose(scaling.multipliers * mult, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(widths=st.lists(st.integers(1, 4), min_size=2, max_size=4),
+       bias=st.booleans(), seed=st.integers(0, 2**16),
+       exponents=st.lists(st.integers(-20, 20), min_size=3, max_size=3))
+def test_power_of_two_scales_hold_every_law_bit_for_bit(widths, bias, seed,
+                                                         exponents):
+    # factors 2^k with product 1 round nothing, so the function, the
+    # gradient law D g and the Hessian law D H D hold exactly
+    arch = Architecture((*widths, 1), use_bias=bias)
+    ks = exponents[:arch.depth - 1]
+    assume(abs(sum(ks)) <= 20)
+    alphas = tuple(2.0 ** k for k in ks) + (2.0 ** -sum(ks),)
+    params, data = _params(arch, seed), _data(arch, seed)
+    moved = alpha_scale_deep(arch, params, alphas)
+    scaling = diagonal_scaling(arch, alphas)
+    assert np.array_equal(forward(arch, moved, data.inputs),
+                          forward(arch, params, data.inputs))
+    assert np.array_equal(gradient(arch, moved, data),
+                          predicted_gradient(gradient(arch, params, data),
+                                             scaling))
+    try:
+        hess = hessian(arch, params, data)
+        moved_hess = hessian(arch, moved, data)
+    except KinkProximityError:
+        assume(False)
+    assert np.array_equal(moved_hess, predicted_hessian(hess, scaling))
 
 
 def test_predicted_gradient_and_hessian_against_reevaluation():
@@ -519,27 +548,32 @@ def test_power_stretch_derivatives_match_fd():
                           rtol=1e-5, atol=1e-6)
 
 
-def _stretch_derivatives_50_digits(t, spec):
-    """Oracle: h' and h'' from the closed forms, in 50-digit decimals,
+def _stretch_50_digits(t, spec):
+    """Oracle: h, h' and h'' from the closed forms, in 50-digit decimals,
     whose exponent range holds u^2 for every finite u."""
     with localcontext() as ctx:
         ctx.prec = 50
         u = Decimal(t) - Decimal(spec.center)
         a, b = Decimal(spec.a), Decimal(spec.b)
         base = u * u + b
+        eta = base ** a * u if base else u  # base is 0 only at u = b = 0
         first = base ** (a - 1) * ((2 * a + 1) * u * u + b)
         second = 2 * a * u * base ** (a - 2) * ((2 * a + 1) * u * u + 3 * b)
-        return float(first), float(second)
+        return float(eta), float(first), float(second)
 
 
 @pytest.mark.parametrize("spec", (PowerStretch(0.0, -0.3, 0.0),
                                   PowerStretch(0.0, 0.7, 0.0),
                                   PowerStretch(0.0, 0.7, 0.5)))
-@pytest.mark.parametrize("t", (1e200, -1e200, 1e-200, -1e-200))
-def test_power_stretch_derivatives_where_u_squared_leaves_the_floats(spec, t):
-    # u^2 overflows at |u| = 1e200 and underflows to 0 at 1e-200; with
-    # b = 0.5 only the overflow leaves the ordinary formula
-    first, second = _stretch_derivatives_50_digits(t, spec)
+@pytest.mark.parametrize("t", (1e200, -1e200, 1e-200, -1e-200, 3e-162,
+                               1e-160))
+def test_power_stretch_where_u_squared_leaves_the_floats(spec, t):
+    # u^2 overflows at |u| = 1e200, underflows to 0 at 1e-200 and is
+    # subnormal at 3e-162 and 1e-160; with b = 0.5 only the overflow leaves
+    # the ordinary formula
+    eta, first, second = _stretch_50_digits(t, spec)
+    assert power_stretch_forward(t, spec) == pytest.approx(eta, rel=1e-12,
+                                                           abs=0.0)
     assert np.isclose(power_stretch_derivative(t, spec), first,
                       rtol=1e-12, atol=0.0)
     # h'' is subnormal at |u| = 1e200 with a < 0, where few bits remain
@@ -562,7 +596,7 @@ def test_power_stretch_derivatives_match_50_digits_on_a_log_grid(a, b):
            power_stretch_second_derivative(grid, spec))
     for i, t in enumerate(grid):
         for value, exact in zip((got[0][i], got[1][i]),
-                                _stretch_derivatives_50_digits(t, spec)):
+                                _stretch_50_digits(t, spec)[1:]):
             if np.isinf(exact):  # beyond the largest float
                 assert value == exact, (t, value, exact)
             else:
@@ -584,6 +618,17 @@ def test_power_stretch_monotone_on_grid():
     values = [power_stretch_forward(t, STRETCH) for t in grid]
     assert np.all(np.diff(values) > 0)
     assert all(power_stretch_derivative(t, STRETCH) > 0 for t in grid)
+
+
+@pytest.mark.parametrize("a", (-0.3, 0.7))
+@pytest.mark.parametrize("t", (3e-162, 1e-160, 1.5e-154))
+def test_power_stretch_forward_is_monotone_over_adjacent_floats(a, t):
+    # where u^2 is subnormal (and at its edge, 1.5e-154) with b = 0, a
+    # thousand consecutive floats keep their order, as the inverse's
+    # bisection needs
+    grid = (np.float64(t).view(np.int64) + np.arange(-500, 501)).view(float)
+    images = power_stretch_forward(grid, PowerStretch(0.0, a, 0.0))
+    assert np.all(np.diff(images) >= 0.0)
 
 
 def test_power_stretch_validation():

@@ -2,14 +2,15 @@
 
     python3 tools/digest.py SEED [SEED ...]
 
-For each seed: the canonical JSON of ``run_suite("all", seed)``, of the
-volume certificate of each ``volume`` check unit, and of the two volume
-certificates the ``report_wide`` benchmark builds at that seed. Then,
-once: the ``flatness_report`` of a fixed teacher, rescaled by ``first_last_alphas``
+For each seed: the canonical JSON of ``run_suite("all", seed)`` and of
+each of its checks' outcomes, of the volume certificate of each
+``volume`` check unit, and of the two volume certificates the
+``report_wide`` benchmark builds at that seed. Then, once: the
+``flatness_report`` of a fixed teacher, rescaled by ``first_last_alphas``
 at each of a few factors, on one wide and three biased architectures;
 the biased two-layer reports include a volume certificate (the wide
-one's volume overflows a float). An output that raises digests its
-exception's type and message instead.
+one's volume overflows a float); and the printed text of each notebook.
+An output that raises digests its exception's type and message instead.
 
 It imports the ``src/`` beside it. Run it in two checkouts and diff the
 outputs: equal lines mean byte-identical outputs.
@@ -17,12 +18,17 @@ outputs: equal lines mean byte-identical outputs.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
+import io
+import runpy
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 from flatlab import verify  # noqa: E402
 from flatlab.experiments import make_teacher_student  # noqa: E402
@@ -43,12 +49,20 @@ REPORT_SEED = 3
 BENCH_VOLUME_ARCHS = (((10, 192, 1), 64), ((1, 256, 1), 64))
 
 
-def _line(name: str, make) -> str:
+def _line(name: str, make, render=to_json) -> str:
     try:
-        text = to_json(make())
+        text = render(make())
     except Exception as exc:  # the failure is an output too
         text = f"{type(exc).__name__}: {exc}"
     return f"{name} {hashlib.sha256(text.encode()).hexdigest()}"
+
+
+def _printed(path: Path) -> str:
+    """What a notebook script prints when run as a program."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(path), run_name="__main__")
+    return out.getvalue()
 
 
 def _certificate(seed: int, i: int) -> dict:
@@ -85,8 +99,12 @@ def _report(widths, bias: bool, m: int, volume_epsilon, alpha: float) -> dict:
 def digest_lines(seeds) -> list[str]:
     lines = []
     for seed in seeds:
-        lines.append(_line(f"suite/all/seed={seed}",
-                           lambda: verify.run_suite("all", seed).to_dict()))
+        suite = functools.cache(
+            lambda: verify.run_suite("all", seed).to_dict())
+        lines.append(_line(f"suite/all/seed={seed}", suite))
+        for i, name in enumerate(verify.CHECK_ORDER):
+            lines.append(_line(f"suite/{name}/seed={seed}",
+                               lambda: suite()["checks"][i]))
         for i, (widths, bias, _) in enumerate(verify._VOLUME_UNITS):
             lines.append(_line(
                 f"certificate/{widths}/bias={bias}/seed={seed}".replace(" ", ""),
@@ -100,6 +118,9 @@ def digest_lines(seeds) -> list[str]:
             lines.append(_line(
                 f"report/{widths}/bias={bias}/alpha={alpha}".replace(" ", ""),
                 lambda: _report(widths, bias, m, volume_epsilon, alpha)))
+    for path in sorted((ROOT / "notebooks").glob("*.py")):
+        lines.append(_line(f"notebook/{path.stem}", lambda: _printed(path),
+                           render=str))
     return lines
 
 
