@@ -14,10 +14,11 @@ that layout via :class:`FlatIndex`.
 
 The loss everywhere is mean squared error over a dataset. Its gradient is
 exact backpropagation with the convention ``phi'(0) = 0``. Loops over
-many flat vectors evaluate them as :class:`Objective` stacks. Two are
-capped at :func:`_block_rows` rows a stack: the volume certificate's
-witness samples and the Hessian's columns. The ball-sharpness ascent is
-not: each step stacks every start of every center, ten a center, at once.
+many flat vectors evaluate them as :class:`Objective` stacks, which keep
+their hidden-layer buffers. :func:`_block_rows` caps, to bound memory, the
+volume certificate's witness stacks and the Hessian's columns, whose
+Hessian-vector products allocate on every call. The ball-sharpness ascent
+is not capped: each step stacks every start of every center at once.
 The Hessian is exact on the activation pattern at the point:
 Hessian-vector products by forward-over-reverse differentiation, one
 stacked call per block of columns; see :func:`hessian`. Where every
@@ -30,6 +31,7 @@ rounding of a kink through the same guard, :func:`_kink_guard`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -38,8 +40,8 @@ import numpy as np
 from .errors import KinkProximityError
 from .serialize import json_float, json_int, read_json
 
-# Floats of activations a stack of rows is sized to (128 KiB): past glibc's
-# mmap threshold its temporaries page-fault on every call (sweep in CHANGES.md).
+# Floats of activations a witness or Hessian stack is sized to (128 KiB), which
+# bounds their memory; HVP temporaries still allocate (and fault) every call.
 _BLOCK_ELEMENTS = 1 << 14
 
 
@@ -155,6 +157,9 @@ class FlatIndex:
         return weights, biases
 
 
+_flat_index = functools.cache(FlatIndex)  # one layout per architecture
+
+
 def vec(arch: Architecture, params: ParamVector) -> np.ndarray:
     """Flatten to one float64 vector in the canonical order."""
     check_params(arch, params)
@@ -168,7 +173,7 @@ def unvec(arch: Architecture, flat: np.ndarray) -> ParamVector:
     """Inverse of :func:`vec`."""
     if np.ndim(flat) != 1:
         raise ValueError(f"flat vector must be 1-d, got shape {np.shape(flat)}")
-    weights, biases = FlatIndex(arch).split(flat)
+    weights, biases = _flat_index(arch).split(flat)
     if biases is not None:
         biases = tuple(b.copy() for b in biases)
     return ParamVector(weights, biases)
@@ -212,23 +217,27 @@ class Dataset:
         return self.inputs.shape[0]
 
 
-def _forward_full(weights, biases, inputs: np.ndarray) -> tuple[list, list]:
+def _forward_full(weights, biases, inputs: np.ndarray,
+                  out=None) -> tuple[list, list]:
     """Activations per layer (input included) and hidden preactivations.
 
     Weights ``(S, r, c)`` and biases ``(S, w)`` from a stack give ``(S, m, w)``
     activations; each slice takes the same BLAS call as one vector does.
+    ``out``, when given, holds per hidden layer the ``(z, a, d, mask)``
+    arrays that ``z`` and ``a`` are written into; else they are new arrays.
     """
     acts = [inputs]
     pre = []
     a = inputs
     last = len(weights) - 1
     for k, w in enumerate(weights):
-        z = a @ w
+        z_out, a_out = out[k][:2] if out and k < last else (None, None)
+        z = np.matmul(a, w, out=z_out)
         if biases is not None:
-            z = z + biases[k][..., None, :]
+            z += biases[k][..., None, :]
         if k < last:
             pre.append(z)
-            a = np.maximum(z, 0.0)
+            a = np.maximum(z, 0.0, out=a_out)
         else:
             a = z
         acts.append(a)
@@ -241,13 +250,13 @@ def _mean_square(diff: np.ndarray):
     return value if value.ndim else float(value)
 
 
-def _mse(weights, biases, data: Dataset):
-    acts, _ = _forward_full(weights, biases, data.inputs)
+def _mse(weights, biases, data: Dataset, out=None):
+    acts, _ = _forward_full(weights, biases, data.inputs, out)
     return _mean_square(acts[-1][..., 0] - data.targets)
 
 
-def _mse_and_gradient(weights, biases, data: Dataset):
-    acts, pre = _forward_full(weights, biases, data.inputs)
+def _mse_and_gradient(weights, biases, data: Dataset, out=None):
+    acts, pre = _forward_full(weights, biases, data.inputs, out)
     diff = acts[-1][..., 0] - data.targets
     value = _mean_square(diff)
 
@@ -260,7 +269,9 @@ def _mse_and_gradient(weights, biases, data: Dataset):
         if biases is not None:
             grad_b[k] = delta.sum(axis=-2)
         if k > 0:
-            delta = (delta @ weights[k].swapaxes(-1, -2)) * (pre[k - 1] > 0.0)
+            d_out, mask = out[k - 1][2:] if out else (None, None)
+            delta = np.matmul(delta, weights[k].swapaxes(-1, -2), out=d_out)
+            delta *= np.greater(pre[k - 1], 0.0, out=mask)
 
     parts = [g.reshape(diff.shape[:-1] + (-1,)) for g in grad_w]
     if biases is not None:
@@ -356,23 +367,41 @@ class Objective:
     vector ``(n,)``, giving a float and an ``(n,)`` gradient, or a stack
     ``(S, n)``, giving ``(S,)`` losses and ``(S, n)`` gradients. A stack is
     one evaluation, so its memory grows with ``S``: about ``S`` times the
-    data rows times the summed layer widths in floats; :func:`_block_rows`
-    bounds it. Every row, stacked or not, is bit-identical to :func:`loss`
-    and :func:`loss_and_gradient` at ``unvec(arch, row)``.
+    data rows times the summed layer widths in floats, kept as hidden-layer
+    buffers for the Objective's life and sized to its largest stack so far,
+    so repeated calls fault in no new pages. Two threads must not call one
+    Objective at once. Losses and gradients are new arrays, every row
+    bit-identical to :func:`loss` and :func:`loss_and_gradient` at
+    ``unvec(arch, row)``.
     """
 
     def __init__(self, arch: Architecture, data: Dataset):
         _check_input_width(arch, data.inputs)
         self.arch = arch
         self.data = data
-        self._index = FlatIndex(arch)
+        self._index = _flat_index(arch)
         self.size = self._index.total
+        self._rows = 0
+        self._buffers = ()
+
+    def _args(self, flat: np.ndarray):
+        """Per-layer views of ``flat``, the data, and ``out`` for its stack."""
+        weights, biases = self._index.split(flat)
+        rows = len(weights[0]) if weights[0].ndim == 3 else 1
+        if rows > self._rows:
+            self._rows = rows
+            self._buffers = [[np.empty((rows, self.data.size, w), dtype)
+                              for dtype in (float, float, float, bool)]
+                             for w in self.arch.layer_widths[1:-1]]
+        key = slice(rows) if weights[0].ndim == 3 else 0
+        return weights, biases, self.data, [(z[key], a[key], d[key], m[key])
+                                            for z, a, d, m in self._buffers]
 
     def loss(self, flat: np.ndarray):
-        return _mse(*self._index.split(flat), self.data)
+        return _mse(*self._args(flat))
 
     def loss_grad(self, flat: np.ndarray):
-        return _mse_and_gradient(*self._index.split(flat), self.data)
+        return _mse_and_gradient(*self._args(flat))
 
 
 def _block_rows(objective: Objective) -> int:

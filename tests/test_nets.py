@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +150,9 @@ def test_flat_index_layout():
     assert index.bias_slice(0) == slice(9, 12)
     assert index.bias_slice(1) == slice(12, 13)
     assert index.total == 13
+    # unvec's layout is built once per architecture
+    assert nets._flat_index(arch) is nets._flat_index(
+        Architecture((2, 3, 1), use_bias=True))
 
 
 def test_hessian_matches_fd_of_gradient_oracle():
@@ -342,6 +349,69 @@ def test_objective_rejects_bad_shapes():
         unvec(arch, np.zeros((1, objective.size)))
     with pytest.raises(ValueError):
         Objective(arch, Dataset(np.zeros((3, 3)), np.zeros(3)))
+
+
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("widths", [(3, 5, 1), (2, 4, 3, 1), (3, 4, 2, 3, 1)])
+def test_objective_buffer_reuse_is_bit_identical_and_never_aliases(widths, bias):
+    arch = Architecture(widths, use_bias=bias)
+    gen = SeededRng(31).generator()
+    data = Dataset(gen.uniform(-1, 1, (7, widths[0])), gen.uniform(-1, 1, 7))
+    objective = Objective(arch, data)
+    # stacks that shrink and outgrow the buffers, then one vector and one row
+    calls = [gen.uniform(-2, 2, shape) for shape in (
+        (10, objective.size), (3, objective.size), (12, objective.size),
+        objective.size, (1, objective.size))]
+    calls[0][1, 0] = calls[2][4, -1] = np.inf
+    calls[0][2, 3] = calls[2][5, 0] = np.nan
+    calls[2][6, :] = -np.inf
+    returned = []
+    with np.errstate(all="ignore"):
+        for flat in calls:
+            values, grads = objective.loss_grad(flat)
+            losses = objective.loss(flat)
+            returned.append((values, grads, losses,
+                             np.copy(values), grads.copy(), np.copy(losses)))
+        for flat, (values, grads, losses, *_) in zip(calls, returned):
+            assert np.array_equal(losses, values, equal_nan=True)
+            for row, value, grad in zip(np.atleast_2d(flat),
+                                        np.atleast_1d(values),
+                                        np.atleast_2d(grads)):
+                ref_value, ref_grad = loss_and_gradient(
+                    arch, unvec(arch, row), data)
+                assert np.array_equal(value, ref_value, equal_nan=True)
+                assert np.array_equal(grad, ref_grad, equal_nan=True)
+    assert any(np.isnan(v).any() for v, *_ in returned)
+    # later calls leave every earlier result as it was returned
+    for values, grads, losses, *copies in returned:
+        for result, copy in zip((values, grads, losses), copies):
+            assert np.array_equal(result, copy, equal_nan=True)
+
+
+def test_objective_calls_stop_page_faulting_once_warm():
+    pytest.importorskip("resource")
+    child = """
+import resource
+import numpy as np
+from flatlab.nets import Architecture, Dataset, Objective
+gen = np.random.default_rng(0)
+data = Dataset(gen.uniform(-1, 1, (256, 4)), gen.uniform(-1, 1, 256))
+objective = Objective(Architecture((4, 32, 1)), data)
+stack = gen.uniform(-1, 1, (10, objective.size))
+for _ in range(3):
+    objective.loss_grad(stack)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    objective.loss_grad(stack)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    # a fresh interpreter: earlier tests' allocator history can hide faults
+    src = str(Path(nets.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 50
 
 
 def test_kink_argmin_matches_enumeration():

@@ -4,12 +4,15 @@
 
 For each seed: the canonical JSON of ``run_suite("all", seed)`` and of
 each of its checks' outcomes, of the volume certificate of each
-``volume`` check unit, and of the two volume certificates the
-``report_wide`` benchmark builds at that seed. Then, once: the
-``flatness_report`` of a fixed teacher, rescaled by ``first_last_alphas``
-at each of a few factors, on one wide and three biased architectures;
-the biased two-layer reports include a volume certificate (the wide
-one's volume overflows a float); and the printed text of each notebook.
+``volume`` check unit, of the two volume certificates the
+``report_wide`` benchmark builds at that seed, and of the eight
+``flatness_report`` outputs the ``suite_jobs2`` benchmark builds at that
+seed ((4,32,1) teachers on 256 examples, the CLI's default ascent). Then,
+once: the ``flatness_report`` of a fixed teacher, rescaled by
+``first_last_alphas`` at each of a few factors, on one wide and three
+biased architectures; the biased two-layer reports include a volume
+certificate (the wide one's volume overflows a float); and the printed
+text of each notebook.
 An output that raises digests its exception's type and message instead.
 
 It imports the ``src/`` beside it. Run it in two checkouts and diff the
@@ -47,6 +50,8 @@ REPORT_ALPHAS = (1.0, 0.37, 1e-3)
 REPORT_SEED = 3
 # (widths, examples) of the report_wide benchmark's volume certificates
 BENCH_VOLUME_ARCHS = (((10, 192, 1), 64), ((1, 256, 1), 64))
+# (widths, examples, points) of the suite_jobs2 benchmark's reports
+BENCH_REPORTS = ((4, 32, 1), 256, 8)
 
 
 def _line(name: str, make, render=to_json) -> str:
@@ -85,6 +90,15 @@ def _bench_certificate(widths, m: int, seed: int) -> dict:
         rng=SeededRng(seed, 3000)))
 
 
+def _bench_report(seed: int, i: int) -> dict:
+    """A ``suite_jobs2`` report: teacher ``seed * points + i``, CLI ascent."""
+    widths, m, points = BENCH_REPORTS
+    arch = Architecture(widths)
+    data, teacher = make_teacher_student(arch, seed * points + i, m)
+    return flatness_report(arch, teacher, data,
+                           SharpnessConfig(1e-2, seed=seed)).to_dict()
+
+
 def _report(widths, bias: bool, m: int, volume_epsilon, alpha: float) -> dict:
     arch = Architecture(widths, use_bias=bias)
     data, teacher = make_teacher_student(arch, REPORT_SEED, m)
@@ -113,6 +127,10 @@ def digest_lines(seeds) -> list[str]:
             lines.append(_line(
                 f"bench-certificate/{widths}/seed={seed}".replace(" ", ""),
                 lambda: _bench_certificate(widths, m, seed)))
+        for i in range(BENCH_REPORTS[2]):
+            lines.append(_line(
+                f"bench-report/{BENCH_REPORTS[0]}/point={i}/seed={seed}"
+                .replace(" ", ""), lambda: _bench_report(seed, i)))
     for widths, bias, m, volume_epsilon in REPORT_ARCHS:
         for alpha in REPORT_ALPHAS:
             lines.append(_line(
