@@ -4,9 +4,11 @@ The ball sharpness maximizer is a lower-bound estimator: projected
 gradient ascent inside the epsilon ball from a deterministic start along
 the gradient plus seeded random restarts. Reported values never claim to
 be the true maximum. The starts of one or several centers advance in
-lockstep, one stacked :class:`~flatlab.nets.Objective` evaluation a step;
-the volume certificate's witness evaluates its samples as stacks too.
-Each row of a stack is bit-identical to evaluating it alone.
+lockstep, one stacked :class:`~flatlab.nets.Objective` evaluation a step,
+and the centers may lie on different datasets of one shape, each dataset
+with its own seed; the volume certificate's witness evaluates its samples
+as stacks too. Each row of a stack is bit-identical to evaluating it
+alone.
 
 The volume certificate is the constructive side of the infinite-volume
 argument: a sup-norm box of provably near-constant loss around the
@@ -89,41 +91,48 @@ def epsilon_sharpness(arch: Architecture, params: ParamVector, data: Dataset,
     """Lower bound on max over the epsilon ball of the relative loss rise:
     the ascent of :func:`_ascend` from one center."""
     nets.check_params(arch, params)
-    return _ascend(Objective(arch, data), vec(arch, params)[None], cfg)[0]
+    return _ascend(Objective(arch, data), vec(arch, params)[None, None],
+                   cfg.epsilon, cfg.steps, [cfg.seed])[0][0]
 
 
-def _ascend(objective: Objective, centers: np.ndarray,
-            cfg: SharpnessConfig) -> list[SharpnessResult]:
-    """The ball-sharpness ascent from each row of a ``(C, n)`` stack.
+def _ascend(objective: Objective, centers: np.ndarray, eps: float,
+            steps: int, seeds) -> list[list[SharpnessResult]]:
+    """The ball-sharpness ascent from each center of a ``(D, K, n)`` stack,
+    block d on the objective's dataset d; the results, block by block.
 
-    Start 0 is the center, 1 the gradient start, 2 onward the seeded random
-    restarts, each from its own stream and shared by every center. All
-    starts of all centers step in lockstep, one stacked loss and gradient
-    evaluation a step. A start stops on a zero or non-finite gradient and
-    is discarded on a non-finite loss. Each center merges its starts in
-    index order, the center always a candidate, so each value is >= 0 and
-    bit-identical to ascending from that center alone. Raises
-    ``ValueError`` when a center discards every random restart: its ball
-    overflows the loss, and a zero would read as flat.
+    Start 0 is the center, 1 the gradient start, 2 onward the random
+    restarts, drawn once per block d, each from its own stream of
+    ``seeds[d]``. All starts of all centers step in lockstep, one stacked
+    loss and gradient evaluation a step. A start stops on a zero or
+    non-finite gradient and is discarded on a non-finite loss. Each center
+    merges its starts in index order, the center always a candidate, so
+    each value is >= 0 and bit-identical to ascending from that center
+    alone. Raises ``ValueError`` when a center discards every random
+    restart: its ball overflows the loss, and a zero would read as flat.
     """
-    eps = cfg.epsilon
-    z = np.zeros((len(centers), 2 + _RESTARTS, centers.shape[1]))
-    count, starts, dim = z.shape
-    base = objective.loss(centers).tolist()
+    sets, per, dim = centers.shape
+    z = np.zeros((sets, per, 2 + _RESTARTS, dim))
+    starts = z.shape[2]
+    centers, own_set = centers.reshape(-1, dim), np.arange(sets * per) // per
+    base = objective.loss(centers, own_set).tolist()
     with np.errstate(over="ignore", invalid="ignore"):  # counted as discarded
-        g_center = objective.loss_grad(centers + z[:, 0])[1]
+        for block, seed in zip(z, seeds, strict=True):
+            for sid in range(2, starts):
+                gen = SeededRng(seed, _STREAM_SHARPNESS + sid).generator()
+                block[:, sid] = _ball_point(gen, dim, eps)
+        z = z.reshape(len(centers), starts, dim)
+        g_center = objective.loss_grad(centers + z[:, 0], own_set)[1]
         norms = _row_norms(g_center)
         for c in np.flatnonzero(np.isfinite(norms) & (norms != 0.0)):
             z[c, 1] = (eps / norms[c]) * g_center[c]
-        for sid in range(2, starts):
-            gen = SeededRng(cfg.seed, _STREAM_SHARPNESS + sid).generator()
-            z[:, sid] = _ball_point(gen, dim, eps)
-        z = z.reshape(count * starts, dim)
-        best, g = objective.loss_grad(np.repeat(centers, starts, axis=0) + z)
+        z = z.reshape(len(centers) * starts, dim)
+        set_rows = per * starts  # rows of one dataset's starts
+        best, g = objective.loss_grad(np.repeat(centers, starts, axis=0) + z,
+                                      np.arange(len(z)) // set_rows)
         kept = np.isfinite(best)
         best_z = z.copy()
         rows = np.flatnonzero(kept)
-        for _ in range(cfg.steps):
+        for _ in range(steps):
             norms = _row_norms(g[rows])
             moving = np.isfinite(norms) & (norms != 0.0)
             rows, norms = rows[moving], norms[moving]
@@ -133,7 +142,8 @@ def _ascend(objective: Objective, centers: np.ndarray,
             znorms = _row_norms(step)
             out = znorms > eps
             step[out] = (eps / znorms[out])[:, None] * step[out]
-            values, g[rows] = objective.loss_grad(centers[rows // starts] + step)
+            values, g[rows] = objective.loss_grad(centers[rows // starts] + step,
+                                                  rows // set_rows)
             z[rows] = step
             finite = np.isfinite(values)
             kept[rows[~finite]] = False
@@ -155,7 +165,7 @@ def _ascend(objective: Objective, centers: np.ndarray,
         value = (best_loss - base_loss) / (1.0 + base_loss)
         results.append(SharpnessResult(max(value, 0.0), best_offset,
                                        int(np.count_nonzero(~kept[own]))))
-    return results
+    return [results[d * per:(d + 1) * per] for d in range(sets)]
 
 
 def second_order_sharpness(hessian_norm: float, epsilon: float,

@@ -15,10 +15,12 @@ that layout via :class:`FlatIndex`.
 The loss everywhere is mean squared error over a dataset. Its gradient is
 exact backpropagation with the convention ``phi'(0) = 0``. Loops over
 many flat vectors evaluate them as :class:`Objective` stacks, which keep
-their hidden-layer buffers. :func:`_block_rows` caps, to bound memory, the
-volume certificate's witness stacks and the Hessian's columns, whose
-Hessian-vector products allocate on every call. The ball-sharpness ascent
-is not capped: each step stacks every start of every center at once.
+their hidden-layer buffers, and may hold several same-shaped datasets, a
+stack's rows each naming its own. :func:`_block_rows` caps, to bound
+memory, the volume certificate's witness stacks and the Hessian's
+columns, whose Hessian-vector products allocate on every call. The
+ball-sharpness ascent is not capped: each step stacks every start of
+every center at once.
 The Hessian is exact on the activation pattern at the point:
 Hessian-vector products by forward-over-reverse differentiation, one
 stacked call per block of columns; see :func:`hessian`. Where every
@@ -32,6 +34,7 @@ rounding of a kink through the same guard, :func:`_kink_guard`.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -222,8 +225,9 @@ def _forward_full(weights, biases, inputs: np.ndarray,
     """Activations per layer (input included) and hidden preactivations.
 
     Weights ``(S, r, c)`` and biases ``(S, w)`` from a stack give ``(S, m, w)``
-    activations; each slice takes the same BLAS call as one vector does.
-    ``out``, when given, holds per hidden layer the ``(z, a, d, mask)``
+    activations, on ``(m, d)`` inputs or on ``(S, m, d)``, a dataset a row;
+    each slice takes the same BLAS call as one vector does.
+    ``out``, when given, holds per hidden layer the ``(z, a, mask)``
     arrays that ``z`` and ``a`` are written into; else they are new arrays.
     """
     acts = [inputs]
@@ -250,26 +254,26 @@ def _mean_square(diff: np.ndarray):
     return value if value.ndim else float(value)
 
 
-def _mse(weights, biases, data: Dataset, out=None):
-    acts, _ = _forward_full(weights, biases, data.inputs, out)
-    return _mean_square(acts[-1][..., 0] - data.targets)
+def _mse(weights, biases, inputs, targets, out=None):
+    acts, _ = _forward_full(weights, biases, inputs, out)
+    return _mean_square(acts[-1][..., 0] - targets)
 
 
-def _mse_and_gradient(weights, biases, data: Dataset, out=None):
-    acts, pre = _forward_full(weights, biases, data.inputs, out)
-    diff = acts[-1][..., 0] - data.targets
+def _mse_and_gradient(weights, biases, inputs, targets, out=None):
+    acts, pre = _forward_full(weights, biases, inputs, out)
+    diff = acts[-1][..., 0] - targets
     value = _mean_square(diff)
 
     depth = len(weights)
-    delta = (2.0 / data.size) * diff[..., None]
+    delta = (2.0 / targets.shape[-1]) * diff[..., None]
     grad_w: list[np.ndarray] = [None] * depth
     grad_b: list[np.ndarray] = [None] * depth
     for k in range(depth - 1, -1, -1):
         grad_w[k] = acts[k].swapaxes(-1, -2) @ delta
         if biases is not None:
             grad_b[k] = delta.sum(axis=-2)
-        if k > 0:
-            d_out, mask = out[k - 1][2:] if out else (None, None)
+        if k > 0:  # acts[k] is spent: the error below takes its buffer
+            d_out, mask = out[k - 1][1:] if out else (None, None)
             delta = np.matmul(delta, weights[k].swapaxes(-1, -2), out=d_out)
             delta *= np.greater(pre[k - 1], 0.0, out=mask)
 
@@ -338,7 +342,7 @@ def loss(arch: Architecture, params: ParamVector, data: Dataset) -> float:
     """Mean squared error over the dataset."""
     check_params(arch, params)
     _check_input_width(arch, data.inputs)
-    return _mse(params.weights, params.biases, data)
+    return _mse(params.weights, params.biases, data.inputs, data.targets)
 
 
 def loss_and_gradient(arch: Architecture, params: ParamVector,
@@ -350,7 +354,8 @@ def loss_and_gradient(arch: Architecture, params: ParamVector,
     """
     check_params(arch, params)
     _check_input_width(arch, data.inputs)
-    return _mse_and_gradient(params.weights, params.biases, data)
+    return _mse_and_gradient(params.weights, params.biases, data.inputs,
+                             data.targets)
 
 
 def gradient(arch: Architecture, params: ParamVector, data: Dataset) -> np.ndarray:
@@ -358,55 +363,69 @@ def gradient(arch: Architecture, params: ParamVector, data: Dataset) -> np.ndarr
 
 
 class Objective:
-    """The loss of one architecture on one dataset as a function of the flat
-    parameter vector.
+    """The loss of one architecture on one dataset, or on each of several
+    datasets of one shape, as a function of the flat parameter vector.
 
-    Built once per (architecture, dataset): the layout is fixed and the
-    data width checked here, so a call only checks the flat shape and
-    slices it into per-layer views. ``loss`` and ``loss_grad`` take one
-    vector ``(n,)``, giving a float and an ``(n,)`` gradient, or a stack
-    ``(S, n)``, giving ``(S,)`` losses and ``(S, n)`` gradients. A stack is
-    one evaluation, so its memory grows with ``S``: about ``S`` times the
-    data rows times the summed layer widths in floats, kept as hidden-layer
-    buffers for the Objective's life and sized to its largest stack so far,
-    so repeated calls fault in no new pages. Two threads must not call one
-    Objective at once. Losses and gradients are new arrays, every row
-    bit-identical to :func:`loss` and :func:`loss_and_gradient` at
-    ``unvec(arch, row)``.
+    Built once per (architecture, data): the layout is fixed and the data
+    checked here, so a call only checks the flat shape and slices it into
+    per-layer views. ``loss`` and ``loss_grad`` take one vector ``(n,)``,
+    giving a float and an ``(n,)`` gradient, or a stack ``(S, n)``, giving
+    ``(S,)`` losses and ``(S, n)`` gradients. Over several datasets,
+    ``which`` (an int, or ``(S,)`` for a stack) names each row's dataset,
+    whose data are gathered; one dataset is broadcast to every row. A
+    stack is one evaluation, so its memory grows with ``S``: about ``S``
+    times the data rows times the summed layer widths in floats, kept as
+    hidden-layer buffers for the Objective's life and sized to its largest
+    stack so far, so repeated calls fault in no new pages. Two threads must
+    not call one Objective at once. Losses and gradients are new arrays,
+    every row bit-identical to :func:`loss` and :func:`loss_and_gradient`
+    at ``unvec(arch, row)`` on its dataset.
     """
 
-    def __init__(self, arch: Architecture, data: Dataset):
-        _check_input_width(arch, data.inputs)
+    def __init__(self, arch: Architecture, data: Dataset | Sequence[Dataset]):
+        datasets = (data,) if isinstance(data, Dataset) else tuple(data)
+        if len({d.inputs.shape for d in datasets}) != 1:
+            raise ValueError("need one or more datasets of one shape")
+        _check_input_width(arch, datasets[0].inputs)
         self.arch = arch
-        self.data = data
+        self.examples = datasets[0].size
         self._index = _flat_index(arch)
         self.size = self._index.total
         self._rows = 0
         self._buffers = ()
+        self._inputs, self._targets = (
+            (datasets[0].inputs, datasets[0].targets) if len(datasets) == 1
+            else (np.stack([d.inputs for d in datasets]),
+                  np.stack([d.targets for d in datasets])))
 
-    def _args(self, flat: np.ndarray):
-        """Per-layer views of ``flat``, the data, and ``out`` for its stack."""
+    def _args(self, flat: np.ndarray, which):
+        """Per-layer views of ``flat``, its rows' data, ``out`` for it."""
         weights, biases = self._index.split(flat)
         rows = len(weights[0]) if weights[0].ndim == 3 else 1
         if rows > self._rows:
             self._rows = rows
-            self._buffers = [[np.empty((rows, self.data.size, w), dtype)
-                              for dtype in (float, float, float, bool)]
+            self._buffers = [[np.empty((rows, self.examples, w), dtype)
+                              for dtype in (float, float, bool)]
                              for w in self.arch.layer_widths[1:-1]]
+        inputs, targets = self._inputs, self._targets
+        if inputs.ndim == 3:  # several datasets: gather each row's own
+            if which is None or np.shape(which) != weights[0].shape[:-2]:
+                raise ValueError("which must give each row's dataset index")
+            inputs, targets = inputs[which], targets[which]
         key = slice(rows) if weights[0].ndim == 3 else 0
-        return weights, biases, self.data, [(z[key], a[key], d[key], m[key])
-                                            for z, a, d, m in self._buffers]
+        return weights, biases, inputs, targets, [
+            (z[key], a[key], m[key]) for z, a, m in self._buffers]
 
-    def loss(self, flat: np.ndarray):
-        return _mse(*self._args(flat))
+    def loss(self, flat: np.ndarray, which=None):
+        return _mse(*self._args(flat, which))
 
-    def loss_grad(self, flat: np.ndarray):
-        return _mse_and_gradient(*self._args(flat))
+    def loss_grad(self, flat: np.ndarray, which=None):
+        return _mse_and_gradient(*self._args(flat, which))
 
 
 def _block_rows(objective: Objective) -> int:
     """Rows of one stack: the element budget over a row's activations."""
-    row_elements = (objective.data.size * sum(objective.arch.layer_widths)
+    row_elements = (objective.examples * sum(objective.arch.layer_widths)
                     + objective.size)
     return max(1, _BLOCK_ELEMENTS // row_elements)
 

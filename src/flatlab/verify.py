@@ -3,8 +3,9 @@
 Every check manufactures its own points and data from the run seed, so a
 suite run is a pure function of (suite, seed, thresholds). Work units
 are keyed by index, each with its own random stream, and run serially in
-index order. Reports serialize canonically: repeated runs produce
-identical bytes.
+index order; the ``ball_sharpness`` units of one architecture share the
+steps of one ascent, each unit keeping its own results. Reports serialize
+canonically: repeated runs produce identical bytes.
 
 A check only measures. It returns its stats and its limits, each a
 ``(label, measured, relation, bound)`` with every bound a named module
@@ -25,8 +26,7 @@ from .errors import KinkProximityError
 from .experiments import (forward_deviation, make_teacher_student,
                           probe_inputs, reparam_demo_1d)
 from .linalg import _row_norms, symmetric_eigenspectrum
-from .metrics import (SharpnessConfig, _ascend, hessian_measures,
-                      volume_flatness_certificate)
+from .metrics import _ascend, hessian_measures, volume_flatness_certificate
 from .nets import Architecture, Dataset, FlatIndex, uniform_params
 from .rng import SeededRng
 from .transforms import (PowerStretch, Radial, alpha_scale_deep,
@@ -363,8 +363,10 @@ _BALL_MIN_BOUND_RATIO = 1.0  # sharpness after over the zero-layer bound
 _BALL_MIN_RISE = 1.0 - 1e-9  # sharpness after over before
 
 
-def _check_ball_sharpness(seed: int) -> tuple[dict, list]:
-    """After rescaling, the ball reaches the zero-first-layer loss level."""
+def _ball_units(seed: int) -> list[tuple]:
+    """Per ``ball_sharpness`` unit: the ascent results from the teacher and
+    from its rescaled point, the zero-first-layer bound, the probe
+    deviation. The units of one architecture share one :func:`_ascend`."""
 
     def one(i: int) -> tuple:
         arch = Architecture(_BALL_ARCHS[i % len(_BALL_ARCHS)])
@@ -378,15 +380,26 @@ def _check_ball_sharpness(seed: int) -> tuple[dict, list]:
                                       probe_inputs(arch, unit))
         zero_loss = nets.loss(arch, zero_first_layer(arch, point), data)
         bound = 0.9 * (zero_loss - base_loss) / (1.0 + base_loss)
-        cfg = SharpnessConfig(epsilon=_BALL_EPSILON, steps=100, seed=unit)
-        # one ascent from both centers: same data, config and restarts
         centers = np.stack([nets.vec(arch, teacher), nets.vec(arch, point)])
-        before, after = (r.value for r in
-                         _ascend(nets.Objective(arch, data), centers, cfg))
-        return (after / bound if bound > 0 else np.inf,
-                after / before if before > 0 else np.inf, deviation)
+        return data, centers, unit, bound, deviation
 
-    ratios, rises, deviations = zip(*(one(i) for i in range(_BALL_UNITS)))
+    units = [one(i) for i in range(_BALL_UNITS)]
+    ascents = {}
+    for first, widths in enumerate(_BALL_ARCHS):
+        group = range(first, _BALL_UNITS, len(_BALL_ARCHS))
+        data, centers, seeds = zip(*(units[i][:3] for i in group))
+        ascents.update(zip(group, _ascend(
+            nets.Objective(Architecture(widths), data), np.stack(centers),
+            eps=_BALL_EPSILON, steps=100, seeds=seeds)))
+    return [(*ascents[i], *units[i][3:]) for i in range(_BALL_UNITS)]
+
+
+def _check_ball_sharpness(seed: int) -> tuple[dict, list]:
+    """After rescaling, the ball reaches the zero-first-layer loss level."""
+    before, after, bounds, deviations = zip(*_ball_units(seed))
+    ratios = [a.value / b if b > 0 else np.inf for a, b in zip(after, bounds)]
+    rises = [a.value / b.value if b.value > 0 else np.inf
+             for a, b in zip(after, before)]
     min_ratio = np.min(ratios)
     max_dev = np.max(deviations)
     return (

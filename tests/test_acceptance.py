@@ -2,7 +2,10 @@
 
 One line per criterion is printed so a log scrape shows the verdicts.
 The first nine ride on the named verification checks at seed 7; the
-tenth compares whole CLI runs byte for byte.
+tenth compares whole CLI runs byte for byte. Byte-identity holds for a
+fixed numpy, OpenBLAS build and kernel; another kernel may change output
+bytes (``tests/test_tools.py`` holds the suite's verdicts at two seeds
+equal under two kernels).
 """
 
 import subprocess

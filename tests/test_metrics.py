@@ -146,8 +146,10 @@ def _assert_same_sharpness(arch, params, data, cfg):
 def _assert_stacked_equals_serial(arch, data, centers, cfg):
     """Each center of one stacked ascent equals its own serial reference:
     the value and its type, the offset bit for bit, the discard count."""
-    stacked = metrics._ascend(metrics.Objective(arch, data),
-                              np.stack([vec(arch, p) for p in centers]), cfg)
+    [stacked] = metrics._ascend(
+        metrics.Objective(arch, data),
+        np.stack([vec(arch, p) for p in centers])[None], cfg.epsilon,
+        cfg.steps, [cfg.seed])
     assert len(stacked) == len(centers)
     for result, params in zip(stacked, centers):
         serial = _serial_sharpness(arch, params, data, cfg)
@@ -223,8 +225,8 @@ def test_lockstep_sharpness_discards_non_finite_start(coord, rise,
     class PoisonedObjective(Objective):
         """Non-finite loss wherever one coordinate passes ``limit``."""
 
-        def loss_grad(self, flat):
-            value, grad = super().loss_grad(flat)
+        def loss_grad(self, flat, which=None):
+            value, grad = super().loss_grad(flat, which)
             value = np.where(np.asarray(flat)[..., coord] > limit, np.inf, value)
             return (value if value.ndim else float(value)), grad
 
@@ -241,6 +243,88 @@ def test_lockstep_sharpness_discards_non_finite_start(coord, rise,
     assert [r.discarded for r in stacked] == [1, 0]
 
 
+def _grouped_units(gen, poisoned_weight):
+    """Four (2,3,1) units on datasets of one shape, two centers each (the
+    second with its output layer scaled): live, dead (no hidden unit is
+    ever active in the ball, so every gradient is zero), live with a first
+    weight of ``poisoned_weight``, and live."""
+    def dataset():
+        return Dataset(gen.uniform(0.5, 1.0, (10, 2)), gen.uniform(-1, 1, 10))
+
+    def live():
+        return [gen.uniform(0.2, 1.0, (2, 3)), gen.uniform(-1, 1, (3, 1))]
+
+    poisoned = live()
+    poisoned[0][0, 0] = poisoned_weight
+    layers = [live(), [-np.ones((2, 3)), np.ones((3, 1))], poisoned, live()]
+    return [(dataset(), [ParamVector(w) for w in
+                         (weights, [weights[0], 1.3 * weights[1]])])
+            for weights in layers]
+
+
+def test_grouped_ascent_equals_one_ascent_per_center(monkeypatch):
+    # one ascent over four datasets, each with its own seed: every center
+    # gets the result of epsilon_sharpness from it alone, also beside a
+    # dead unit and a unit that discards a start
+    arch = Architecture((2, 3, 1))
+    units = _grouped_units(SeededRng(68).generator(), poisoned_weight=5.0)
+    seeds = [21, 22, 23, 24]
+    limit = 5.0 + 3e-3  # the poisoned unit's first weight, mid-ascent
+
+    class PoisonedObjective(Objective):
+        """Non-finite loss wherever the first coordinate passes ``limit``."""
+
+        def loss_grad(self, flat, which=None):
+            value, grad = super().loss_grad(flat, which)
+            value = np.where(np.asarray(flat)[..., 0] > limit, np.inf, value)
+            return (value if value.ndim else float(value)), grad
+
+    monkeypatch.setattr(metrics, "Objective", PoisonedObjective)
+    cfg = SharpnessConfig(epsilon=1e-2, steps=25)
+    grouped = metrics._ascend(
+        PoisonedObjective(arch, [data for data, _ in units]),
+        np.stack([[vec(arch, p) for p in centers] for _, centers in units]),
+        cfg.epsilon, cfg.steps, seeds)
+    assert [len(results) for results in grouped] == [2, 2, 2, 2]
+    for results, (data, centers), seed in zip(grouped, units, seeds):
+        for result, params in zip(results, centers):
+            alone = epsilon_sharpness(arch, params, data,
+                                      SharpnessConfig(cfg.epsilon, cfg.steps,
+                                                      seed))
+            assert result.value == alone.value
+            assert type(result.value) is type(alone.value)
+            assert result.argmax_offset.tobytes() == alone.argmax_offset.tobytes()
+            assert result.discarded == alone.discarded
+    dead, poisoned = grouped[1], grouped[2]
+    assert all(r.value == 0.0 and not r.argmax_offset.any() for r in dead)
+    assert all(r.value > 0.0 for i in (0, 2, 3) for r in grouped[i])
+    assert [[r.discarded > 0 for r in results] for results in grouped] == [
+        [False, False], [False, False], [True, True], [False, False]]
+    assert all(r.discarded < 2 + metrics._RESTARTS for r in poisoned)
+
+
+def test_grouped_ascent_refuses_a_unit_whose_ball_overflows():
+    # beside live units, one unit's inputs are so large that every random
+    # restart overflows its loss, though its centers fit the data exactly:
+    # the ascent still refuses, naming epsilon
+    arch = Architecture((2, 3, 1))
+    units = _grouped_units(SeededRng(69).generator(), poisoned_weight=1.0)
+    data, centers = units[2]
+    wide = Dataset(1e160 * data.inputs,
+                   forward(arch, centers[0], 1e160 * data.inputs))
+    units[2] = (wide, [centers[0], centers[0]])
+    cfg = SharpnessConfig(epsilon=1e-2, steps=25, seed=25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="epsilon 0.01 .* all 8 random"):
+            epsilon_sharpness(arch, centers[0], wide, cfg)
+        with pytest.raises(ValueError, match="epsilon 0.01 .* all 8 random"):
+            metrics._ascend(
+                Objective(arch, [d for d, _ in units]),
+                np.stack([[vec(arch, p) for p in c] for _, c in units]),
+                cfg.epsilon, cfg.steps, [25, 26, 27, 28])
+
+
 def test_sharpness_refuses_ball_that_overflows_the_loss():
     # every random restart of the ascent overflows: a zero bound would read
     # as perfectly flat, so the ascent refuses, without a numpy warning
@@ -253,7 +337,8 @@ def test_sharpness_refuses_ball_that_overflows_the_loss():
         flat = vec(arch, teacher)
         with pytest.raises(ValueError, match="epsilon"):
             metrics._ascend(Objective(arch, data),
-                            np.stack([flat, 2.0 * flat]), cfg)
+                            np.stack([flat, 2.0 * flat])[None], cfg.epsilon,
+                            cfg.steps, [cfg.seed])
 
 
 def test_sharpness_config_validation():

@@ -388,6 +388,66 @@ def test_objective_buffer_reuse_is_bit_identical_and_never_aliases(widths, bias)
             assert np.array_equal(result, copy, equal_nan=True)
 
 
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("widths", [(3, 5, 1), (2, 4, 3, 1), (3, 4, 2, 3, 1)])
+def test_objective_over_several_datasets_equals_each_row_alone(widths, bias):
+    arch = Architecture(widths, use_bias=bias)
+    gen = SeededRng(32).generator()
+    datasets = [Dataset(gen.uniform(-1, 1, (7, widths[0])),
+                        gen.uniform(-1, 1, 7)) for _ in range(3)]
+    objective = Objective(arch, datasets)
+    # stacks that interleave every dataset, shrink and outgrow the buffers,
+    # then one vector and one row
+    shapes = ((10, objective.size), (3, objective.size), (12, objective.size),
+              objective.size, (1, objective.size))
+    calls = [(gen.uniform(-2, 2, shape),
+              gen.integers(0, 3, shape[:-1]) if np.ndim(shape) else 2)
+             for shape in shapes]
+    calls[0][1][:3] = calls[2][1][:3] = [0, 1, 2]
+    calls[1][1][:] = [2, 0, 1]
+    calls[0][0][1, 0] = calls[2][0][4, -1] = np.inf
+    calls[0][0][2, 3] = calls[2][0][5, 0] = np.nan
+    calls[2][0][6, :] = -np.inf
+    returned = []
+    with np.errstate(all="ignore"):
+        for flat, which in calls:
+            values, grads = objective.loss_grad(flat, which)
+            losses = objective.loss(flat, which)
+            returned.append((values, grads, losses,
+                             np.copy(values), grads.copy(), np.copy(losses)))
+        for (flat, which), (values, grads, losses, *_) in zip(calls, returned):
+            assert np.array_equal(losses, values, equal_nan=True)
+            for row, own, value, grad in zip(
+                    np.atleast_2d(flat), np.atleast_1d(which),
+                    np.atleast_1d(values), np.atleast_2d(grads)):
+                ref_value, ref_grad = loss_and_gradient(
+                    arch, unvec(arch, row), datasets[own])
+                assert np.array_equal(value, ref_value, equal_nan=True)
+                assert np.array_equal(grad, ref_grad, equal_nan=True)
+    assert any(np.isnan(v).any() for v, *_ in returned)
+    assert all(set(which) == {0, 1, 2} for _, which in calls[:3])
+    # later calls leave every earlier result as it was returned
+    for values, grads, losses, *copies in returned:
+        for result, copy in zip((values, grads, losses), copies):
+            assert np.array_equal(result, copy, equal_nan=True)
+
+
+def test_objective_over_several_datasets_rejects_bad_indices():
+    arch = Architecture((2, 4, 1))
+    data = Dataset(np.zeros((3, 2)), np.zeros(3))
+    objective = Objective(arch, [data, data])
+    stack = np.zeros((4, objective.size))
+    for which in (None, np.zeros(3, int), np.zeros((4, 1), int), 0):
+        with pytest.raises(ValueError, match="which"):
+            objective.loss_grad(stack, which)
+    with pytest.raises(ValueError, match="which"):
+        objective.loss(stack[0])
+    with pytest.raises(ValueError, match="datasets of one shape"):
+        Objective(arch, [data, Dataset(np.zeros((4, 2)), np.zeros(4))])
+    with pytest.raises(ValueError, match="datasets of one shape"):
+        Objective(arch, [])
+
+
 def test_objective_calls_stop_page_faulting_once_warm():
     pytest.importorskip("resource")
     child = """

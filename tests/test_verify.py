@@ -53,21 +53,22 @@ def test_progress_lines_one_per_check():
 
 
 def test_ball_sharpness_ascends_both_centers_at_once(monkeypatch):
-    # one ascent a unit from the teacher and its rescaled point together:
-    # 20 units of at most 1 + 1 + 100 stacked steps, where two ascents a
-    # unit would take twice as many
+    # one ascent an architecture, from every unit's teacher and rescaled
+    # point together: 3 ascents of at most 1 + 1 + 100 stacked steps, where
+    # one ascent a unit would take 20, and 7 units of 2 centers of 10 starts
+    # in the largest stack
     from flatlab import nets
     calls = []
     loss_grad = nets.Objective.loss_grad
 
-    def counted(self, flat):
+    def counted(self, flat, which=None):
         calls.append(np.shape(flat))
-        return loss_grad(self, flat)
+        return loss_grad(self, flat, which)
 
     monkeypatch.setattr(nets.Objective, "loss_grad", counted)
     verify._check_ball_sharpness(1)
-    assert len(calls) <= verify._BALL_UNITS * 102
-    assert max(shape[0] for shape in calls) == 20
+    assert len(calls) <= len(verify._BALL_ARCHS) * 102
+    assert max(shape[0] for shape in calls) == 140
 
 
 def test_seed_changes_measured_numbers():

@@ -3,7 +3,9 @@
     python3 tools/digest.py SEED [SEED ...]
 
 For each seed: the canonical JSON of ``run_suite("all", seed)`` and of
-each of its checks' outcomes, of the volume certificate of each
+each of its checks' outcomes, every ``ball_sharpness`` unit's two ascent
+results (value repr, offset bytes, discard count), of the volume
+certificate of each
 ``volume`` check unit, of the two volume certificates the
 ``report_wide`` benchmark builds at that seed, and of the eight
 ``flatness_report`` outputs the ``suite_jobs2`` benchmark builds at that
@@ -70,6 +72,14 @@ def _printed(path: Path) -> str:
     return out.getvalue()
 
 
+def _ball_ascents(seed: int) -> str:
+    """Each ``ball_sharpness`` unit's ascents from its teacher and rescaled
+    point at ``seed``, one line per result, as the check computes them."""
+    return "\n".join(
+        f"{r.value!r} {r.argmax_offset.tobytes().hex()} {r.discarded}"
+        for unit in verify._ball_units(seed) for r in unit[:2])
+
+
 def _certificate(seed: int, i: int) -> dict:
     """The certificate behind ``volume`` check unit ``i`` at ``seed``."""
     widths, bias, _ = verify._VOLUME_UNITS[i]
@@ -119,6 +129,8 @@ def digest_lines(seeds) -> list[str]:
         for i, name in enumerate(verify.CHECK_ORDER):
             lines.append(_line(f"suite/{name}/seed={seed}",
                                lambda: suite()["checks"][i]))
+        lines.append(_line(f"ball-ascents/seed={seed}",
+                           lambda: _ball_ascents(seed), render=str))
         for i, (widths, bias, _) in enumerate(verify._VOLUME_UNITS):
             lines.append(_line(
                 f"certificate/{widths}/bias={bias}/seed={seed}".replace(" ", ""),
