@@ -10,7 +10,7 @@ with every box added. A region of near-minimal loss therefore has no
 finite volume, which is awkward for any notion of flatness that counts
 volume.
 
-The certificate below is proved, not assumed: a closed-form bound on
+The certificate below is proved, not assumed: an interval bound on
 the loss rise over the whole base box stays below epsilon, and every
 later box is the base box under a scale map that leaves the loss
 unchanged, so the one bound covers them all. Samples of the base box

@@ -29,7 +29,8 @@ from .linalg import _row_norms, symmetric_eigenspectrum
 from .nets import Architecture, Dataset, FlatIndex, Objective, ParamVector, vec
 from .rng import SeededRng
 from .serialize import format_float
-from .transforms import disjoint_box_alpha, transform_multipliers
+from .transforms import (disjoint_box_alpha, first_last_alphas,
+                         transform_multipliers)
 
 # stream-id bases; keep distinct so no two purposes share a stream
 _STREAM_SHARPNESS = 1000
@@ -273,32 +274,11 @@ def volume_flatness_certificate(arch: Architecture, params: ParamVector,
                                 r: float | None = None) -> VolumeCertificate:
     """Proved lower bound on the volume of the near-constant region.
 
-    Two-layer networks only (the construction scales the two weight blocks
-    against each other). The radius r starts at t/2, t the largest
-    first-layer magnitude, and halves until :func:`_deviation_bound` over
-    the whole sup-norm box of radius r falls below epsilon.
-
-    Proof of the bound. In real arithmetic, let x_i, h_ij and e_i be the
-    inputs, hidden units and residuals at theta0, w the output weights,
-    [b] 1 with biases and 0 without, and rho_i = r (|x_i|_1 + [b]). Each
-    hidden preactivation moves by at most rho_i; the rectifier is
-    1-Lipschitz, so each unit moves by at most rho_i and stays in
-    [0, h_ij + rho_i]. The output change sum_j w_j dh_j + sum_j dw_j
-    (h_j + dh_j) + db_2 is then at most delta_i = rho_i |w|_1 +
-    r (sum_j h_ij + width rho_i) + r [b]. As e'^2 - e^2 <= delta
-    (2 |e| + delta) when |e' - e| <= delta, L(theta) - L(theta0) <=
-    mean_i delta_i (2 |e_i| + delta_i), which grows with r. In floats,
-    ``nets._forward_errors`` bounds how far the computed h and e lie from
-    the real ones, so h becomes the computed h plus that bound, and |e|
-    the computed |e| times 1 + 2**-52 (the subtraction's rounding) plus
-    it. The rest are sums and products of non-negative floats, each
-    rounding by a factor 1 + d with |d| <= 2**-53 (barring underflow); at
-    most 2 (d_in + width) + m + 16 such factors compound, those of the
-    forward-error bounds included, so 1 plus that many times 2**-52, times
-    the computed value rounded up one float, bounds the real value.
-
-    Box k is the base box under ``transform_multipliers(arch, (alpha**k,
-    alpha**-k))``, which leaves the real loss unchanged (positive
+    The radius r starts at t/2, t the largest first-layer magnitude, and
+    halves until :func:`_rise_bound` over the whole sup-norm box of radius
+    r first falls below epsilon. Box k is the base box under
+    ``transform_multipliers(arch, first_last_alphas(depth, alpha**k))``,
+    which leaves the real loss unchanged at any depth (positive
     homogeneity), so the bound covers it too. alpha is the power of two of
     :func:`disjoint_box_alpha`; the boxes' pairwise disjointness is
     established analytically on the first-layer coordinate of largest
@@ -307,10 +287,6 @@ def volume_flatness_certificate(arch: Architecture, params: ParamVector,
     """
     nets.check_params(arch, params)
     nets._check_input_width(arch, data.inputs)
-    if arch.depth != 2:
-        raise ValueError(
-            f"volume certificate needs a two-layer network, got depth {arch.depth}"
-        )
     if not (epsilon > 0):
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     if boxes < 1 or samples_per_box < 1:
@@ -326,28 +302,26 @@ def volume_flatness_certificate(arch: Architecture, params: ParamVector,
         raise ValueError(f"r must lie in (0, {t}), got {r}")
 
     flat0 = vec(arch, params)
-    acts, _ = nets._forward_full(params.weights, params.biases, data.inputs)
-    errors = nets._forward_errors(params.weights, params.biases, acts)
-    radii = r * 0.5 ** np.arange(_MAX_SHRINKS + 1)
-    bounds = _deviation_bound(arch, params, data, acts, errors, radii)
-    fits = np.flatnonzero(bounds < epsilon)  # a NaN bound never fits
-    if fits.size == 0:
+    acts, pre = nets._forward_full(params.weights, params.biases, data.inputs)
+    for shrink_steps in range(_MAX_SHRINKS + 1):
+        bound = _rise_bound(params, data, acts, pre, r)
+        if bound < epsilon:  # a NaN bound never fits
+            break
+        r *= 0.5
+    else:
         raise ValueError(
             f"no box radius satisfied the loss bound after {_MAX_SHRINKS} "
-            f"halvings (last bound {bounds[-1]:.3e})")
-    shrink_steps = int(fits[0])
-    r, bound = float(radii[shrink_steps]), float(bounds[shrink_steps])
-    sampled = _witness(arch, params, data, acts, errors, flat0, r,
+            f"halvings (last bound {bound:.3e})")
+    sampled = _witness(arch, params, data, acts, pre, flat0, r,
                        samples_per_box, rng)
 
     alpha = disjoint_box_alpha(theta1, r)
     # per-box volume, and the per-step volume ratio alpha^det_exponent of
-    # the scale map: coordinates it grows minus those it shrinks, counted
-    # on the exact pair (2, 1/2) so the last bias's product is exactly 1
+    # the scale map: det_exponent is log2 of its determinant at alpha = 2,
+    # where every multiplier is 2, 1 or 1/2 exactly
     v = (2.0 * r) ** flat0.size
-    grow = transform_multipliers(arch, (2.0, 0.5))
-    det_exponent = int(np.count_nonzero(grow > 1.0)
-                       - np.count_nonzero(grow < 1.0))
+    det_exponent = int(np.sum(np.log2(transform_multipliers(
+        arch, first_last_alphas(arch.depth, 2.0)))))
     lower_bounds = tuple(accumulate(v * alpha ** (k * det_exponent)
                                     for k in range(boxes)))
 
@@ -363,54 +337,49 @@ def volume_flatness_certificate(arch: Architecture, params: ParamVector,
     )
 
 
-def _deviation_bound(arch: Architecture, params: ParamVector, data: Dataset,
-                     acts: list, errors: list, radii) -> np.ndarray:
-    """Upper bound on ``L(theta) - L(theta0)`` over the sup-norm box of each
-    of ``radii`` around a two-layer point, from the forward pass ``acts``
-    there and its ``nets._forward_errors``; proved in
-    :func:`volume_flatness_certificate`. An overflow gives inf or NaN."""
-    r = np.asarray(radii, dtype=float)[:, None]
-    bias, width = float(arch.use_bias), arch.layer_widths[1]
-    ops = 2 * (arch.input_width + width) + data.size + 16
+def _rise_bound(params: ParamVector, data: Dataset, acts: list, pre: list,
+                r: float) -> float:
+    """Upper bound on the real ``L(theta) - L(theta0)`` over the sup-norm
+    box of radius r around theta0, computed pass ``acts``, ``pre``. By
+    :func:`nets._interval_forward` the real outputs over the box and at
+    theta0 lie within R(r) and R(0) of the computed f, so with e = |f - y|
+    (at most its computed value times 1 + 2**-52) and d = R(r) + R(0) an
+    example rises by at most (e + R(r))^2 - max(e - R(0), 0)^2 <= d (2 e +
+    d). ``1 + (m + 8) 2**-52`` and one float up undo the mean's m + 5
+    roundings. An overflow gives inf or NaN."""
     with np.errstate(over="ignore", invalid="ignore"):
-        rho = r * (np.sum(np.abs(data.inputs), axis=1) + bias)
-        hidden = np.sum(acts[1] + errors[0], axis=1)
-        residual = (np.abs(acts[2][:, 0] - data.targets) * (1.0 + 2.0 ** -52)
-                    + errors[1][:, 0])
-        delta = (rho * np.sum(np.abs(params.weights[1]))
-                 + r * (hidden + width * rho) + r * bias)
-        bound = (np.mean(delta * (2.0 * residual + delta), axis=1)
-                 * (1.0 + ops * 2.0 ** -52))
-    return np.nextafter(bound, np.inf)
+        d = sum(nets._interval_forward(params.weights, params.biases, acts,
+                                       pre, radius)[-1][:, 0]
+                for radius in (r, 0.0))
+        e = np.abs(acts[-1][:, 0] - data.targets) * (1.0 + 2.0 ** -52)
+        bound = (np.mean(d * (2.0 * e + d))
+                 * (1.0 + (data.size + 8) * 2.0 ** -52))
+    return float(np.nextafter(bound, np.inf))
 
 
 def _witness(arch: Architecture, params: ParamVector, data: Dataset,
-             acts: list, errors: list, flat0: np.ndarray, r: float,
+             acts: list, pre: list, flat0: np.ndarray, r: float,
              samples: int, rng: SeededRng) -> float:
     """Largest float loss rise over uniform samples of the base box.
 
     Each sample lies within R, r plus one float spacing of the largest
     coordinate (its rounding), so its real rise is at most the bound at R.
-    Within R, a computed output errs by at most ``env``: the
-    ``nets._forward_errors`` bound at weights |theta0| + R and hidden
-    units h0 + 2 (their bound + rho), past any the box can compute. So a
-    computed residual e lies within env + 2**-52 |e| of the real one and,
-    as the mean of m squares rounds by at most gamma(m + 1), a computed
-    loss L lies within mean(env^2) + 3 rms(env) sqrt(L) + (m + 1) 2**-50 L
-    of the real one. A rise beyond the bound at R plus both losses' slack
-    (times 1 + 2**-32, for the comparison's own rounding) contradicts the
-    proof and raises ``RuntimeError``. The samples are evaluated as
-    :class:`Objective` stacks of ``nets._block_rows`` rows.
+    Its weights, biases, inputs and so activations are at most those of
+    the net |theta0| + R on inputs |x|, so a computed output errs by at
+    most ``env``, twice that net's :func:`nets._interval_forward` radius
+    at r = 0 (the error carried in adds gamma times itself, gamma << 1/2),
+    a computed residual e by env + 2**-52 |e|, and, as the mean of m
+    squares rounds by at most gamma(m + 1), a computed loss L by mean(env^2)
+    + 3 rms(env) sqrt(L) + (m + 1) 2**-50 L. A rise beyond the bound at R
+    plus both losses' slack (times 1 + 2**-32, for the comparison's own
+    rounding) contradicts the proof and raises ``RuntimeError``.
     """
     reach = r + np.spacing(np.max(np.abs(flat0)) + r)
-    limit = float(_deviation_bound(arch, params, data, acts, errors,
-                                   [reach])[0])
-    rho = reach * (np.sum(np.abs(data.inputs), axis=1) + arch.use_bias)
-    biases = (None if params.biases is None
-              else [np.abs(b) + reach for b in params.biases])
-    env = nets._forward_errors(
-        [np.abs(w) + reach for w in params.weights], biases,
-        [data.inputs, acts[1] + 2.0 * (errors[0] + rho[:, None])])[-1][:, 0]
+    limit = _rise_bound(params, data, acts, pre, reach)
+    mags = nets.unvec(arch, np.abs(flat0) + reach)
+    env = 2.0 * nets._interval_forward(
+        mags.weights, mags.biases, *nets._forward_full(
+            mags.weights, mags.biases, np.abs(data.inputs)), 0.0)[-1][:, 0]
     rows = rng.generator().uniform(-1.0, 1.0, size=(samples, flat0.size))
     rows *= r  # in place: flat0 + r * offset, with no temporaries
     rows += flat0
@@ -491,7 +460,8 @@ def flatness_report(arch: Architecture, params: ParamVector, data: Dataset,
     zero, so no ``n x n`` matrix is built at an exact minimum, and from
     :func:`hessian_measures` of :func:`nets.hessian` elsewhere.
     ``volume_epsilon``, when given, adds a volume certificate at that loss
-    tolerance. ``jobs`` is accepted and has no effect: the work runs serially.
+    tolerance, at any depth. ``jobs`` is accepted and has no effect: the
+    work runs serially.
     """
     nets.check_params(arch, params)
     loss_value, grad = nets.loss_and_gradient(arch, params, data)
@@ -530,18 +500,17 @@ def flatness_report(arch: Architecture, params: ParamVector, data: Dataset,
     sharp = epsilon_sharpness(arch, params, data, cfg)
 
     cert = None
-    if volume_epsilon is not None:
-        if arch.depth == 2:
-            try:
-                cert = volume_flatness_certificate(
-                    arch, params, data, volume_epsilon, _REPORT_BOXES,
-                    _REPORT_SAMPLES_PER_BOX, SeededRng(cfg.seed, _STREAM_BOX))
-            except OverflowError:
-                skipped.append(("volume", "the volume bound leaves the float "
-                                          "range (alpha ** (k * det_exponent) "
-                                          "overflows)"))
-        else:
-            skipped.append(("volume", "certificate requires a two-layer network"))
+    if volume_epsilon is not None and arch.depth < 2:
+        skipped.append(("volume", "certificate requires a hidden layer"))
+    elif volume_epsilon is not None:
+        try:
+            cert = volume_flatness_certificate(
+                arch, params, data, volume_epsilon, _REPORT_BOXES,
+                _REPORT_SAMPLES_PER_BOX, SeededRng(cfg.seed, _STREAM_BOX))
+        except OverflowError:
+            skipped.append(("volume", "the volume bound leaves the float "
+                                      "range (alpha ** (k * det_exponent) "
+                                      "overflows)"))
 
     return FlatnessReport(
         loss=loss_value,

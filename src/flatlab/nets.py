@@ -459,27 +459,45 @@ def kink_distance(arch: Architecture, params: ParamVector, data: Dataset) -> flo
     return kink_argmin(arch, params, data)[0]
 
 
-def _forward_errors(weights, biases, acts) -> list[np.ndarray]:
-    """Bounds on how far each layer's computed outputs lie from the real ones.
+def _interval_forward(weights, biases, acts, pre, r: float) -> list[np.ndarray]:
+    """Radii, one ``(m, w)`` array a layer, around the computed pass ``acts``,
+    ``pre`` (:func:`_forward_full` at theta) that hold the real
+    preactivations (last, the outputs) of all weights and biases in
+    ``[theta - r, theta + r]`` on the exact inputs ``acts[0]``: interval
+    bound propagation in midpoint-radius form (Gowal et al., arXiv
+    1810.12715), rounded outward. At r = 0, the pass's rounding error.
 
-    Layer ``k``'s computed preactivation (at the last layer, the output)
-    errs by at most ``gamma(fan_in + 1) (|a| |W| + |b|)`` plus the error
-    carried in through ``|W|`` (the rectifier is 1-Lipschitz), where
-    ``gamma(j) = j u / (1 - j u)`` and ``u = 2**-53`` (Higham, Accuracy and
-    Stability of Numerical Algorithms, section 3.1), ``a`` being the
-    computed activations in ``acts``. Stacked weights ``(S, r, c)`` give
-    ``(S, m, w)`` bounds, as in :func:`_forward_full`.
+    Proof. With a layer's real inputs within s of the computed a, ``|a' W'
+    + b' - (a W + b)| <= s |W| + r (sum(|a| + s) + [b])`` ([b] 1 with
+    biases), and the computed z errs from ``a W + b`` by at most ``gamma(n
+    + 1) (|a| |W| + |b|)``, ``gamma(j) = j 2**-53 / (1 - j 2**-53)``, n the
+    fan-in, in any summation order (Higham, Accuracy and Stability of
+    Numerical Algorithms, 3.1), plus 2**-1075 per underflowing product.
+    The rectifier is monotone and 1-Lipschitz: the next s is the radius
+    where z >= 0, ``max(z + radius, 0)`` below. The radius adds and
+    multiplies non-negative floats: ``1 + (n + 8) 2**-52`` undoes gamma(n)
+    for the product with |W| and seven roundings on any chain, and
+    ``2**-1072 (sum |W| + n + 1)`` every underflow loss, its own too.
     """
-    errors = []
+    radii = []
+    spread = 0.0  # the radius of the layer's inputs: exact at the first
     for k, w in enumerate(weights):
+        fan_in = w.shape[-2]
         w = np.abs(w)
-        ju = (w.shape[-2] + 1) * 2.0 ** -53
-        bound = np.abs(acts[k]) @ w
+        gamma = (fan_in + 1) * 2.0 ** -53 / (1.0 - (fan_in + 1) * 2.0 ** -53)
+        a = np.abs(acts[k])
+        rad = (gamma * a + spread) @ w
         if biases is not None:
-            bound = bound + np.abs(biases[k][..., None, :])
-        err = ju / (1.0 - ju) * bound
-        errors.append(err + errors[-1] @ w if errors else err)
-    return errors
+            rad += gamma * np.abs(biases[k])
+        if r:
+            rad += r * (np.sum(a + spread, axis=-1, keepdims=True)
+                        + float(biases is not None))
+        rad *= 1.0 + (fan_in + 8) * 2.0 ** -52
+        rad += 2.0 ** -1072 * (float(w.sum()) + fan_in + 1)
+        radii.append(rad)
+        if k < len(weights) - 1:  # the rectifier's image of the interval
+            spread = np.minimum(np.maximum(pre[k] + rad, 0.0), rad)
+    return radii
 
 
 def _kink_guard(weights, biases, acts, pre) -> None:
@@ -489,11 +507,11 @@ def _kink_guard(weights, biases, acts, pre) -> None:
     zero; ``acts`` and ``pre`` come from :func:`_forward_full` at the point,
     and :class:`KinkProximityError` is raised only when the smallest
     preactivation magnitude lies within the band of the largest hidden
-    :func:`_forward_errors` bound, where the computed sign, and so the
-    activation pattern, is unsure.
+    :func:`_interval_forward` radius at ``r = 0``, where the computed sign,
+    and so the activation pattern, is unsure.
     """
-    band = max([0.0, *(float(np.max(err)) for err in
-                       _forward_errors(weights[:-1], biases, acts))])
+    band = max([0.0, *(float(np.max(rad)) for rad in
+                       _interval_forward(weights[:-1], biases, acts, pre, 0.0))])
     dist, example, layer, unit = _kink_argmin(pre)
     if dist <= band:
         raise KinkProximityError(dist, band, example, layer, unit)

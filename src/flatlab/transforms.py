@@ -380,9 +380,15 @@ def sharpening_alpha(arch: Architecture, hess: np.ndarray,
     shrinks, one in the later blocks grows like alpha^2, so whichever is
     available guarantees termination.
     """
+    return _sharpening_alphas(arch, hess, (target,))[0]
+
+
+def _sharpening_alphas(arch: Architecture, hess: np.ndarray,
+                       targets: tuple[float, ...]) -> list[float]:
+    """:func:`sharpening_alpha` for each target, from one geometric scan."""
     hess = require_symmetric(hess, "hessian")
-    if not (target > 0):
-        raise ValueError(f"target must be > 0, got {target}")
+    if not all(target > 0 for target in targets):
+        raise ValueError(f"target must be > 0, got {min(targets)}")
     index = FlatIndex(arch)
     if hess.shape != (index.total, index.total):
         raise ValueError(
@@ -403,6 +409,7 @@ def sharpening_alpha(arch: Architecture, hess: np.ndarray,
         )
     factor = 0.5 if gamma_first >= gamma_rest else 2.0
 
+    alphas = [None] * len(targets)
     alpha = 1.0
     for _ in range(_SHARPEN_STEPS):
         scaling = diagonal_scaling(arch, first_last_alphas(arch.depth, alpha))
@@ -411,8 +418,12 @@ def sharpening_alpha(arch: Architecture, hess: np.ndarray,
             raise ValueError(
                 f"scale factor {alpha:.3e} overflows the transformed Hessian"
             )
-        if float(np.max(np.abs(symmetric_eigenspectrum(candidate)))) >= target:
-            return alpha
+        norm = float(np.max(np.abs(symmetric_eigenspectrum(candidate))))
+        for i, target in enumerate(targets):
+            if alphas[i] is None and norm >= target:
+                alphas[i] = alpha
+        if None not in alphas:
+            return alphas
         alpha *= factor
     raise ValueError(
         f"no certifying factor found within {_SHARPEN_STEPS} geometric steps"

@@ -29,12 +29,12 @@ from .linalg import _row_norms, symmetric_eigenspectrum
 from .metrics import _ascend, hessian_measures, volume_flatness_certificate
 from .nets import Architecture, Dataset, FlatIndex, uniform_params
 from .rng import SeededRng
-from .transforms import (PowerStretch, Radial, alpha_scale_deep,
-                         alpha_scale_two_layer, diagonal_scaling,
-                         epsilon_sharp_alpha, first_last_alphas,
-                         many_directions_alphas, predicted_gradient,
-                         predicted_hessian, radial_forward, radial_inverse,
-                         radial_jacobian, sharpening_alpha,
+from .transforms import (PowerStretch, Radial, _sharpening_alphas,
+                         alpha_scale_deep, alpha_scale_two_layer,
+                         diagonal_scaling, epsilon_sharp_alpha,
+                         first_last_alphas, many_directions_alphas,
+                         predicted_gradient, predicted_hessian,
+                         radial_forward, radial_inverse, radial_jacobian,
                          transform_multipliers, weight_norm_scale,
                          zero_first_layer)
 
@@ -223,8 +223,8 @@ def _check_sharpening(seed: int) -> tuple[dict, list]:
         hess = nets.hessian(arch, teacher, data)
         probes = probe_inputs(arch, unit)
         margins, deviations = [], []
-        for target in _SHARPEN_TARGETS:
-            alpha = sharpening_alpha(arch, hess, target)
+        for target, alpha in zip(_SHARPEN_TARGETS, _sharpening_alphas(
+                arch, hess, _SHARPEN_TARGETS)):
             alphas = first_last_alphas(arch.depth, alpha)
             measures = hessian_measures(
                 predicted_hessian(hess, diagonal_scaling(arch, alphas)))
@@ -310,6 +310,7 @@ _VOLUME_UNITS = (
     ((1, 6, 1), False, True),
     ((2, 5, 1), False, False),  # growing volume per box
     ((2, 4, 1), True, False),
+    ((3, 4, 4, 1), False, False),  # the deep construction
 )
 _VOLUME_BOXES = 20
 _VOLUME_MAX_UNCERTIFIED = 0  # units whose chain is not valid and disjoint

@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -440,15 +440,28 @@ def test_volume_certificate_alpha_matches_formula():
     assert cert.r < t
 
 
-def test_volume_certificate_needs_two_layers():
-    arch = Architecture((2, 3, 3, 1))
-    params = uniform_params(arch, SeededRng(58).generator())
-    gen = SeededRng(58, 61).generator()
-    data = Dataset(gen.uniform(-1, 1, (8, 2)), gen.uniform(-1, 1, 8))
-    with pytest.raises(ValueError):
-        volume_flatness_certificate(arch, params, data, epsilon=1e-2,
-                                    boxes=2, samples_per_box=8,
-                                    rng=SeededRng(58, 62))
+@pytest.mark.parametrize("widths", ((3, 4, 4, 1), (2, 8, 8, 1)))
+def test_volume_certificate_covers_deep_teachers(widths):
+    arch, data, teacher = _teacher_setup(widths=widths, seed=58)
+    cert = volume_flatness_certificate(arch, teacher, data, epsilon=1e-2,
+                                       boxes=6, samples_per_box=32,
+                                       rng=SeededRng(58, 62))
+    assert cert.valid and cert.disjointness_verified
+    assert 0.0 < cert.sampled_deviation <= cert.deviation_bound < 1e-2
+    # oracle exponent from the block sizes: only the outer weight blocks
+    # move, the first growing by alpha per box and the last shrinking
+    index = FlatIndex(arch)
+    first, last = (index.weight_slice(k) for k in (0, arch.depth - 1))
+    exponent = (first.stop - first.start) - (last.stop - last.start)
+    assert cert.lower_bounds == tuple(np.cumsum(
+        [cert.v * cert.alpha ** (k * exponent) for k in range(6)]).tolist())
+    flat0 = vec(arch, teacher)
+    gen = SeededRng(58, 63).generator()
+    offsets = np.concatenate([gen.uniform(-1.0, 1.0, (100, flat0.size)),
+                              gen.choice([-1.0, 1.0], (100, flat0.size))])
+    deviations = _sampled_deviations(arch, teacher, data,
+                                     flat0 + cert.r * offsets)
+    assert np.max(deviations) <= cert.deviation_bound
 
 
 def _sampled_deviations(arch, params, data, rows):
@@ -531,27 +544,28 @@ def test_volume_deviation_bound_is_attained_at_a_vertex():
 
 @pytest.mark.parametrize("bias", (False, True))
 def test_volume_deviation_bound_shrinks_to_its_float_floor(bias):
-    # at a teacher every computed residual is 0, so the bound is
-    # r^2 (quadratic in the box) plus r times the forward-error bound: as
-    # r halves it falls, and bound / r settles on that float floor
+    # at a teacher every computed residual is 0, so the bound is the mean
+    # square of R(r) + R(0), the output's interval radii: as r halves it
+    # falls, down to the floor of the rounding radii alone, at r = 0
     arch, data, teacher = _teacher_setup(widths=(3, 6, 1), seed=58, bias=bias)
-    acts, _ = nets._forward_full(teacher.weights, teacher.biases, data.inputs)
+    acts, pre = nets._forward_full(teacher.weights, teacher.biases, data.inputs)
     assert np.all(acts[-1][:, 0] == data.targets)
-    errors = nets._forward_errors(teacher.weights, teacher.biases, acts)
-    radii = 0.5 ** np.arange(1, 90)
-    bounds = metrics._deviation_bound(arch, teacher, data, acts, errors, radii)
-    assert np.all(np.diff(bounds) < 0) and bounds[-1] > 0.0
-    slopes = bounds / radii
-    assert np.all(np.diff(slopes) <= 0.0)
-    assert slopes[-1] == pytest.approx(slopes[-2], rel=1e-10, abs=0.0)
+    bounds = np.array([metrics._rise_bound(teacher, data, acts, pre, r)
+                       for r in 0.5 ** np.arange(1, 90)])
+    floor = metrics._rise_bound(teacher, data, acts, pre, 0.0)
+    assert np.all(np.diff(bounds[:40]) < 0.0) and np.all(np.diff(bounds) <= 0.0)
+    assert bounds[-1] == pytest.approx(floor, rel=1e-9, abs=0.0)
     # the floor is rounding-sized: far below the bound at a usable radius
-    assert 0.0 < slopes[-1] < 1e-12 * bounds[0] / radii[0]
+    assert 0.0 < floor < 1e-24 * bounds[0]
 
 
 def test_volume_witness_refuses_a_bound_it_contradicts(monkeypatch):
     arch, data, teacher = _teacher_setup(widths=(2, 5, 1), seed=55)
-    monkeypatch.setattr(metrics, "_deviation_bound",
-                        lambda *args: np.zeros(len(args[-1])))
+    # an interval pass that claims zero radii: the bound and the witness's
+    # rounding envelope are 0, which the base box's samples contradict
+    monkeypatch.setattr(nets, "_interval_forward", lambda weights, biases,
+                        acts, pre, r: [np.zeros((len(acts[0]), w.shape[-1]))
+                                       for w in weights])
     with pytest.raises(RuntimeError, match="exceeds the proved bound"):
         volume_flatness_certificate(arch, teacher, data, epsilon=1e-2,
                                     boxes=4, samples_per_box=8,
@@ -623,15 +637,29 @@ def test_flatness_report_serializes_its_fields_in_order(volume_epsilon):
                        format_float(report.volume.volume_lower_bound))
 
 
-def test_flatness_report_volume_skipped_for_deep_net():
+def test_flatness_report_certifies_a_deep_net():
     arch = Architecture((2, 3, 3, 1))
     from flatlab.experiments import make_teacher_student
     data, teacher = make_teacher_student(arch, 62, 16)
     cfg = SharpnessConfig(epsilon=1e-2, seed=10)
     report = flatness_report(arch, teacher, data, cfg,
                              volume_epsilon=1e-2)
+    assert report.skipped == ()
+    cert = volume_flatness_certificate(
+        arch, teacher, data, 1e-2, metrics._REPORT_BOXES,
+        metrics._REPORT_SAMPLES_PER_BOX, SeededRng(10, metrics._STREAM_BOX))
+    assert report.volume.valid and asdict(report.volume) == asdict(cert)
+
+
+def test_flatness_report_skips_the_volume_of_a_one_layer_net():
+    # no hidden layer, so no scale orbit to stack boxes along
+    from flatlab.experiments import make_teacher_student
+    arch = Architecture((3, 1))
+    data, teacher = make_teacher_student(arch, 62, 8)
+    report = flatness_report(arch, teacher, data, SharpnessConfig(1e-2),
+                             volume_epsilon=1e-2)
     assert report.volume is None
-    assert any(field == "volume" for field, _ in report.skipped)
+    assert report.skipped == (("volume", "certificate requires a hidden layer"),)
 
 
 def test_flatness_report_skips_a_volume_bound_that_overflows():

@@ -1,13 +1,17 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flatlab import nets
+from flatlab import metrics, nets
 from flatlab.errors import KinkProximityError
 from flatlab.experiments import (TrainConfig, alpha_sweep,
                                  make_teacher_student, train_sgd)
@@ -303,6 +307,130 @@ def test_kink_band_carries_error_from_layer_below():
         hessian(arch, params, data)
     assert info.value.layer == 2
     assert info.value.distance < 2e-5 < info.value.band
+
+
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+def test_kink_guard_refuses_inside_its_band_only(sign):
+    # unit 0's preactivation 1 sets the band; unit 1's, x w exactly, sits
+    # one float inside it, on it, or one float outside it
+    arch = Architecture((1, 2, 1))
+    data = Dataset(np.array([[1.0]]), np.array([0.0]))
+
+    def point(z):
+        return ParamVector((np.array([[1.0, sign * z]]), np.ones((2, 1))))
+
+    acts, pre = nets._forward_full(point(0.5).weights, None, data.inputs)
+    band = float(np.max(nets._interval_forward(
+        point(0.5).weights[:-1], None, acts, pre, 0.0)[0]))
+    for z in (np.nextafter(band, 0.0), band):
+        with pytest.raises(KinkProximityError) as info:
+            hessian(arch, point(z), data)
+        assert (info.value.distance, info.value.band) == (z, band)
+    hessian(arch, point(np.nextafter(band, np.inf)), data)
+
+
+# ---------------------------------------------------------------------------
+# the interval forward pass against an exact oracle
+
+_fraction = np.vectorize(Fraction, otypes=[object])
+_ORACLE_ARCHS = (((2, 3, 1), False), ((2, 3, 1), True),
+                 ((2, 2, 2, 1), False), ((2, 2, 2, 1), True))
+
+
+def _exact_layers(weights, biases, inputs):
+    """Real preactivations of every layer, the outputs last, as fractions:
+    each float is a dyadic rational, so nothing rounds. Stacked weights
+    ``(V, r, c)`` and biases ``(V, c)`` give ``(V, m, c)``."""
+    a = _fraction(inputs)
+    layers = []
+    for k, w in enumerate(weights):
+        z = a @ _fraction(w)
+        if biases is not None:
+            z = z + _fraction(biases[k])[..., None, :]
+        layers.append(z)
+        a = np.where(z > 0, z, Fraction(0))
+    return layers
+
+
+def _exact_losses(arch, flat, data):
+    """Real losses at each row of a ``(V, n)`` stack of fractions."""
+    index = FlatIndex(arch)
+    weights = [flat[:, index.weight_slice(k)].reshape(
+        (len(flat),) + arch.weight_shape(k)) for k in range(arch.depth)]
+    biases = ([flat[:, index.bias_slice(k)] for k in range(arch.depth)]
+              if arch.use_bias else None)
+    out = _exact_layers(weights, biases, data.inputs)[-1][..., 0]
+    return ((out - _fraction(data.targets)) ** 2).sum(axis=-1) / data.size
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(_ORACLE_ARCHS), m=st.integers(1, 4),
+       draw=st.data())
+def test_interval_band_holds_the_exact_rounding_error(case, m, draw):
+    # any floats up to 1e3, subnormals and zeros included: every computed
+    # preactivation and output lies within its r = 0 radius of the real one
+    widths, bias = case
+    arch = Architecture(widths, use_bias=bias)
+    floats = st.floats(-1e3, 1e3)
+    flat = np.array(draw.draw(st.lists(floats, min_size=FlatIndex(arch).total,
+                                       max_size=FlatIndex(arch).total)))
+    inputs = np.array(draw.draw(st.lists(
+        floats, min_size=m * widths[0], max_size=m * widths[0])))
+    params = unvec(arch, flat)
+    acts, pre = nets._forward_full(params.weights, params.biases,
+                                   inputs.reshape(m, widths[0]))
+    radii = nets._interval_forward(params.weights, params.biases, acts, pre,
+                                   0.0)
+    exact = _exact_layers(params.weights, params.biases, acts[0])
+    for computed, rad, real in zip([*pre, acts[-1]], radii, exact):
+        assert np.all(abs(_fraction(computed) - real) <= _fraction(rad))
+
+
+def test_interval_band_covers_products_that_underflow():
+    # weights near 1e-160: the second layer's products are near 1e-320,
+    # subnormal, where rounding loses up to 2**-1075 that no relative
+    # gamma covers, and the third layer's underflow to zero
+    arch = Architecture((2, 3, 3, 1))
+    gen = SeededRng(81).generator()
+    params = ParamVector(tuple(
+        gen.uniform(0.5, 1.5, arch.weight_shape(k)) * 1e-160
+        for k in range(arch.depth)))
+    inputs = gen.uniform(0.5, 1.5, (4, 2))
+    acts, pre = nets._forward_full(params.weights, None, inputs)
+    radii = nets._interval_forward(params.weights, None, acts, pre, 0.0)
+    errors = [abs(_fraction(computed) - real) for computed, real in zip(
+        [*pre, acts[-1]], _exact_layers(params.weights, None, inputs))]
+    assert np.all(errors[1] > 0) and np.all(acts[-1] == 0.0)
+    for error, rad in zip(errors, radii):
+        assert np.all(error <= _fraction(rad))
+
+
+@pytest.mark.parametrize("widths,bias", _ORACLE_ARCHS)
+def test_rise_bound_holds_exact_rises_at_vertices_and_inside(widths, bias):
+    # every vertex of the box where there are at most 2**10 of them, 512
+    # drawn vertices elsewhere, and 64 uniform points, all exact
+    arch = Architecture(widths, use_bias=bias)
+    gen = SeededRng(82).generator()
+    params = uniform_params(arch, gen)
+    data = Dataset(gen.uniform(-1.0, 1.0, (3, widths[0])),
+                   gen.uniform(-1.0, 1.0, 3))
+    r = 0.05
+    acts, pre = nets._forward_full(params.weights, params.biases, data.inputs)
+    bound = metrics._rise_bound(params, data, acts, pre, r)
+    flat0 = vec(arch, params)
+    if flat0.size <= 10:
+        vertices = np.array(list(itertools.product((-1, 1),
+                                                   repeat=flat0.size)))
+    else:
+        vertices = gen.choice([-1, 1], size=(512, flat0.size))
+    offsets = np.concatenate([_fraction(vertices), _fraction(
+        gen.uniform(-1.0, 1.0, (64, flat0.size)))])
+    points = _fraction(flat0) + Fraction(r) * offsets
+    base = _exact_losses(arch, _fraction(flat0)[None], data)[0]
+    rises = _exact_losses(arch, points, data) - base
+    assert max(rises) <= Fraction(bound)
+    # not vacuous: the bound is within a small factor of the largest rise
+    assert max(rises) > Fraction(bound) / 4
 
 
 @pytest.mark.parametrize("widths,bias", [((1, 3, 1), False),

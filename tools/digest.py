@@ -12,9 +12,9 @@ certificate of each
 seed ((4,32,1) teachers on 256 examples, the CLI's default ascent). Then,
 once: the ``flatness_report`` of a fixed teacher, rescaled by
 ``first_last_alphas`` at each of a few factors, on one wide and three
-biased architectures; the biased two-layer reports include a volume
-certificate (the wide one's volume overflows a float); and the printed
-text of each notebook.
+biased architectures; the biased reports, the deep one too, include a
+volume certificate (the wide one asks for none); and the printed text
+of each notebook.
 An output that raises digests its exception's type and message instead.
 
 It imports the ``src/`` beside it. Run it in two checkouts and diff the
