@@ -30,11 +30,6 @@ from .transforms import (PowerStretch, Radial, alpha_scale_two_layer,
                          psi_prime, radial_forward, radial_inverse,
                          transform_from_dict)
 
-_STREAM_TEACHER = 1
-_STREAM_INPUTS = 2
-_STREAM_INIT = 3
-_STREAM_PROBES = 4
-
 PROBE_COUNT = 256
 PROBE_RANGE = 2.0
 # hidden preactivations of sampled data must clear kinks by this much
@@ -99,8 +94,8 @@ def make_teacher_student(arch: Architecture, seed: int, m: int,
 
     for attempt in range(_TEACHER_ATTEMPTS):
         teacher = nets.uniform_params(
-            arch, SeededRng(seed, _STREAM_TEACHER + 16 * attempt).generator())
-        gen = SeededRng(seed, _STREAM_INPUTS + 16 * attempt).generator()
+            arch, SeededRng.of(seed, "teacher", attempt).generator())
+        gen = SeededRng.of(seed, "inputs", attempt).generator()
         inputs = _screened_inputs(arch, teacher, gen, m, margin)
         if inputs is None:
             continue
@@ -148,7 +143,7 @@ def train_sgd(arch: Architecture, data: Dataset, cfg: TrainConfig,
     """
     if init is None:
         params = nets.uniform_params(
-            arch, SeededRng(cfg.seed, _STREAM_INIT).generator(),
+            arch, SeededRng.of(cfg.seed, "init").generator(),
             -_INIT_SCALE, _INIT_SCALE)
     else:
         nets.check_params(arch, init)
@@ -188,7 +183,7 @@ def train_sgd(arch: Architecture, data: Dataset, cfg: TrainConfig,
 
 
 def probe_inputs(arch: Architecture, seed: int) -> np.ndarray:
-    gen = SeededRng(seed, _STREAM_PROBES).generator()
+    gen = SeededRng.of(seed, "probes").generator()
     return gen.uniform(-PROBE_RANGE, PROBE_RANGE,
                        size=(PROBE_COUNT, arch.input_width))
 

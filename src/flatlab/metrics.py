@@ -32,10 +32,6 @@ from .serialize import format_float
 from .transforms import (disjoint_box_alpha, first_last_alphas,
                          transform_multipliers)
 
-# stream-id bases; keep distinct so no two purposes share a stream
-_STREAM_SHARPNESS = 1000
-_STREAM_BOX = 3000
-
 # seeded random starts of the ball-sharpness ascent, and its step as a
 # fraction of epsilon
 _RESTARTS = 8
@@ -119,7 +115,7 @@ def _ascend(objective: Objective, centers: np.ndarray, eps: float,
     with np.errstate(over="ignore", invalid="ignore"):  # counted as discarded
         for block, seed in zip(z, seeds, strict=True):
             for sid in range(2, starts):
-                gen = SeededRng(seed, _STREAM_SHARPNESS + sid).generator()
+                gen = SeededRng.of(seed, "restart", sid).generator()
                 block[:, sid] = _ball_point(gen, dim, eps)
         z = z.reshape(len(centers), starts, dim)
         g_center = objective.loss_grad(centers + z[:, 0], own_set)[1]
@@ -458,7 +454,8 @@ def flatness_report(arch: Architecture, params: ParamVector, data: Dataset,
     The curvature comes from one forward pass and the kink guard, then from
     the Gram matrix of the output Jacobian where every residual is exactly
     zero, so no ``n x n`` matrix is built at an exact minimum, and from
-    :func:`hessian_measures` of :func:`nets.hessian` elsewhere.
+    :func:`hessian_measures` of the exact Hessian, built from that same
+    pass, elsewhere.
     ``volume_epsilon``, when given, adds a volume certificate at that loss
     tolerance, at any depth. ``jobs`` is accepted and has no effect: the
     work runs serially.
@@ -489,8 +486,8 @@ def flatness_report(arch: Architecture, params: ParamVector, data: Dataset,
                 thresholds)
         else:
             path = "hessian"
-            measures = hessian_measures(nets.hessian(arch, params, data),
-                                        thresholds)
+            measures = hessian_measures(nets._hessian_at(
+                Objective(arch, data), params, acts, pre), thresholds)
         spec_norm = measures.spectral_norm
         trace = measures.trace
         evals = tuple(float(x) for x in measures.eigenvalues)
@@ -506,7 +503,7 @@ def flatness_report(arch: Architecture, params: ParamVector, data: Dataset,
         try:
             cert = volume_flatness_certificate(
                 arch, params, data, volume_epsilon, _REPORT_BOXES,
-                _REPORT_SAMPLES_PER_BOX, SeededRng(cfg.seed, _STREAM_BOX))
+                _REPORT_SAMPLES_PER_BOX, SeededRng.of(cfg.seed, "witness"))
         except OverflowError:
             skipped.append(("volume", "the volume bound leaves the float "
                                       "range (alpha ** (k * det_exponent) "

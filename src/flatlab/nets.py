@@ -551,14 +551,20 @@ def hessian(arch: Architecture, params: ParamVector,
     objective = Objective(arch, data)
     acts, pre = _forward_full(params.weights, params.biases, data.inputs)
     _kink_guard(params.weights, params.biases, acts, pre)
+    return _hessian_at(objective, params, acts, pre)
 
+
+def _hessian_at(objective: Objective, params: ParamVector, acts,
+                pre) -> np.ndarray:
+    """:func:`hessian` from the computed pass ``acts``, ``pre`` at a point
+    that has passed :func:`_kink_guard`, on the objective's one dataset."""
     n = objective.size
     columns = np.empty((n, n))
     block = _block_rows(objective)
     for start in range(0, n, block):
         stop = min(start + block, n)
         columns[start:stop] = _mse_hvp(
-            params.weights, params.biases, acts, pre, data.targets,
+            params.weights, params.biases, acts, pre, objective._targets,
             *objective._index.split(np.eye(stop - start, n, start)))
     return (columns + columns.T) / 2.0
 

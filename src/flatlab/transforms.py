@@ -650,13 +650,24 @@ def power_stretch_forward(t, spec: PowerStretch):
     With b = 0 the map is exactly |u|^(2a + 1) with the sign of u, and is
     evaluated so everywhere: one power, monotone in the float order, and
     exact where u^2 would be subnormal. So is it with b > 0 at u = 0, and
-    where u^2 + b underflows to 0 or overflows (b is then negligible), so
-    every finite t has a non-NaN image.
+    where u^2 + b overflows (b is then negligible), so every finite t has a
+    non-NaN image. Where u^2 + b is subnormal it is factored as in
+    :func:`power_stretch_derivative`: u |u|^(2a) (1 + q)^a, or u b^a (1 +
+    q)^a.
     """
-    return _stretch(t, spec, lambda u, base: np.where(
-        (u != 0.0) & (spec.b != 0.0) & ~_unrepresented(base),
-        np.power(base, spec.a) * u,
-        np.copysign(np.power(np.abs(u), 2.0 * spec.a + 1.0), u)))
+    a, b = spec.a, spec.b
+
+    def formula(u, base):
+        u_dominant, q = _dominant_ratio(u, b)
+        scaled = _power_product(u, np.where(u_dominant, np.abs(u), b),
+                                np.where(u_dominant, 2.0 * a, a),
+                                np.power(1.0 + q, a))
+        return np.where(
+            (u == 0.0) | (b == 0.0) | _unrepresented(base),
+            np.copysign(np.power(np.abs(u), 2.0 * a + 1.0), u),
+            np.where(_normal(base), np.power(base, a) * u, scaled))
+
+    return _stretch(t, spec, formula)
 
 
 def _unrepresented(base):

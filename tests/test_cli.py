@@ -164,6 +164,22 @@ def test_invalid_inputs_exit_one(tmp_path, capsys):
     assert "random restarts" in err
 
 
+def test_seeds_that_would_wrap_exit_one(tmp_path, capsys):
+    # 2**64 + 5 is seed 5 modulo 2**64: refused, never run as seed 5
+    ckpt = tmp_path / "m.json"
+    run_cli(capsys, "train", "--arch", "2,3,1", "--teacher", "--m", "8",
+            "--seed", "1", "--out", str(ckpt))
+    seed = ("--seed", str(2**64 + 5))
+    read = ("--checkpoint", str(ckpt), "--m", "8", *seed)
+    for argv in (("train", "--arch", "2,3,1", "--teacher", "--m", "8", *seed),
+                 ("train", "--arch", "2,3,1", "--m", "8", *seed),
+                 ("metrics", *read), ("sweep", *read, "--alpha", "1"),
+                 ("verify", "--suite", "radial", *seed)):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert str(2**64 + 5) in err and "outside int64" in err
+
+
 def test_error_messages_name_the_problem(tmp_path, capsys):
     code, _, err = run_cli(capsys, "metrics", "--checkpoint",
                            str(tmp_path / "missing.json"))

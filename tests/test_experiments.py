@@ -79,8 +79,8 @@ def _per_row_teacher(arch, seed, m, margin, tries=500, attempts=200):
     exhausted = 0
     for attempt in range(attempts):
         teacher = nets.uniform_params(
-            arch, SeededRng(seed, 1 + 16 * attempt).generator())
-        gen = SeededRng(seed, 2 + 16 * attempt).generator()
+            arch, SeededRng.of(seed, "teacher", attempt).generator())
+        gen = SeededRng.of(seed, "inputs", attempt).generator()
         rows = []
         for _ in range(m):
             for _ in range(tries):
@@ -147,14 +147,14 @@ def test_blocked_screening_gives_up_like_per_row_loop(monkeypatch):
     # at margin 0.3 attempts 0-2 of this (2,8,1) seed exhaust their 500
     # tries and attempt 3 succeeds; with two attempts allowed, none does
     arch = Architecture((2, 8, 1))
-    want = _per_row_teacher(arch, 2, 8, 0.3)
+    want = _per_row_teacher(arch, 0, 8, 0.3)
     assert want[2] == 3
-    _assert_same_teacher(make_teacher_student(arch, 2, 8, 0.3), want)
+    _assert_same_teacher(make_teacher_student(arch, 0, 8, 0.3), want)
     monkeypatch.setattr(experiments, "_TEACHER_ATTEMPTS", 2)
     with pytest.raises(ValueError):
-        _per_row_teacher(arch, 2, 8, 0.3, attempts=2)
+        _per_row_teacher(arch, 0, 8, 0.3, attempts=2)
     with pytest.raises(ValueError, match="no usable teacher found in 2 attempts"):
-        make_teacher_student(arch, 2, 8, 0.3)
+        make_teacher_student(arch, 0, 8, 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +178,8 @@ def test_train_zero_rate_leaves_parameters():
     cfg = TrainConfig(learning_rate=0.0, epochs=3, seed=74)
     result = train_sgd(arch, data, cfg)
     from flatlab.nets import uniform_params
-    init = uniform_params(arch, SeededRng(74, 3).generator(), -0.5, 0.5)
+    init = uniform_params(arch, SeededRng.of(74, "init").generator(), -0.5,
+                          0.5)
     for a, b in zip(result.params.weights, init.weights):
         assert np.array_equal(a, b)
 

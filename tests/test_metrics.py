@@ -1,9 +1,11 @@
+import itertools
 import warnings
 from dataclasses import asdict, fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flatlab import metrics, nets
@@ -18,7 +20,9 @@ from flatlab.nets import (Architecture, Dataset, FlatIndex, Objective,
                           unvec, vec)
 from flatlab.rng import SeededRng
 from flatlab.serialize import format_float
-from flatlab.transforms import disjoint_box_alpha
+from flatlab.transforms import (alpha_scale_deep, disjoint_box_alpha,
+                               first_last_alphas)
+from test_nets import _exact_losses, _fraction
 
 
 def _teacher_setup(widths=(2, 6, 1), seed=50, m=32, bias=False):
@@ -94,7 +98,7 @@ def _ascend_one(objective, flat0, cfg, start_id):
         else:
             z = (cfg.epsilon / norm) * g
     else:
-        gen = SeededRng(cfg.seed, metrics._STREAM_SHARPNESS + start_id).generator()
+        gen = SeededRng.of(cfg.seed, "restart", start_id).generator()
         z = metrics._ball_point(gen, dim, cfg.epsilon)
 
     best_loss, g = objective.loss_grad(flat0 + z)
@@ -215,12 +219,18 @@ def test_lockstep_sharpness_all_units_dead():
         assert alive.value > 0.0
 
 
-@pytest.mark.parametrize("coord,rise", [(0, 1e-3),   # poisoned at its start
-                                        (2, 3e-3)])  # poisoned mid-ascent
-def test_lockstep_sharpness_discards_non_finite_start(coord, rise,
+@pytest.mark.parametrize("coord,rise,seed,past", [
+    (0, 1e-3, 8, 1),   # one random start is drawn past the limit
+    (2, 3e-3, 2, 0)])  # none is: one start is poisoned mid-ascent
+def test_lockstep_sharpness_discards_non_finite_start(coord, rise, seed, past,
                                                       monkeypatch):
     arch, data, teacher = _teacher_setup(seed=66)
-    limit = vec(arch, teacher)[coord] + rise
+    flat0 = vec(arch, teacher)
+    limit = flat0[coord] + rise
+    starts = [metrics._ball_point(SeededRng.of(seed, "restart", sid)
+                                  .generator(), flat0.size, 1e-2)
+              for sid in range(2, 2 + metrics._RESTARTS)]
+    assert sum(flat0[coord] + z[coord] > limit for z in starts) == past
 
     class PoisonedObjective(Objective):
         """Non-finite loss wherever one coordinate passes ``limit``."""
@@ -231,7 +241,7 @@ def test_lockstep_sharpness_discards_non_finite_start(coord, rise,
             return (value if value.ndim else float(value)), grad
 
     monkeypatch.setattr(metrics, "Objective", PoisonedObjective)
-    cfg = SharpnessConfig(epsilon=1e-2, seed=14)
+    cfg = SharpnessConfig(epsilon=1e-2, seed=seed)
     result = _assert_same_sharpness(arch, teacher, data, cfg)
     assert result.discarded == 1
     # stacked beside a center whose whole ball stays below the limit, only
@@ -498,6 +508,10 @@ def test_batched_sample_loops_equal_per_sample(widths, bias, monkeypatch):
 @given(widths=st.tuples(st.integers(1, 4), st.integers(1, 8), st.just(1)),
        bias=st.booleans(), seed=st.integers(0, 2**16),
        teacher_targets=st.booleans(), log_fraction=st.floats(-6.0, -0.01))
+# here the float rise at a float-rounded vertex, 2.6957551210848862e-05,
+# exceeds the bound on the real rise, 2.695755121083105e-05
+@example(widths=(1, 1, 1), bias=False, seed=1, teacher_targets=False,
+         log_fraction=-3.125)
 def test_volume_deviation_bound_holds_at_uniform_points_and_vertices(
         widths, bias, seed, teacher_targets, log_fraction):
     from flatlab.experiments import make_teacher_student
@@ -509,20 +523,20 @@ def test_volume_deviation_bound_holds_at_uniform_points_and_vertices(
     t = float(np.max(np.abs(teacher.weights[0])))
     r = t * 10.0 ** log_fraction
     # an infinite epsilon keeps r: the bound is taken at the radius drawn.
-    # With one example a vertex can attain the bound (the test below),
-    # where the rounding of theta0 + r decides; twelve never come close
+    # It bounds the real rise over the real box, so it is held against the
+    # exact rise at exact vertices and inner points
     cert = volume_flatness_certificate(arch, teacher, data, np.inf, 1, 8,
                                        SeededRng(seed, 71), r=r)
     assert cert.r == r and cert.shrink_steps == 0
     flat0 = vec(arch, teacher)
     gen = SeededRng(seed, 72).generator()
-    uniform = gen.uniform(-1.0, 1.0, size=(200, flat0.size))
-    vertices = gen.choice([-1.0, 1.0], size=(200, flat0.size))
-    rows = flat0 + r * np.concatenate([uniform, vertices])
-    # each row lies in the box, up to rounding of theta0 + offset
-    assert np.all(np.abs(rows - flat0) <= r + np.spacing(np.abs(flat0) + r))
-    deviations = _sampled_deviations(arch, teacher, data, rows)
-    assert np.max(deviations) <= cert.deviation_bound
+    vertices = (np.array(list(itertools.product((-1, 1), repeat=flat0.size)))
+                if flat0.size <= 5 else gen.choice([-1, 1], (32, flat0.size)))
+    offsets = np.concatenate([_fraction(vertices), _fraction(
+        gen.uniform(-1.0, 1.0, (8, flat0.size)))])
+    rises = (_exact_losses(arch, _fraction(flat0) + Fraction(r) * offsets, data)
+             - _exact_losses(arch, _fraction(flat0)[None], data)[0])
+    assert max(rises) <= Fraction(cert.deviation_bound)
     assert cert.sampled_deviation <= cert.deviation_bound
 
 
@@ -647,7 +661,7 @@ def test_flatness_report_certifies_a_deep_net():
     assert report.skipped == ()
     cert = volume_flatness_certificate(
         arch, teacher, data, 1e-2, metrics._REPORT_BOXES,
-        metrics._REPORT_SAMPLES_PER_BOX, SeededRng(10, metrics._STREAM_BOX))
+        metrics._REPORT_SAMPLES_PER_BOX, SeededRng.of(10, "witness"))
     assert report.volume.valid and asdict(report.volume) == asdict(cert)
 
 
@@ -758,6 +772,20 @@ def test_report_off_minimum_takes_dense_path_bit_identical():
         dense.spectral_norm, cfg.epsilon, report.loss)
 
 
+def test_dense_path_report_runs_one_kink_guard(monkeypatch):
+    # scaled by 0.37 the teacher's outputs round off its targets, so the
+    # report builds the dense Hessian, from its own pass past its own guard
+    arch, data, teacher = _teacher_setup(widths=(2, 8, 1), seed=3, m=48,
+                                         bias=True)
+    point = alpha_scale_deep(arch, teacher, first_last_alphas(2, 0.37))
+    guard, calls = nets._kink_guard, []
+    monkeypatch.setattr(nets, "_kink_guard",
+                        lambda *args: calls.append(guard(*args)))
+    report = flatness_report(arch, point, data, SharpnessConfig(1e-2, seed=3))
+    assert report.curvature_path == "hessian"
+    assert len(calls) == 1
+
+
 def test_report_at_deep_teacher_builds_no_hessian(monkeypatch):
     arch, data, teacher = _teacher_setup(widths=(10, 64, 64, 1), seed=73,
                                          m=64)
@@ -765,7 +793,7 @@ def test_report_at_deep_teacher_builds_no_hessian(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the n x n Hessian was built")
 
-    monkeypatch.setattr(nets, "hessian", refuse)
+    monkeypatch.setattr(nets, "_hessian_at", refuse)
     cfg = SharpnessConfig(epsilon=1e-2, steps=2, seed=14)
     report = flatness_report(arch, teacher, data, cfg)
     assert report.curvature_path == "gram"

@@ -433,6 +433,45 @@ def test_rise_bound_holds_exact_rises_at_vertices_and_inside(widths, bias):
     assert max(rises) > Fraction(bound) / 4
 
 
+def test_rise_bound_holds_where_a_hidden_interval_straddles_the_kink():
+    # the hidden preactivation -1/8 is off at theta0, and the box of radius
+    # 1/4 turns it on: the rectifier passes max(z + radius, 0) = 1/8 up, and
+    # the exact rise at the vertex (5/4 * 1/8)**2 is the bound, up to its
+    # outward rounding. A rectifier step that passes 0 below the kink
+    # bounds the rise by rounding alone.
+    arch = Architecture((1, 1, 1))
+    params = ParamVector((np.array([[-0.125]]), np.array([[1.0]])))
+    data = Dataset(np.array([[1.0]]), np.array([0.0]))
+    acts, pre = nets._forward_full(params.weights, None, data.inputs)
+    radius = nets._interval_forward(params.weights, None, acts, pre, 0.25)[0]
+    assert pre[0][0, 0] < 0.0 < pre[0][0, 0] + radius[0, 0]
+    bound = metrics._rise_bound(params, data, acts, pre, 0.25)
+    vertices = _fraction(np.array(list(itertools.product((-1, 1), repeat=2))))
+    rises = _exact_losses(arch, _fraction(vec(arch, params))
+                          + Fraction(1, 4) * vertices, data)
+    assert max(rises) == Fraction(5, 32) ** 2 <= Fraction(bound)
+    assert bound <= float(max(rises)) * (1.0 + 1e-13)
+
+
+def test_interval_radius_covers_a_box_term_that_rounds_down():
+    # the box moves the preactivation x w by exactly r x = 0.7 * 3, which
+    # rounds down to 2.0999999999999996, and the rounding terms, gamma |x|
+    # |w| with w = 2**-6, are too small to make that up: only the radius's
+    # relative inflation covers the real move at the vertices
+    arch = Architecture((1, 1, 1))
+    params = ParamVector((np.array([[2.0 ** -6]]), np.array([[1.0]])))
+    inputs = np.array([[3.0]])
+    acts, pre = nets._forward_full(params.weights, None, inputs)
+    radii = nets._interval_forward(params.weights, None, acts, pre, 0.7)
+    assert Fraction(0.7) * 3 > Fraction(0.7 * 3)
+    vertices = _fraction(np.array(list(itertools.product((-1, 1), repeat=2))))
+    flat = _fraction(vec(arch, params)) + Fraction(0.7) * vertices
+    exact = _exact_layers([flat[:, :1].reshape(4, 1, 1),
+                           flat[:, 1:].reshape(4, 1, 1)], None, inputs)
+    for computed, rad, real in zip([*pre, acts[-1]], radii, exact):
+        assert np.all(abs(real - _fraction(computed)) <= _fraction(rad))
+
+
 @pytest.mark.parametrize("widths,bias", [((1, 3, 1), False),
                                          ((2, 4, 1), True),
                                          ((3, 4, 4, 1), False)])

@@ -631,6 +631,30 @@ def test_power_stretch_forward_is_monotone_over_adjacent_floats(a, t):
     assert np.all(np.diff(images) >= 0.0)
 
 
+@pytest.mark.parametrize("a", (-0.3, 0.0, 0.7))
+@pytest.mark.parametrize("b", (5e-324, 1e-320, 1e-310))
+def test_power_stretch_forward_where_u_squared_plus_b_is_subnormal(a, b):
+    # below |u| = sqrt(tiny - b), about 1.49e-154, u^2 + b is subnormal and
+    # the map is factored through the larger of u^2 and b: 50 digits hold it
+    # there (1.48e-162 was 11.6% off at b = 5e-324 evaluated directly), and
+    # it keeps its order across that switch and across u^2 = b, over
+    # adjacent floats at a >= 0 and every 16th float at a < 0, where the
+    # ordinary form's own rounding already reorders adjacent floats
+    spec = PowerStretch(0.0, a, b)
+    grid = np.concatenate([10.0 ** np.linspace(-323.0, -150.0, 347),
+                           [1.48e-162]])
+    grid = np.concatenate([grid, -grid])
+    for t, value in zip(grid, power_stretch_forward(grid, spec)):
+        exact = _stretch_50_digits(t, spec)[0]
+        assert abs(value - exact) <= (1e-12 * abs(exact)
+                                      + 4 * 2.0 ** -1074), (t, value, exact)
+    stride = 16 if a < 0 else 1
+    for edge in (np.sqrt(np.finfo(float).tiny - b), np.sqrt(b)):
+        floats = (np.float64(edge).view(np.int64)
+                  + stride * np.arange(-2000, 2001)).view(float)
+        assert np.all(np.diff(power_stretch_forward(floats, spec)) >= 0.0)
+
+
 def test_power_stretch_validation():
     with pytest.raises(ValueError):
         PowerStretch(0.0, -0.6, 1.0)  # a must stay above -1/2

@@ -25,6 +25,17 @@ def test_unknown_suite_rejected():
         run_suite("all", 0, jobs=0)
 
 
+def test_run_seeds_whose_unit_seeds_leave_int64_are_refused():
+    # unit seeds run from seed * 10**6 + 10**4 to seed * 10**6 + 99_999
+    top = (2**63 - 1 - 99_999) // 10**6
+    bottom = -((2**63 - 10**4) // 10**6)
+    for seed in (bottom, top):
+        assert run_suite("radial", seed).passed
+    for seed in (bottom - 1, top + 1, 2**64 + 5):
+        with pytest.raises(ValueError, match=f"run seed {seed} gives unit"):
+            run_suite("curvature_congruence", seed)
+
+
 def test_single_suite_runs_and_serializes():
     report = run_suite("radial", seed=1)
     assert report.suite == "radial"

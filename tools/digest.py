@@ -80,19 +80,9 @@ def _ball_ascents(seed: int) -> str:
         for unit in verify._ball_units(seed) for r in unit[:2])
 
 
-def _certificate(seed: int, i: int) -> dict:
-    """The certificate behind ``volume`` check unit ``i`` at ``seed``."""
-    widths, bias, _ = verify._VOLUME_UNITS[i]
-    arch = Architecture(widths, use_bias=bias)
-    unit = verify._unit_seed(seed, 5, i)
-    data, teacher = make_teacher_student(arch, unit, m=32)
-    return asdict(volume_flatness_certificate(
-        arch, teacher, data, epsilon=1e-2, boxes=verify._VOLUME_BOXES,
-        samples_per_box=48, rng=SeededRng(unit, 13)))
-
-
 def _bench_certificate(widths, m: int, seed: int) -> dict:
-    """A ``report_wide`` volume certificate: 20 boxes of 32 samples."""
+    """A ``report_wide`` volume certificate: 20 boxes of 32 samples, the
+    witness on the benchmark's own stream, caller id 3000."""
     arch = Architecture(widths)
     data, teacher = make_teacher_student(arch, seed, m)
     return asdict(volume_flatness_certificate(
@@ -134,7 +124,7 @@ def digest_lines(seeds) -> list[str]:
         for i, (widths, bias, _) in enumerate(verify._VOLUME_UNITS):
             lines.append(_line(
                 f"certificate/{widths}/bias={bias}/seed={seed}".replace(" ", ""),
-                lambda: _certificate(seed, i)))
+                lambda: asdict(verify._volume_certificate(seed, i))))
         for widths, m in BENCH_VOLUME_ARCHS:
             lines.append(_line(
                 f"bench-certificate/{widths}/seed={seed}".replace(" ", ""),
