@@ -11,10 +11,9 @@ large as we ask for.
 
 import numpy as np
 
-from flatlab import (Architecture, SharpnessConfig, alpha_scale_deep,
-                     first_last_alphas, flatness_report, forward,
-                     make_teacher_student, sharpening_alpha, hessian,
-                     predicted_hessian, diagonal_scaling)
+from flatlab import (Architecture, ScaleMap, SharpnessConfig,
+                     flatness_report, forward, make_teacher_student,
+                     sharpening_alpha, hessian)
 from flatlab.experiments import probe_inputs
 
 arch = Architecture((2, 8, 1))
@@ -32,8 +31,8 @@ print(f"  eps-sharpness {before.eps_sharp:.3e}")
 target = 1e6
 hess = hessian(arch, params, data)
 alpha = sharpening_alpha(arch, hess, target)
-alphas = first_last_alphas(arch.depth, alpha)
-moved = alpha_scale_deep(arch, params, alphas)
+scale = ScaleMap.first_last(arch, alpha)
+moved = scale.apply(params)
 
 print(f"\nrescale first layer by {alpha:.4g}, last by {1 / alpha:.4g}")
 
@@ -43,7 +42,7 @@ dev = np.max(np.abs(forward(arch, moved, probes) - forward(arch, params, probes)
 print(f"largest output change over {len(probes)} probes: {dev:.3e}")
 
 # curvature at the new point, propagated through the exact scaling law
-scaled = predicted_hessian(hess, diagonal_scaling(arch, alphas))
+scaled = scale.hessian(hess)
 top = float(np.max(np.abs(np.linalg.eigvalsh(scaled))))
 print(f"spectral norm after the move: {top:.4e}  (target was {target:.0e})")
 

@@ -15,13 +15,10 @@ from .nets import (Architecture, Dataset, FlatIndex, ParamVector, forward,
                    gradient, hessian, kink_distance, load_checkpoint, loss,
                    unvec, vec)
 from .rng import SeededRng
-from .transforms import (AlphaScaleDeep, AlphaScaleTwoLayer, DiagonalScaling,
-                         InputAffine, PowerStretch, Radial, TransformSpec,
-                         WeightNormScale, alpha_scale_deep,
-                         alpha_scale_two_layer, apply_transform,
-                         diagonal_scaling, epsilon_sharp_alpha,
-                         first_last_alphas, many_directions_alphas,
-                         predicted_gradient, predicted_hessian,
+from .transforms import (AlphaScaleDeep, AlphaScaleTwoLayer, InputAffine,
+                         PowerStretch, Radial, ScaleMap, TransformSpec,
+                         WeightNormScale, alpha_scale_two_layer,
+                         apply_transform, epsilon_sharp_alpha,
                          radial_forward, radial_inverse, radial_jacobian,
                          sharpening_alpha, transform_from_dict,
                          transform_to_dict, weight_norm_scale,
@@ -37,13 +34,10 @@ __all__ = [
     "vec", "unvec", "load_checkpoint",
     "TransformSpec", "AlphaScaleTwoLayer", "AlphaScaleDeep",
     "WeightNormScale", "Radial", "PowerStretch", "InputAffine",
-    "DiagonalScaling", "transform_to_dict", "transform_from_dict",
-    "alpha_scale_two_layer", "alpha_scale_deep", "weight_norm_scale",
-    "apply_transform", "diagonal_scaling",
-    "predicted_gradient", "predicted_hessian", "sharpening_alpha",
-    "epsilon_sharp_alpha", "zero_first_layer", "first_last_alphas",
-    "many_directions_alphas", "radial_forward", "radial_inverse",
-    "radial_jacobian",
+    "ScaleMap", "transform_to_dict", "transform_from_dict",
+    "alpha_scale_two_layer", "weight_norm_scale", "apply_transform",
+    "sharpening_alpha", "epsilon_sharp_alpha", "zero_first_layer",
+    "radial_forward", "radial_inverse", "radial_jacobian",
     "SharpnessConfig", "SharpnessResult", "HessianMeasures",
     "VolumeCertificate", "FlatnessReport",
     "epsilon_sharpness", "second_order_sharpness", "hessian_measures",

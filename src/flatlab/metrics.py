@@ -29,8 +29,7 @@ from .linalg import _row_norms, symmetric_eigenspectrum
 from .nets import Architecture, Dataset, FlatIndex, Objective, ParamVector, vec
 from .rng import SeededRng
 from .serialize import format_float
-from .transforms import (disjoint_box_alpha, first_last_alphas,
-                         transform_multipliers)
+from .transforms import ScaleMap, disjoint_box_alpha
 
 # seeded random starts of the ball-sharpness ascent, and its step as a
 # fraction of epsilon
@@ -123,31 +122,36 @@ def _ascend(objective: Objective, centers: np.ndarray, eps: float,
         for c in np.flatnonzero(np.isfinite(norms) & (norms != 0.0)):
             z[c, 1] = (eps / norms[c]) * g_center[c]
         z = z.reshape(len(centers) * starts, dim)
-        set_rows = per * starts  # rows of one dataset's starts
-        best, g = objective.loss_grad(np.repeat(centers, starts, axis=0) + z,
-                                      np.arange(len(z)) // set_rows)
+        at = np.repeat(centers, starts, axis=0)
+        which = np.arange(len(z)) // (per * starts)  # each start's dataset
+        best, g = objective.loss_grad(at + z, which)
         kept = np.isfinite(best)
         best_z = z.copy()
-        rows = np.flatnonzero(kept)
+        # the live starts' rows, offsets, gradients, centers and datasets,
+        # compacted only when a start stops or is discarded
+        live = [np.flatnonzero(kept)]
+        live += [a[live[0]] for a in (z, g, at, which)]
         for _ in range(steps):
-            norms = _row_norms(g[rows])
+            norms = _row_norms(live[2])
             moving = np.isfinite(norms) & (norms != 0.0)
-            rows, norms = rows[moving], norms[moving]
+            if not moving.all():
+                live, norms = [a[moving] for a in live], norms[moving]
+            rows, z, g, at, which = live
             if rows.size == 0:
                 break
-            step = z[rows] + ((_STEP_SIZE * eps) / norms)[:, None] * g[rows]
+            step = z + ((_STEP_SIZE * eps) / norms)[:, None] * g
             znorms = _row_norms(step)
             out = znorms > eps
             step[out] = (eps / znorms[out])[:, None] * step[out]
-            values, g[rows] = objective.loss_grad(centers[rows // starts] + step,
-                                                  rows // set_rows)
-            z[rows] = step
+            values, g = objective.loss_grad(at + step, which)
+            live[1:3] = step, g
             finite = np.isfinite(values)
             kept[rows[~finite]] = False
             better = finite & (values > best[rows])
             best[rows[better]] = values[better]
             best_z[rows[better]] = step[better]
-            rows = rows[finite]
+            if not finite.all():
+                live = [a[finite] for a in live]
 
     results = []
     for c, base_loss in enumerate(base):
@@ -273,13 +277,13 @@ def volume_flatness_certificate(arch: Architecture, params: ParamVector,
     The radius r starts at t/2, t the largest first-layer magnitude, and
     halves until :func:`_rise_bound` over the whole sup-norm box of radius
     r first falls below epsilon. Box k is the base box under
-    ``transform_multipliers(arch, first_last_alphas(depth, alpha**k))``,
-    which leaves the real loss unchanged at any depth (positive
-    homogeneity), so the bound covers it too. alpha is the power of two of
-    :func:`disjoint_box_alpha`; the boxes' pairwise disjointness is
-    established analytically on the first-layer coordinate of largest
-    magnitude. :func:`_witness` samples the base box and raises
-    ``RuntimeError`` where a sample contradicts the bound.
+    ``ScaleMap.first_last(arch, alpha**k)``, which leaves the real loss
+    unchanged at any depth (positive homogeneity), so the bound covers it
+    too. alpha is the power of two of :func:`disjoint_box_alpha`; the
+    boxes' pairwise disjointness is established analytically on the
+    first-layer coordinate of largest magnitude. :func:`_witness` samples
+    the base box and raises ``RuntimeError`` where a sample contradicts
+    the bound.
     """
     nets.check_params(arch, params)
     nets._check_input_width(arch, data.inputs)
@@ -316,8 +320,7 @@ def volume_flatness_certificate(arch: Architecture, params: ParamVector,
     # the scale map: det_exponent is log2 of its determinant at alpha = 2,
     # where every multiplier is 2, 1 or 1/2 exactly
     v = (2.0 * r) ** flat0.size
-    det_exponent = int(np.sum(np.log2(transform_multipliers(
-        arch, first_last_alphas(arch.depth, 2.0)))))
+    det_exponent = int(ScaleMap.first_last(arch, 2.0).log2_det)
     lower_bounds = tuple(accumulate(v * alpha ** (k * det_exponent)
                                     for k in range(boxes)))
 

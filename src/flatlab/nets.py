@@ -274,7 +274,11 @@ def _mse_and_gradient(weights, biases, inputs, targets, out=None):
             grad_b[k] = delta.sum(axis=-2)
         if k > 0:  # acts[k] is spent: the error below takes its buffer
             d_out, mask = out[k - 1][1:] if out else (None, None)
-            delta = np.matmul(delta, weights[k].swapaxes(-1, -2), out=d_out)
+            w_t = weights[k].swapaxes(-1, -2)
+            # through the one output unit the product is an outer one,
+            # which einsum forms faster than matmul and rounds the same
+            delta = (np.einsum("...ik,...kj->...ij", delta, w_t, out=d_out)
+                     if k == depth - 1 else np.matmul(delta, w_t, out=d_out))
             delta *= np.greater(pre[k - 1], 0.0, out=mask)
 
     parts = [g.reshape(diff.shape[:-1] + (-1,)) for g in grad_w]

@@ -8,16 +8,16 @@ function is unchanged for every input. The reparametrization family
 point moves, the function family does not.
 
 Scale transformations act diagonally on flat coordinates, as
-:func:`transform_multipliers` states once: layer k's weights are
-multiplied by alpha_k and layer j's bias by the running product
-alpha_1 * ... * alpha_j, which is what pushing the factors through the
-rectifiers demands. The inverse of that diagonal is the
-matrix D that carries gradients and Hessians between equivalent points:
+:class:`ScaleMap` states once: layer k's weights are multiplied by
+alpha_k and layer j's bias by the running product alpha_1 * ... *
+alpha_j, which is what pushing the factors through the rectifiers
+demands. The inverse of that diagonal is the matrix D that carries
+gradients and Hessians between equivalent points:
 
     grad_after = grad_before * d        (elementwise)
     hess_after = d[:, None] * hess_before * d[None, :]
 
-where ``d`` is the flat multiplier vector of :class:`DiagonalScaling`.
+where ``d`` is ``ScaleMap.inverse``, the stored reciprocal.
 """
 
 from __future__ import annotations
@@ -240,18 +240,91 @@ def transform_from_dict(raw: dict) -> TransformSpec:
 # alpha-scale transformations
 
 
-def alpha_scale_deep(arch: Architecture, params: ParamVector,
-                     alphas: tuple[float, ...] | AlphaScaleDeep) -> ParamVector:
-    """Multiply the flat parameters by :func:`transform_multipliers`.
+@dataclass(frozen=True, eq=False)
+class ScaleMap:
+    """The alpha-scale map on flat coordinates, and its derivative transport.
 
-    The factor product is constrained to 1, which makes the result
-    observationally equivalent to the input (the factors cancel through
-    the rectifiers).
+    ``multipliers`` gives weight block k alphas[k] and the bias of layer j
+    the running product alphas[0] ... alphas[j], as the rectifiers demand;
+    every scale construction reads it. ``inverse`` is its reciprocal D,
+    which carries gradients and Hessians to the moved point. The factors
+    are validated as :class:`AlphaScaleDeep` validates them.
     """
-    if not isinstance(alphas, AlphaScaleDeep):
-        alphas = AlphaScaleDeep(tuple(alphas))
-    return unvec(arch, vec(arch, params)
-                 * transform_multipliers(arch, alphas.alphas))
+
+    arch: Architecture
+    alphas: tuple[float, ...]
+    multipliers: np.ndarray = dataclasses.field(init=False, repr=False)
+    inverse: np.ndarray = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "alphas",
+                           AlphaScaleDeep(tuple(self.alphas)).alphas)
+        factors = np.asarray(self.alphas)
+        if factors.shape != (self.arch.depth,):
+            raise ValueError(f"{factors.size} scale factors for a "
+                             f"{self.arch.depth}-layer network")
+        widths = self.arch.layer_widths
+        sizes = [a * b for a, b in zip(widths, widths[1:])]
+        if self.arch.use_bias:
+            factors = np.concatenate([factors, np.cumprod(factors)])
+            sizes += widths[1:]
+        object.__setattr__(self, "multipliers", np.repeat(factors, sizes))
+        # silent: a non-finite D is refused where it is used, not by apply
+        with np.errstate(divide="ignore", over="ignore"):
+            object.__setattr__(self, "inverse", 1.0 / self.multipliers)
+
+    @classmethod
+    def first_last(cls, arch: Architecture, alpha: float) -> ScaleMap:
+        """Factors (alpha, 1, ..., 1, 1/alpha): only the outer layers move."""
+        _check_outer(arch, "alpha", alpha)
+        return cls(arch, (alpha,) + (1.0,) * (arch.depth - 2) + (1.0 / alpha,))
+
+    @classmethod
+    def many_directions(cls, arch: Architecture, beta: float) -> ScaleMap:
+        """Factors (1/beta, ..., 1/beta, beta^(K-1)): D grows every flat
+        coordinate but the last weight block's and the last bias's, which
+        pushes many Hessian eigenvalues upward at once."""
+        _check_outer(arch, "beta", beta)
+        return cls(arch, (1.0 / beta,) * (arch.depth - 1)
+                   + (float(beta) ** (arch.depth - 1),))
+
+    @property
+    def log2_det(self) -> float:
+        """log2 of the map's determinant: the sum of log2 multipliers."""
+        return float(np.sum(np.log2(self.multipliers)))
+
+    def apply(self, params: ParamVector) -> ParamVector:
+        """The equivalent point: the flat parameters times the multipliers."""
+        return unvec(self.arch, vec(self.arch, params) * self.multipliers)
+
+    def gradient(self, grad: np.ndarray) -> np.ndarray:
+        """Gradient at the moved point: the old gradient times D."""
+        d, grad = self._transport(), np.asarray(grad, dtype=float)
+        if grad.shape != d.shape:
+            raise ValueError(
+                f"gradient length {grad.shape} != scaling length {d.shape}")
+        return grad * d
+
+    def hessian(self, hess: np.ndarray) -> np.ndarray:
+        """Hessian at the moved point: D H D."""
+        d, hess = self._transport(), require_symmetric(hess, "hessian")
+        if hess.shape != (d.size, d.size):
+            raise ValueError(
+                f"hessian shape {hess.shape} != ({d.size}, {d.size})")
+        return d[:, None] * hess * d[None, :]
+
+    def _transport(self) -> np.ndarray:
+        if not np.all(np.isfinite(self.inverse) & (self.inverse > 0)):
+            raise ValueError("multipliers must be a finite positive vector")
+        return self.inverse
+
+
+def _check_outer(arch: Architecture, name: str, value: float) -> None:
+    """The refusals of :class:`ScaleMap`'s outer-layer constructors."""
+    if arch.depth < 2:
+        raise ValueError(f"need depth >= 2, got {arch.depth}")
+    if not (value > 0):
+        raise ValueError(f"{name} must be > 0, got {value}")
 
 
 def alpha_scale_two_layer(arch: Architecture, params: ParamVector,
@@ -268,100 +341,7 @@ def alpha_scale_two_layer(arch: Architecture, params: ParamVector,
         raise ValueError(
             f"two-layer scaling needs exactly 2 layers, got {arch.depth}"
         )
-    return alpha_scale_deep(arch, params, (spec.alpha, 1.0 / spec.alpha))
-
-
-def first_last_alphas(depth: int, alpha: float) -> tuple[float, ...]:
-    """Factor list (alpha, 1, ..., 1, 1/alpha): only the outer layers move."""
-    if depth < 2:
-        raise ValueError(f"need depth >= 2, got {depth}")
-    if not (alpha > 0):
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    return (alpha,) + (1.0,) * (depth - 2) + (1.0 / alpha,)
-
-
-def many_directions_alphas(depth: int, beta: float) -> tuple[float, ...]:
-    """Factor list (1/beta, ..., 1/beta, beta^(K-1)).
-
-    Every layer but the last is shrunk by the same factor; the last layer
-    absorbs the product constraint. Under the induced diagonal map this
-    blows up all flat coordinates except the last weight block and the
-    last bias, which is what pushes many Hessian eigenvalues upward at once.
-    """
-    if depth < 2:
-        raise ValueError(f"need depth >= 2, got {depth}")
-    if not (beta > 0):
-        raise ValueError(f"beta must be > 0, got {beta}")
-    return (1.0 / beta,) * (depth - 1) + (float(beta) ** (depth - 1),)
-
-
-def transform_multipliers(arch: Architecture,
-                          alphas: tuple[float, ...]) -> np.ndarray:
-    """Flat per-coordinate multipliers of the alpha-scale map.
-
-    Weight block k gets alphas[k] and the bias of layer j the running
-    product alphas[0] ... alphas[j]. This is the one statement of which
-    factor multiplies which coordinate; every scale construction reads it.
-    """
-    factors = np.asarray(alphas, dtype=float)
-    if factors.shape != (arch.depth,):
-        raise ValueError(
-            f"{factors.size} scale factors for a {arch.depth}-layer network"
-        )
-    widths = arch.layer_widths
-    sizes = [a * b for a, b in zip(widths, widths[1:])]
-    if arch.use_bias:
-        factors = np.concatenate([factors, np.cumprod(factors)])
-        sizes += widths[1:]
-    return np.repeat(factors, sizes)
-
-
-@dataclass(frozen=True, eq=False)
-class DiagonalScaling:
-    """Flat diagonal D carrying derivatives between equivalent points.
-
-    ``multipliers`` is the elementwise inverse of the transform's own
-    coordinate multipliers: weight block k gets 1/alpha_k, the bias of
-    layer j gets 1/(alpha_1 ... alpha_j).
-    """
-
-    multipliers: np.ndarray
-
-    def __post_init__(self):
-        m = np.ascontiguousarray(self.multipliers, dtype=float)
-        if m.ndim != 1 or not np.all(m > 0) or not np.all(np.isfinite(m)):
-            raise ValueError("multipliers must be a finite positive vector")
-        object.__setattr__(self, "multipliers", m)
-
-
-def diagonal_scaling(arch: Architecture,
-                     alphas: tuple[float, ...] | AlphaScaleDeep) -> DiagonalScaling:
-    if isinstance(alphas, AlphaScaleDeep):
-        alphas = alphas.alphas
-    AlphaScaleDeep(tuple(alphas))  # validate positivity and product
-    return DiagonalScaling(1.0 / transform_multipliers(arch, tuple(alphas)))
-
-
-def predicted_gradient(grad: np.ndarray, scaling: DiagonalScaling) -> np.ndarray:
-    """Gradient at the transformed point: the old gradient times D."""
-    grad = np.asarray(grad, dtype=float)
-    if grad.shape != scaling.multipliers.shape:
-        raise ValueError(
-            f"gradient length {grad.shape} != scaling length "
-            f"{scaling.multipliers.shape}"
-        )
-    return grad * scaling.multipliers
-
-
-def predicted_hessian(hess: np.ndarray, scaling: DiagonalScaling) -> np.ndarray:
-    """Hessian at the transformed point: D H D."""
-    hess = require_symmetric(hess, "hessian")
-    d = scaling.multipliers
-    if hess.shape != (d.size, d.size):
-        raise ValueError(
-            f"hessian shape {hess.shape} != ({d.size}, {d.size})"
-        )
-    return d[:, None] * hess * d[None, :]
+    return ScaleMap.first_last(arch, spec.alpha).apply(params)
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +392,7 @@ def _sharpening_alphas(arch: Architecture, hess: np.ndarray,
     alphas = [None] * len(targets)
     alpha = 1.0
     for _ in range(_SHARPEN_STEPS):
-        scaling = diagonal_scaling(arch, first_last_alphas(arch.depth, alpha))
-        candidate = predicted_hessian(hess, scaling)
+        candidate = ScaleMap.first_last(arch, alpha).hessian(hess)
         if not np.all(np.isfinite(candidate)):
             raise ValueError(
                 f"scale factor {alpha:.3e} overflows the transformed Hessian"
@@ -764,13 +743,17 @@ def _ordered(x: np.ndarray) -> np.ndarray:
 
 
 def power_stretch_inverse(eta, spec: PowerStretch):
-    """Exact inverse of :func:`power_stretch_forward`, elementwise.
+    """Inverse of :func:`power_stretch_forward` over the floats, elementwise.
 
     Bisects over the ordered float64 bit patterns, starting from the whole
-    finite float line (at most 64 halvings), until each element's bracket
-    is two adjacent floats lo < hi with forward(lo) <= eta < forward(hi);
-    lo is returned. A NaN or infinite eta, or one outside
-    [forward(-max), forward(max)), is refused.
+    finite float line (at most 64 halvings), keeping forward(lo) <= eta <
+    forward(hi) until lo and hi are adjacent floats; lo is returned, so
+    forward(lo) <= eta < forward(next float above lo) always holds. The
+    preimage lo is unique only where forward is monotone over the floats,
+    as it is at b = 0 and at the specs the suite and notebooks use; with
+    a < 0 and b > 0 its rounding steps down between some adjacent floats,
+    and lo is then one of several floats that bracket eta. A NaN or
+    infinite eta, or one outside [forward(-max), forward(max)), is refused.
     """
     eta = np.asarray(eta, dtype=float)
     if not np.all(np.isfinite(eta)):
@@ -839,7 +822,7 @@ def apply_transform(arch: Architecture, params: ParamVector,
     if isinstance(spec, AlphaScaleTwoLayer):
         return alpha_scale_two_layer(arch, params, spec.alpha)
     if isinstance(spec, AlphaScaleDeep):
-        return alpha_scale_deep(arch, params, spec)
+        return ScaleMap(arch, spec.alphas).apply(params)
     if isinstance(spec, WeightNormScale):
         return weight_norm_scale(arch, params, spec.layer, spec.alpha)
     if isinstance(spec, Radial):

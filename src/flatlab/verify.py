@@ -29,14 +29,10 @@ from .linalg import _row_norms, symmetric_eigenspectrum
 from .metrics import _ascend, hessian_measures, volume_flatness_certificate
 from .nets import Architecture, Dataset, FlatIndex, uniform_params
 from .rng import SeededRng
-from .transforms import (PowerStretch, Radial, _sharpening_alphas,
-                         alpha_scale_deep, alpha_scale_two_layer,
-                         diagonal_scaling, epsilon_sharp_alpha,
-                         first_last_alphas, many_directions_alphas,
-                         predicted_gradient, predicted_hessian,
+from .transforms import (PowerStretch, Radial, ScaleMap, _sharpening_alphas,
+                         alpha_scale_two_layer, epsilon_sharp_alpha,
                          radial_forward, radial_inverse, radial_jacobian,
-                         transform_multipliers, weight_norm_scale,
-                         zero_first_layer)
+                         weight_norm_scale, zero_first_layer)
 
 
 @dataclass(frozen=True)
@@ -118,7 +114,7 @@ def _check_equivalence(seed: int) -> tuple[dict, list]:
             head = [float(np.exp(gen.uniform(np.log(0.3), np.log(3.0))))
                     for _ in range(depth - 1)]
             alphas = tuple(head) + (1.0 / float(np.prod(head)),)
-            moved = alpha_scale_deep(arch, params, alphas)
+            moved = ScaleMap(arch, alphas).apply(params)
         else:  # weight-norm scale with alpha > 0
             depth = int(gen.integers(2, 4))
             widths = ([int(gen.integers(1, 5))]
@@ -169,8 +165,8 @@ def _check_derivative_laws(seed: int) -> tuple[dict, list]:
             data = Dataset(inputs, targets)
             head = [float(np.exp(gen.uniform(np.log(0.6), np.log(1.6))))
                     for _ in range(arch.depth - 1)]
-            alphas = tuple(head) + (1.0 / float(np.prod(head)),)
-            moved = alpha_scale_deep(arch, params, alphas)
+            scale = ScaleMap(arch, tuple(head) + (1.0 / float(np.prod(head)),))
+            moved = scale.apply(params)
             try:
                 hess = nets.hessian(arch, params, data)
                 hess_moved = nets.hessian(arch, moved, data)
@@ -178,12 +174,11 @@ def _check_derivative_laws(seed: int) -> tuple[dict, list]:
                 continue
             grad = nets.gradient(arch, params, data)
             grad_moved = nets.gradient(arch, moved, data)
-            scaling = diagonal_scaling(arch, alphas)
             grad_err = float(
-                np.linalg.norm(predicted_gradient(grad, scaling) - grad_moved)
+                np.linalg.norm(scale.gradient(grad) - grad_moved)
                 / max(np.linalg.norm(grad_moved), 1e-12))
             hess_err = float(
-                np.linalg.norm(predicted_hessian(hess, scaling) - hess_moved)
+                np.linalg.norm(scale.hessian(hess) - hess_moved)
                 / max(np.linalg.norm(hess_moved), 1e-12))
             return grad_err, hess_err
         raise RuntimeError(f"no smooth point found for unit {i}")
@@ -225,11 +220,10 @@ def _check_sharpening(seed: int) -> tuple[dict, list]:
         margins, deviations = [], []
         for target, alpha in zip(_SHARPEN_TARGETS, _sharpening_alphas(
                 arch, hess, _SHARPEN_TARGETS)):
-            alphas = first_last_alphas(arch.depth, alpha)
-            measures = hessian_measures(
-                predicted_hessian(hess, diagonal_scaling(arch, alphas)))
+            scale = ScaleMap.first_last(arch, alpha)
+            measures = hessian_measures(scale.hessian(hess))
             margins.append(measures.spectral_norm / target)
-            moved = alpha_scale_deep(arch, teacher, alphas)
+            moved = scale.apply(teacher)
             deviations.append(forward_deviation(arch, teacher, moved, probes))
         return margins, deviations
 
@@ -273,15 +267,14 @@ def _check_many_directions(seed: int) -> tuple[dict, list]:
         rank = int(np.sum(evals > 1e-6 * lam1))
         # coordinates whose curvature D = 1/multiplier does not grow; a power
         # of two keeps the last bias's running product exactly 1
-        unmoved = int(np.count_nonzero(transform_multipliers(
-            arch, many_directions_alphas(arch.depth, 2.0)) >= 1.0))
+        unmoved = int(np.count_nonzero(
+            ScaleMap.many_directions(arch, 2.0).multipliers >= 1.0))
         guarantee = rank - unmoved
         # each moved coordinate's D entry is at least beta >= 1, so by Cauchy
         # interlacing and Ostrowski's theorem the top rank - unmoved
         # eigenvalues of DHD are at least beta^2 lam_r >= 16 target
         beta = max(1.0, 4.0 * float(np.sqrt(_MANY_TARGET / evals[rank - 1])))
-        moved = predicted_hessian(hess, diagonal_scaling(
-            arch, many_directions_alphas(arch.depth, beta)))
+        moved = ScaleMap.many_directions(arch, beta).hessian(hess)
         count = int(np.sum(symmetric_eigenspectrum(moved) > _MANY_TARGET))
         return lam1, rank, guarantee, count, grad_norm
 
@@ -380,8 +373,7 @@ def _ball_units(seed: int) -> list[tuple]:
         data, teacher = make_teacher_student(arch, unit, m=48)
         base_loss = nets.loss(arch, teacher, data)
         alpha = epsilon_sharp_alpha(arch, teacher, _BALL_EPSILON)
-        alphas = first_last_alphas(arch.depth, alpha)
-        point = alpha_scale_deep(arch, teacher, alphas)
+        point = ScaleMap.first_last(arch, alpha).apply(teacher)
         deviation = forward_deviation(arch, teacher, point,
                                       probe_inputs(arch, unit))
         zero_loss = nets.loss(arch, zero_first_layer(arch, point), data)

@@ -20,8 +20,7 @@ from flatlab.nets import (Architecture, Dataset, FlatIndex, Objective,
                           unvec, vec)
 from flatlab.rng import SeededRng
 from flatlab.serialize import format_float
-from flatlab.transforms import (alpha_scale_deep, disjoint_box_alpha,
-                               first_last_alphas)
+from flatlab.transforms import ScaleMap, disjoint_box_alpha
 from test_nets import _exact_losses, _fraction
 
 
@@ -432,6 +431,7 @@ def test_volume_bounds_grow_by_the_flat_index_exponent(widths, bias):
     n1, n2 = (index.weight_slice(k).stop - index.weight_slice(k).start
               for k in (0, 1))
     exponent = n1 + (arch.layer_widths[1] if bias else 0) - n2
+    assert ScaleMap.first_last(arch, 2.0).log2_det == exponent
     total, expected = 0.0, []
     for k in range(5):
         total += cert.v * cert.alpha ** (k * exponent)
@@ -777,7 +777,7 @@ def test_dense_path_report_runs_one_kink_guard(monkeypatch):
     # report builds the dense Hessian, from its own pass past its own guard
     arch, data, teacher = _teacher_setup(widths=(2, 8, 1), seed=3, m=48,
                                          bias=True)
-    point = alpha_scale_deep(arch, teacher, first_last_alphas(2, 0.37))
+    point = ScaleMap.first_last(arch, 0.37).apply(teacher)
     guard, calls = nets._kink_guard, []
     monkeypatch.setattr(nets, "_kink_guard",
                         lambda *args: calls.append(guard(*args)))

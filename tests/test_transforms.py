@@ -1,4 +1,5 @@
 import operator
+import warnings
 from dataclasses import fields
 from decimal import Decimal, localcontext
 from itertools import accumulate
@@ -13,27 +14,23 @@ from flatlab.errors import KinkProximityError
 from flatlab.linalg import symmetric_eigenspectrum
 from flatlab.nets import (Architecture, Dataset, FlatIndex, ParamVector,
                           forward, gradient, hessian, loss_and_gradient,
-                          uniform_params, vec)
+                          uniform_params, unvec, vec)
 from flatlab.rng import SeededRng
 from flatlab.transforms import (_TRANSFORM_KINDS, AlphaScaleDeep,
                                 AlphaScaleTwoLayer, InputAffine, PowerStretch,
-                                Radial, TransformSpec, WeightNormScale,
-                                alpha_scale_deep,
+                                Radial, ScaleMap, TransformSpec,
+                                WeightNormScale, _ordered,
                                 alpha_scale_two_layer, apply_transform,
-                                diagonal_scaling, disjoint_box_alpha,
-                                epsilon_sharp_alpha, first_last_alphas,
-                                fold_input_affine, many_directions_alphas,
-                                power_stretch_derivative,
+                                disjoint_box_alpha, epsilon_sharp_alpha,
+                                fold_input_affine, power_stretch_derivative,
                                 power_stretch_forward,
                                 power_stretch_inverse,
                                 power_stretch_second_derivative,
-                                predicted_gradient, predicted_hessian,
                                 psi, psi_inverse, psi_prime, radial_forward,
                                 radial_inverse,
                                 radial_jacobian, sharpening_alpha,
-                                transform_from_dict, transform_multipliers,
-                                transform_to_dict, weight_norm_scale,
-                                zero_first_layer)
+                                transform_from_dict, transform_to_dict,
+                                weight_norm_scale, zero_first_layer)
 
 ARCH2 = Architecture((2, 4, 1))
 ARCH3 = Architecture((3, 4, 4, 1))
@@ -85,7 +82,7 @@ def test_deep_scale_bias_chain():
         [np.ones((1, 2)), np.ones((2, 2)), np.ones((2, 1))],
         [np.ones(2), np.ones(2), np.ones(1)])
     alphas = (2.0, 4.0, 1.0 / 8.0)
-    moved = alpha_scale_deep(arch, params, alphas)
+    moved = ScaleMap(arch, alphas).apply(params)
     assert np.allclose(moved.weights[0], 2.0)
     assert np.allclose(moved.weights[1], 4.0)
     assert np.allclose(moved.weights[2], 1.0 / 8.0)
@@ -101,16 +98,63 @@ def test_deep_scale_bias_chain():
 def test_deep_scale_rejects_bad_product():
     with pytest.raises(ValueError):
         AlphaScaleDeep((2.0, 1.0))
-    with pytest.raises(ValueError):
-        alpha_scale_deep(ARCH3, _params(ARCH3), (2.0, 2.0, 1.0))
+    # a product off by more than the tolerance is refused, one inside it
+    # is kept as given
+    for alphas in ((2.0, 2.0, 1.0), (2.0, 0.5, 1.0 + 2e-12)):
+        with pytest.raises(ValueError, match="differs from 1 by more than"):
+            ScaleMap(ARCH3, alphas)
+    assert ScaleMap(ARCH3, (2.0, 0.5, 1.0 + 5e-13)).alphas[2] == 1.0 + 5e-13
 
 
 def test_deep_scale_rejects_wrong_arity():
-    with pytest.raises(ValueError):
-        alpha_scale_deep(ARCH2, _params(ARCH2), (2.0, 1.0, 0.5))
-    for alphas in ((2.0,), (2.0, 1.0, 0.5), ()):
-        with pytest.raises(ValueError, match="scale factors for a 2-layer"):
-            transform_multipliers(ARCH2, alphas)
+    # factors that pass the spec's checks, one per layer too many or few
+    for alphas in ((1.0,), (2.0, 1.0, 0.5), (0.5, 0.5, 2.0, 2.0)):
+        with pytest.raises(ValueError, match=f"^{len(alphas)} scale factors "
+                                             "for a 2-layer network$"):
+            ScaleMap(ARCH2, alphas)
+    with pytest.raises(ValueError, match="need at least one factor"):
+        ScaleMap(ARCH2, ())
+
+
+def test_scale_map_rejects_non_positive_factors():
+    for alphas in ((-1.0, -1.0), (0.0, np.inf), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="alphas must be finite and > 0"):
+            ScaleMap(ARCH2, alphas)
+    with pytest.raises(ValueError, match="alpha must be > 0, got 0.0"):
+        ScaleMap.first_last(ARCH2, 0.0)
+    with pytest.raises(ValueError, match="beta must be > 0, got -2.0"):
+        ScaleMap.many_directions(ARCH3, -2.0)
+
+
+def test_scale_map_constructors_need_two_layers():
+    shallow = Architecture((3, 1))
+    for build in (ScaleMap.first_last, ScaleMap.many_directions):
+        with pytest.raises(ValueError, match="need depth >= 2, got 1"):
+            build(shallow, 2.0)
+    # the map itself takes one factor for one layer
+    assert ScaleMap(shallow, (1.0,)).multipliers.tolist() == [1.0] * 3
+
+
+def test_scale_map_refuses_derivatives_where_its_inverse_overflows():
+    # the running product 2^-535 2^-535 = 2^-1070 is a subnormal bias
+    # multiplier whose reciprocal overflows: apply takes it without a
+    # warning, as the parameter map is still exact, but D is not finite
+    arch = Architecture((1, 2, 2, 2, 1), use_bias=True)
+    small, large = 2.0 ** -535, 2.0 ** 535
+    params = _params(arch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scale = ScaleMap(arch, (small, small, large, large))
+        moved = scale.apply(params)
+    assert scale.multipliers.min() == 2.0 ** -1070
+    assert np.isinf(scale.inverse).any()
+    assert vec(arch, moved).tobytes() == (
+        vec(arch, params) * scale.multipliers).tobytes()
+    n = FlatIndex(arch).total
+    with pytest.raises(ValueError, match="finite positive vector"):
+        scale.gradient(np.ones(n))
+    with pytest.raises(ValueError, match="finite positive vector"):
+        scale.hessian(np.eye(n))
 
 
 def test_two_layer_requires_depth_two():
@@ -128,12 +172,16 @@ def test_scale_equivalence_property(alpha):
     assert np.allclose(moved, base, rtol=1e-12, atol=1e-12)
 
 
-def test_first_last_and_many_directions_helpers():
-    assert first_last_alphas(2, 0.5) == (0.5, 2.0)
-    assert first_last_alphas(4, 2.0) == (2.0, 1.0, 1.0, 0.5)
-    alphas = many_directions_alphas(3, 10.0)
-    assert alphas == (0.1, 0.1, 100.0)
-    assert np.isclose(np.prod(alphas), 1.0, rtol=1e-12)
+def test_scale_map_constructors_equal_explicit_factors():
+    arch4 = Architecture((2, 3, 3, 3, 1), use_bias=True)
+    for built, alphas in (
+            (ScaleMap.first_last(ARCH2, 0.5), (0.5, 2.0)),
+            (ScaleMap.first_last(arch4, 2.0), (2.0, 1.0, 1.0, 0.5)),
+            (ScaleMap.many_directions(ARCH3, 10.0), (0.1, 0.1, 100.0))):
+        explicit = ScaleMap(built.arch, alphas)
+        assert built.alphas == alphas
+        assert built.multipliers.tobytes() == explicit.multipliers.tobytes()
+        assert built.inverse.tobytes() == explicit.inverse.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +190,7 @@ def test_first_last_and_many_directions_helpers():
 
 def test_multipliers_layout():
     arch = Architecture((2, 2, 1), use_bias=True)
-    mult = transform_multipliers(arch, (3.0, 1.0 / 3.0))
+    mult = ScaleMap(arch, (3.0, 1.0 / 3.0)).multipliers
     # weights layer by layer, then biases with cumulative products
     expected = np.concatenate([
         np.full(4, 3.0), np.full(2, 1.0 / 3.0),
@@ -171,17 +219,58 @@ def test_deep_scale_equals_per_layer_product_bitwise(seed):
     params = uniform_params(arch, gen)
     head = tuple(float(a) for a in np.exp(gen.uniform(-3.0, 3.0, depth - 1)))
     alphas = head + (1.0 / float(np.prod(head)),)
-    moved = alpha_scale_deep(arch, params, alphas)
     oracle = _per_layer_scaled(arch, params, alphas)
-    assert vec(arch, moved).tobytes() == vec(arch, oracle).tobytes()
-    # the result's weights are views of one flat buffer; the calculus
-    # must not see the difference from separate arrays
+    moves = [ScaleMap(arch, alphas).apply(params),
+             apply_transform(arch, params, AlphaScaleDeep(alphas))]
+    if depth == 2:
+        moves.append(alpha_scale_two_layer(arch, params, alphas[0]))
     data = _data(arch, seed)
-    assert (forward(arch, moved, data.inputs).tobytes()
-            == forward(arch, oracle, data.inputs).tobytes())
-    (lm, gm), (lo, go) = (loss_and_gradient(arch, p, data)
-                          for p in (moved, oracle))
-    assert lm == lo and gm.tobytes() == go.tobytes()
+    lo, go = loss_and_gradient(arch, oracle, data)
+    for moved in moves:
+        assert vec(arch, moved).tobytes() == vec(arch, oracle).tobytes()
+        # the result's weights are views of one flat buffer; the calculus
+        # must not see the difference from separate arrays
+        assert (forward(arch, moved, data.inputs).tobytes()
+                == forward(arch, oracle, data.inputs).tobytes())
+        lm, gm = loss_and_gradient(arch, moved, data)
+        assert lm == lo and gm.tobytes() == go.tobytes()
+
+
+def _oracle_multipliers(arch, alphas):
+    """Per-coordinate factors built block by block from the layout."""
+    index = FlatIndex(arch)
+    m = np.empty(index.total)
+    for k, a in enumerate(alphas):
+        m[index.weight_slice(k)] = a
+    if arch.use_bias:
+        for k, a in enumerate(accumulate(alphas, operator.mul)):
+            m[index.bias_slice(k)] = a
+    return m
+
+
+@pytest.mark.parametrize("use_bias", (False, True))
+def test_scale_map_holds_the_reciprocal_formulas_bit_for_bit(use_bias):
+    # D = 1/m is stored and multiplied in: g * (1/m) rounds twice where
+    # g / m rounds once, so a map that divided would move these bits
+    arch = Architecture((3, 5, 4, 1), use_bias=use_bias)
+    gen = SeededRng(6, 46).generator()
+    alphas = (1.3, 0.7, 1.0 / (1.3 * 0.7))
+    scale = ScaleMap(arch, alphas)
+    m = _oracle_multipliers(arch, alphas)
+    d = 1.0 / m
+    assert scale.multipliers.tobytes() == m.tobytes()
+    assert scale.inverse.tobytes() == d.tobytes()
+    params = uniform_params(arch, gen)
+    assert (vec(arch, scale.apply(params)).tobytes()
+            == vec(arch, unvec(arch, vec(arch, params) * m)).tobytes())
+    g = gen.normal(size=m.size)
+    assert scale.gradient(g).tobytes() == (g * d).tobytes()
+    assert (g * d).tobytes() != (g / m).tobytes()
+    h = gen.normal(size=(m.size, m.size))
+    h = h + h.T
+    expected = d[:, None] * h * d[None, :]
+    assert scale.hessian(h).tobytes() == expected.tobytes()
+    assert expected.tobytes() != (h / (m[:, None] * m[None, :])).tobytes()
 
 
 @pytest.mark.parametrize("use_bias", (False, True))
@@ -194,19 +283,18 @@ def test_multiplier_counts_equal_flat_index_arithmetic(widths, use_bias):
              for s in map(index.weight_slice, range(arch.depth))]
     biases = list(arch.layer_widths[1:]) if use_bias else [0] * arch.depth
     # many_directions: the last weight block and the last bias stay unmoved
-    mult = transform_multipliers(arch, many_directions_alphas(arch.depth, 2.0))
+    mult = ScaleMap.many_directions(arch, 2.0).multipliers
     assert np.count_nonzero(mult >= 1.0) == sizes[-1] + biases[-1]
     if arch.depth == 2:
         # volume: the first block and its bias grow, the second block shrinks
-        grow = transform_multipliers(arch, (2.0, 0.5))
+        grow = ScaleMap(arch, (2.0, 0.5)).multipliers
         assert (np.count_nonzero(grow > 1.0) - np.count_nonzero(grow < 1.0)
                 == sizes[0] + biases[0] - sizes[1])
 
 
-def test_diagonal_scaling_inverts_multipliers():
-    mult = transform_multipliers(ARCH2, (2.0, 0.5))
-    scaling = diagonal_scaling(ARCH2, (2.0, 0.5))
-    assert np.allclose(scaling.multipliers * mult, 1.0)
+def test_scale_map_inverse_inverts_multipliers():
+    scale = ScaleMap(ARCH2, (2.0, 0.5))
+    assert np.allclose(scale.inverse * scale.multipliers, 1.0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -222,31 +310,30 @@ def test_power_of_two_scales_hold_every_law_bit_for_bit(widths, bias, seed,
     assume(abs(sum(ks)) <= 20)
     alphas = tuple(2.0 ** k for k in ks) + (2.0 ** -sum(ks),)
     params, data = _params(arch, seed), _data(arch, seed)
-    moved = alpha_scale_deep(arch, params, alphas)
-    scaling = diagonal_scaling(arch, alphas)
+    scale = ScaleMap(arch, alphas)
+    moved = scale.apply(params)
     assert np.array_equal(forward(arch, moved, data.inputs),
                           forward(arch, params, data.inputs))
     assert np.array_equal(gradient(arch, moved, data),
-                          predicted_gradient(gradient(arch, params, data),
-                                             scaling))
+                          scale.gradient(gradient(arch, params, data)))
     try:
         hess = hessian(arch, params, data)
         moved_hess = hessian(arch, moved, data)
     except KinkProximityError:
         assume(False)
-    assert np.array_equal(moved_hess, predicted_hessian(hess, scaling))
+    assert np.array_equal(moved_hess, scale.hessian(hess))
 
 
-def test_predicted_gradient_and_hessian_against_reevaluation():
+def test_scale_map_gradient_and_hessian_against_reevaluation():
     # seed chosen so both points clear the kink exclusion band
     params = _params(ARCH3, 0)
     data = _data(ARCH3, 0)
     alphas = (1.25, 0.8, 1.0 / (1.25 * 0.8))
-    moved = alpha_scale_deep(ARCH3, params, alphas)
-    scaling = diagonal_scaling(ARCH3, alphas)
-    g = predicted_gradient(gradient(ARCH3, params, data), scaling)
+    scale = ScaleMap(ARCH3, alphas)
+    moved = scale.apply(params)
+    g = scale.gradient(gradient(ARCH3, params, data))
     assert np.allclose(g, gradient(ARCH3, moved, data), rtol=1e-9, atol=1e-12)
-    h = predicted_hessian(hessian(ARCH3, params, data), scaling)
+    h = scale.hessian(hessian(ARCH3, params, data))
     h2 = hessian(ARCH3, moved, data)
     assert np.linalg.norm(h - h2) <= 1e-6 * max(np.linalg.norm(h2), 1.0)
 
@@ -259,9 +346,7 @@ def test_sharpening_alpha_certifies_target():
     hess = hessian(arch, params, d)
     for target in (1e2, 1e5):
         alpha = sharpening_alpha(arch, hess, target)
-        moved = predicted_hessian(hess,
-                                  diagonal_scaling(arch,
-                                                   first_last_alphas(2, alpha)))
+        moved = ScaleMap.first_last(arch, alpha).hessian(hess)
         assert np.max(np.abs(np.linalg.eigvalsh(moved))) >= target
 
 
@@ -272,8 +357,7 @@ def test_sharpening_alpha_is_first_candidate_reaching_target():
     hess = hessian(arch, _params(arch, 8), d)
 
     def spectral_norm(alpha):
-        moved = predicted_hessian(
-            hess, diagonal_scaling(arch, first_last_alphas(2, alpha)))
+        moved = ScaleMap.first_last(arch, alpha).hessian(hess)
         return np.max(np.abs(symmetric_eigenspectrum(moved)))
 
     for target in (2.0 * spectral_norm(1.0), 1e2, 1e5):
@@ -293,7 +377,7 @@ def test_epsilon_sharp_alpha_shrinks_first_layer_to_radius():
     params = _params(ARCH2, 9)
     eps = 1e-2
     alpha = epsilon_sharp_alpha(ARCH2, params, eps)
-    moved = alpha_scale_deep(ARCH2, params, first_last_alphas(2, alpha))
+    moved = ScaleMap.first_last(ARCH2, alpha).apply(params)
     assert np.isclose(np.linalg.norm(moved.weights[0].ravel()), eps)
 
 
@@ -620,15 +704,44 @@ def test_power_stretch_monotone_on_grid():
     assert all(power_stretch_derivative(t, STRETCH) > 0 for t in grid)
 
 
-@pytest.mark.parametrize("a", (-0.3, 0.7))
-@pytest.mark.parametrize("t", (3e-162, 1e-160, 1.5e-154))
-def test_power_stretch_forward_is_monotone_over_adjacent_floats(a, t):
-    # where u^2 is subnormal (and at its edge, 1.5e-154) with b = 0, a
-    # thousand consecutive floats keep their order, as the inverse's
-    # bisection needs
-    grid = (np.float64(t).view(np.int64) + np.arange(-500, 501)).view(float)
-    images = power_stretch_forward(grid, PowerStretch(0.0, a, 0.0))
-    assert np.all(np.diff(images) >= 0.0)
+# the b > 0 specs of the curvature_congruence check and the bent-ruler
+# notebook
+DEMO_STRETCHES = (PowerStretch(0.0, 0.0, 1.0), PowerStretch(0.2, 1.0, 0.5),
+                  PowerStretch(-0.3, 0.7, 0.8), PowerStretch(0.8, 1.0, 0.05))
+
+
+def _adjacent_floats(points, k: int) -> np.ndarray:
+    """Row i: the 2k + 1 consecutive floats centred on points[i], in order."""
+    keys = _ordered(np.asarray(points, dtype=float))[:, None]
+    return _ordered(keys + np.arange(-k, k + 1)).view(float)
+
+
+@pytest.mark.parametrize("spec", (PowerStretch(0.0, -0.3, 0.0),
+                                  PowerStretch(0.0, 0.7, 0.0))
+                         + DEMO_STRETCHES)
+def test_power_stretch_forward_is_monotone_over_adjacent_floats(spec):
+    # with b = 0 where u^2 is subnormal (and at its edge, 1.5e-154), and at
+    # the demo specs from u = -3 to 3, a thousand consecutive floats keep
+    # their order, so the inverse's preimage is unique there
+    points = ((3e-162, 1e-160, 1.5e-154) if spec.b == 0.0
+              else spec.center + np.linspace(-3.0, 3.0, 25))
+    images = power_stretch_forward(_adjacent_floats(points, 500), spec)
+    assert np.all(np.diff(images, axis=-1) >= 0.0)
+
+
+def test_power_stretch_inverse_brackets_where_forward_is_not_monotone():
+    # a < 0 with b > 0: the ordinary form's rounding steps down between
+    # some adjacent floats, so several floats bracket one eta and the
+    # inverse may return another float than the one eta came from; the
+    # bracket forward(t) <= eta < forward(next float) still holds
+    spec = PowerStretch(0.0, -0.3, 0.5)
+    floats = _adjacent_floats((0.5, 1.0, 2.5), 500)
+    etas = power_stretch_forward(floats, spec)
+    assert np.any(np.diff(etas, axis=-1) < 0.0)
+    t = power_stretch_inverse(etas, spec)
+    assert np.any(t != floats)
+    assert np.all(power_stretch_forward(t, spec) <= etas)
+    assert np.all(etas < power_stretch_forward(np.nextafter(t, np.inf), spec))
 
 
 @pytest.mark.parametrize("a", (-0.3, 0.0, 0.7))

@@ -11,7 +11,7 @@ certificate of each
 ``flatness_report`` outputs the ``suite_jobs2`` benchmark builds at that
 seed ((4,32,1) teachers on 256 examples, the CLI's default ascent). Then,
 once: the ``flatness_report`` of a fixed teacher, rescaled by
-``first_last_alphas`` at each of a few factors, on one wide and three
+``ScaleMap.first_last`` at each of a few factors, on one wide and three
 biased architectures; the biased reports, the deep one too, include a
 volume certificate (the wide one asks for none); and the printed text
 of each notebook.
@@ -42,7 +42,7 @@ from flatlab.metrics import (SharpnessConfig, flatness_report,  # noqa: E402
 from flatlab.nets import Architecture  # noqa: E402
 from flatlab.rng import SeededRng  # noqa: E402
 from flatlab.serialize import to_json  # noqa: E402
-from flatlab.transforms import alpha_scale_deep, first_last_alphas  # noqa: E402
+from flatlab.transforms import ScaleMap  # noqa: E402
 
 # (widths, use_bias, examples, volume epsilon) of the fixed reports, and
 # their factors
@@ -102,8 +102,7 @@ def _bench_report(seed: int, i: int) -> dict:
 def _report(widths, bias: bool, m: int, volume_epsilon, alpha: float) -> dict:
     arch = Architecture(widths, use_bias=bias)
     data, teacher = make_teacher_student(arch, REPORT_SEED, m)
-    point = alpha_scale_deep(arch, teacher,
-                             first_last_alphas(arch.depth, alpha))
+    point = ScaleMap.first_last(arch, alpha).apply(teacher)
     return flatness_report(arch, point, data,
                            SharpnessConfig(1e-2, seed=REPORT_SEED),
                            thresholds=(1.0,),
