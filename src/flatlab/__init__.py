@@ -17,12 +17,10 @@ from .nets import (Architecture, Dataset, FlatIndex, ParamVector, forward,
 from .rng import SeededRng
 from .transforms import (AlphaScaleDeep, AlphaScaleTwoLayer, InputAffine,
                          PowerStretch, Radial, ScaleMap, TransformSpec,
-                         WeightNormScale, alpha_scale_two_layer,
-                         apply_transform, epsilon_sharp_alpha,
-                         radial_forward, radial_inverse, radial_jacobian,
-                         sharpening_alpha, transform_from_dict,
-                         transform_to_dict, weight_norm_scale,
-                         zero_first_layer)
+                         alpha_scale_two_layer, apply_transform,
+                         epsilon_sharp_alpha, radial_forward, radial_inverse,
+                         radial_jacobian, sharpening_alpha,
+                         transform_from_dict, zero_first_layer)
 from .verify import SUITES, SuiteReport, run_suite
 
 __version__ = "0.1.0"
@@ -33,9 +31,8 @@ __all__ = [
     "forward", "loss", "gradient", "hessian", "kink_distance",
     "vec", "unvec", "load_checkpoint",
     "TransformSpec", "AlphaScaleTwoLayer", "AlphaScaleDeep",
-    "WeightNormScale", "Radial", "PowerStretch", "InputAffine",
-    "ScaleMap", "transform_to_dict", "transform_from_dict",
-    "alpha_scale_two_layer", "weight_norm_scale", "apply_transform",
+    "Radial", "PowerStretch", "InputAffine", "ScaleMap",
+    "transform_from_dict", "alpha_scale_two_layer", "apply_transform",
     "sharpening_alpha", "epsilon_sharp_alpha", "zero_first_layer",
     "radial_forward", "radial_inverse", "radial_jacobian",
     "SharpnessConfig", "SharpnessResult", "HessianMeasures",

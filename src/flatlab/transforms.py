@@ -1,9 +1,9 @@
 """Parameter transformations and their effect on derivatives.
 
 Two families live here. The scale family (two-layer and deep alpha
-scalings, bias-aware variants, weight-norm rescaling) maps a parameter
-vector to an observationally equivalent one: the realized prediction
-function is unchanged for every input. The reparametrization family
+scalings, with or without biases) maps a parameter vector to an
+observationally equivalent one: the realized prediction function is
+unchanged for every input. The reparametrization family
 (radial, power stretch, input affine) changes coordinates instead; the
 point moves, the function family does not.
 
@@ -25,14 +25,13 @@ from __future__ import annotations
 import dataclasses
 import math
 import typing
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import _row_norms, require_symmetric, symmetric_eigenspectrum
 from .nets import Architecture, FlatIndex, ParamVector, check_params, unvec, vec
-from .serialize import json_float, json_int
+from .serialize import json_float
 
 ALPHA_PRODUCT_RTOL = 1e-12
 # Condition-number ceiling past which a preprocessing matrix is treated
@@ -80,22 +79,6 @@ class AlphaScaleDeep:
                 f"factor product {product!r} differs from 1 by more than "
                 f"{ALPHA_PRODUCT_RTOL:.0e}"
             )
-
-
-@dataclass(frozen=True)
-class WeightNormScale:
-    """Scale the unnormalized weight v of one layer; w = s v/|v| is kept."""
-
-    kind = "weight_norm"
-
-    layer: int
-    alpha: float
-
-    def __post_init__(self):
-        if not (self.alpha != 0 and np.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be finite and nonzero, got {self.alpha}")
-        if self.layer < 0:
-            raise ValueError(f"layer index must be >= 0, got {self.layer}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,35 +157,18 @@ class InputAffine:
         object.__setattr__(self, "shift", c)
 
 
-TransformSpec = (AlphaScaleTwoLayer | AlphaScaleDeep | WeightNormScale
-                 | Radial | PowerStretch | InputAffine)
+TransformSpec = (AlphaScaleTwoLayer | AlphaScaleDeep | Radial | PowerStretch
+                 | InputAffine)
 
 
 # each spec's ``kind`` JSON tag is a plain class attribute, not a field
 _TRANSFORM_KINDS = {cls.kind: cls for cls in typing.get_args(TransformSpec)}
 
 
-def transform_to_dict(spec: TransformSpec) -> dict:
-    """JSON-ready encoding: the ``kind`` tag, then each dataclass field."""
-    if type(spec) not in _TRANSFORM_KINDS.values():
-        raise TypeError(f"not a transform spec: {type(spec).__name__}")
-    out = {"kind": spec.kind}
-    for f in dataclasses.fields(spec):
-        value = getattr(spec, f.name)
-        if isinstance(value, np.ndarray):
-            value = value.tolist()
-        elif isinstance(value, tuple):
-            value = list(value)
-        out[f.name] = value
-    return out
-
-
 def _decode_field(name: str, annotation: str, value):
     """Coerce one JSON value by the field's annotated type."""
     if annotation == "float":
         return json_float(value, f"field {name!r}")
-    if annotation == "int":
-        return json_int(value, f"field {name!r}")
     if annotation.startswith("tuple"):
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"field {name!r} must be a list, got {value!r}")
@@ -217,7 +183,7 @@ def transform_from_dict(raw: dict) -> TransformSpec:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ValueError("transform spec must be an object with a 'kind' field")
     kind = raw["kind"]
-    if kind not in _TRANSFORM_KINDS:
+    if not isinstance(kind, str) or kind not in _TRANSFORM_KINDS:
         raise ValueError(f"unknown transform kind {kind!r}")
     cls = _TRANSFORM_KINDS[kind]
     annotations = {f.name: f.type for f in dataclasses.fields(cls)}
@@ -461,40 +427,6 @@ def disjoint_box_alpha(theta1: np.ndarray, r: float) -> float:
     # bound = mantissa * 2**exponent with mantissa in [0.5, 1)
     mantissa, exponent = math.frexp(bound)
     return math.ldexp(1.0, exponent - 1 if mantissa == 0.5 else exponent)
-
-
-def weight_norm_scale(arch: Architecture, params: ParamVector,
-                      layer: int, alpha: float) -> ParamVector:
-    """Rescale the unnormalized weight of one layer by alpha.
-
-    The realized weight s v / |v| is invariant under v -> alpha v for
-    alpha > 0, so the returned parameters are bit-identical to the input.
-    A negative alpha flips the layer's sign, which changes the function;
-    it is allowed but warned about.
-    """
-    spec = WeightNormScale(layer, alpha)
-    check_params(arch, params)
-    if spec.layer >= arch.depth:
-        raise ValueError(f"layer {spec.layer} out of range")
-    s = float(np.linalg.norm(params.weights[spec.layer].ravel()))
-    if s == 0.0:
-        raise ValueError(f"layer {spec.layer} weight is zero")
-    if spec.alpha > 0:
-        # s v/|v| is exactly invariant: return the input weight untouched
-        # rather than recomputing it through two norms
-        return ParamVector(params.weights, params.biases)
-    warnings.warn(
-        f"weight-norm factor {spec.alpha} < 0 flips layer {spec.layer}; "
-        "the realized function changes sign structure",
-        stacklevel=2,
-    )
-    v = spec.alpha * params.weights[spec.layer]
-    norm = float(np.linalg.norm(v.ravel()))
-    if norm == 0.0:
-        raise ValueError("unnormalized weight is zero")
-    weights = list(params.weights)
-    weights[spec.layer] = (s / norm) * v  # realized weight s v/|v|
-    return ParamVector(tuple(weights), params.biases)
 
 
 # ---------------------------------------------------------------------------
@@ -823,8 +755,6 @@ def apply_transform(arch: Architecture, params: ParamVector,
         return alpha_scale_two_layer(arch, params, spec.alpha)
     if isinstance(spec, AlphaScaleDeep):
         return ScaleMap(arch, spec.alphas).apply(params)
-    if isinstance(spec, WeightNormScale):
-        return weight_norm_scale(arch, params, spec.layer, spec.alpha)
     if isinstance(spec, Radial):
         return unvec(arch, radial_forward(vec(arch, params), spec))
     if isinstance(spec, PowerStretch):

@@ -32,7 +32,7 @@ from .rng import SeededRng
 from .transforms import (PowerStretch, Radial, ScaleMap, _sharpening_alphas,
                          alpha_scale_two_layer, epsilon_sharp_alpha,
                          radial_forward, radial_inverse, radial_jacobian,
-                         weight_norm_scale, zero_first_layer)
+                         zero_first_layer)
 
 
 @dataclass(frozen=True)
@@ -93,18 +93,22 @@ _EQUIVALENCE_TOL = 1e-9
 
 
 def _check_equivalence(seed: int) -> tuple[dict, list]:
-    """Transformed parameters realize the same function, point by point."""
+    """Transformed parameters realize the same function, point by point.
+
+    Unit i draws from family i % 3, each of which moves the point: the
+    two-layer scale, then the deep scale without and with biases.
+    """
 
     def one(i: int) -> float:
         gen = SeededRng.of(_unit_seed(seed, 1, i), "unit").generator()
-        family = i % 4
+        family = i % 3
         if family == 0:  # two-layer scale
             arch = Architecture((int(gen.integers(1, 5)),
                                  int(gen.integers(1, 9)), 1))
             params = uniform_params(arch, gen)
             alpha = float(np.exp(gen.uniform(np.log(0.2), np.log(5.0))))
             moved = alpha_scale_two_layer(arch, params, alpha)
-        elif family in (1, 2):  # deep scale, without and with biases
+        else:  # deep scale, without and with biases
             depth = int(gen.integers(2, 5))
             widths = [int(gen.integers(1, 5))]
             widths += [int(gen.integers(1, 7)) for _ in range(depth - 1)]
@@ -115,16 +119,6 @@ def _check_equivalence(seed: int) -> tuple[dict, list]:
                     for _ in range(depth - 1)]
             alphas = tuple(head) + (1.0 / float(np.prod(head)),)
             moved = ScaleMap(arch, alphas).apply(params)
-        else:  # weight-norm scale with alpha > 0
-            depth = int(gen.integers(2, 4))
-            widths = ([int(gen.integers(1, 5))]
-                      + [int(gen.integers(1, 6)) for _ in range(depth - 1)]
-                      + [1])
-            arch = Architecture(tuple(widths))
-            params = uniform_params(arch, gen)
-            layer = int(gen.integers(0, depth))
-            alpha = float(np.exp(gen.uniform(np.log(0.1), np.log(10.0))))
-            moved = weight_norm_scale(arch, params, layer, alpha)
         x = gen.uniform(-2.0, 2.0, size=(1, arch.input_width))
         return forward_deviation(arch, params, moved, x)
 

@@ -197,7 +197,7 @@ def test_module_entry_point_runs(cli_env):
     assert payload["layer_widths"] == [2, 3, 1]
 
 
-def test_transform_bad_spec_exit_one(tmp_path, capsys):
+def test_transform_bad_spec_exit_one(tmp_path, capsys, cli_env):
     ckpt = tmp_path / "m.json"
     run_cli(capsys, "train", "--arch", "2,3,1", "--teacher", "--m", "8",
             "--seed", "2", "--out", str(ckpt))
@@ -207,6 +207,29 @@ def test_transform_bad_spec_exit_one(tmp_path, capsys):
                            "--spec", str(bad))
     assert code == 1
     assert "mystery" in err
+    # a list or object kind once escaped as a TypeError traceback; the
+    # weight-norm kind, which moved no point, is gone
+    grid = [-2.0, 2.0, 11]
+    for kind in (["x"], {"a": 1}, "weight_norm"):
+        transform = {"kind": kind, "layer": 0, "alpha": 2.0}
+        for argv, payload in (
+                (("transform", "--checkpoint", str(ckpt)), transform),
+                (("demo-reparam",), {"loss": "double_well",
+                                     "transform": transform, "grid": grid})):
+            bad.write_text(json.dumps(payload))
+            code, out, err = run_cli(capsys, *argv, "--spec", str(bad))
+            assert (code, out) == (1, "")
+            assert err == (f"flatlab {argv[0]}: unknown transform kind "
+                           f"{kind!r}\n")
+    # the same refusal from a fresh interpreter: one line, no traceback
+    bad.write_text('{"kind": ["x"]}')
+    result = subprocess.run(
+        [sys.executable, "-m", "flatlab", "transform", "--checkpoint",
+         str(ckpt), "--spec", str(bad)],
+        capture_output=True, text=True, env=cli_env)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == ("flatlab transform: unknown transform kind "
+                             "['x']\n")
 
 
 def test_metrics_reports_a_volume_bound_that_overflows_as_skipped(tmp_path,

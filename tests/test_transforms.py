@@ -1,4 +1,5 @@
 import operator
+import re
 import warnings
 from dataclasses import fields
 from decimal import Decimal, localcontext
@@ -18,8 +19,7 @@ from flatlab.nets import (Architecture, Dataset, FlatIndex, ParamVector,
 from flatlab.rng import SeededRng
 from flatlab.transforms import (_TRANSFORM_KINDS, AlphaScaleDeep,
                                 AlphaScaleTwoLayer, InputAffine, PowerStretch,
-                                Radial, ScaleMap, TransformSpec,
-                                WeightNormScale, _ordered,
+                                Radial, ScaleMap, TransformSpec, _ordered,
                                 alpha_scale_two_layer, apply_transform,
                                 disjoint_box_alpha, epsilon_sharp_alpha,
                                 fold_input_affine, power_stretch_derivative,
@@ -29,8 +29,7 @@ from flatlab.transforms import (_TRANSFORM_KINDS, AlphaScaleDeep,
                                 psi, psi_inverse, psi_prime, radial_forward,
                                 radial_inverse,
                                 radial_jacobian, sharpening_alpha,
-                                transform_from_dict, transform_to_dict,
-                                weight_norm_scale, zero_first_layer)
+                                transform_from_dict, zero_first_layer)
 
 ARCH2 = Architecture((2, 4, 1))
 ARCH3 = Architecture((3, 4, 4, 1))
@@ -406,24 +405,6 @@ def test_disjoint_box_alpha_formula():
     # 2 (t + r) overflows to inf: no finite power of two bounds it
     with pytest.raises(ValueError, match="float range"):
         disjoint_box_alpha(np.array([1e308]), 0.5e308)
-
-
-# ---------------------------------------------------------------------------
-# weight normalization
-
-
-def test_weight_norm_scale_positive_is_identity():
-    params = _params(ARCH2, 12)
-    moved = weight_norm_scale(ARCH2, params, 0, 3.7)
-    assert np.array_equal(moved.weights[0], params.weights[0])
-    assert np.array_equal(moved.weights[1], params.weights[1])
-
-
-def test_weight_norm_scale_negative_flips_and_warns():
-    params = _params(ARCH2, 13)
-    with pytest.warns(UserWarning):
-        moved = weight_norm_scale(ARCH2, params, 0, -2.0)
-    assert np.allclose(moved.weights[0], -params.weights[0])
 
 
 # ---------------------------------------------------------------------------
@@ -845,7 +826,6 @@ def test_power_stretch_inverse_is_exact_on_images():
 VALID_FIELDS = {
     AlphaScaleTwoLayer: {"alpha": 2.0},
     AlphaScaleDeep: {"alphas": (2.0, 0.5)},
-    WeightNormScale: {"layer": 0, "alpha": 2.0},
     Radial: {"center": np.zeros(3), "delta": 1.0, "rho": 0.5, "rhat": 0.5},
     PowerStretch: {"center": 0.0, "a": 1.0, "b": 0.5},
     InputAffine: {"matrix": np.eye(2), "shift": np.zeros(2)},
@@ -865,8 +845,8 @@ def _with_bad_entry(value, bad):
 
 @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
 @pytest.mark.parametrize("cls,name", [
-    (cls, name) for cls, valid in VALID_FIELDS.items() for name in valid
-    if name != "layer"], ids=lambda v: getattr(v, "kind", v))
+    (cls, name) for cls, valid in VALID_FIELDS.items() for name in valid],
+    ids=lambda v: getattr(v, "kind", v))
 def test_specs_refuse_non_finite_fields(cls, name, bad):
     assert set(VALID_FIELDS) == set(get_args(TransformSpec))
     cls(**VALID_FIELDS[cls])
@@ -908,36 +888,55 @@ def test_input_affine_rejects_singular_matrix():
 # spec codec
 
 
-CODEC_CASES = (
-    AlphaScaleTwoLayer(2.5),
-    AlphaScaleDeep((2.0, 0.25, 2.0)),
-    WeightNormScale(1, -0.5),
-    Radial(np.array([0.1, 0.2]), delta=1.0, rho=0.4, rhat=0.6),
-    PowerStretch(0.0, 1.0, 0.5),
-    InputAffine(np.array([[2.0, 0.0], [0.0, 1.0]]), np.array([0.5, -0.5])),
+# one payload of the file format per kind: the "kind" tag, then every
+# field of the kind's spec class, in order
+CODEC_PAYLOADS = (
+    {"kind": "alpha_scale_two_layer", "alpha": 2.5},
+    {"kind": "alpha_scale_deep", "alphas": [2.0, 0.25, 2.0]},
+    {"kind": "radial", "center": [0.1, 0.2], "delta": 1.0, "rho": 0.4,
+     "rhat": 0.6},
+    {"kind": "power_stretch", "center": 0.0, "a": 1.0, "b": 0.5},
+    {"kind": "input_affine", "matrix": [[2.0, 0.0], [0.0, 1.0]],
+     "shift": [0.5, -0.5]},
 )
 
 
-@pytest.mark.parametrize("spec", CODEC_CASES, ids=lambda s: s.kind)
-def test_transform_codec_round_trip(spec):
-    back = transform_from_dict(transform_to_dict(spec))
-    assert type(back) is type(spec)
-    assert transform_to_dict(back) == transform_to_dict(spec)
+@pytest.mark.parametrize("raw", CODEC_PAYLOADS, ids=lambda raw: raw["kind"])
+def test_transform_codec_round_trip(raw):
+    spec = transform_from_dict(raw)
+    assert type(spec) is _TRANSFORM_KINDS[raw["kind"]]
+    # every field keeps the payload's numbers, as a float, a tuple of
+    # floats or a float array
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        expected = {"float": float, "tuple[float, ...]": tuple,
+                    "np.ndarray": np.ndarray}[f.type]
+        assert isinstance(value, expected)
+        assert np.asarray(value).dtype == np.float64
+    back = {name: np.asarray(getattr(spec, name)).tolist()
+            for name in raw if name != "kind"}
+    assert {"kind": spec.kind, **back} == raw
 
 
 def test_each_kind_tag_is_a_class_attribute_not_a_field():
-    assert sorted(_TRANSFORM_KINDS) == sorted(s.kind for s in CODEC_CASES)
+    assert sorted(_TRANSFORM_KINDS) == sorted(raw["kind"]
+                                              for raw in CODEC_PAYLOADS)
     assert set(_TRANSFORM_KINDS.values()) == set(get_args(TransformSpec))
-    for spec in CODEC_CASES:
+    for raw in CODEC_PAYLOADS:
+        spec = transform_from_dict(raw)
         names = [f.name for f in fields(spec)]
         assert "kind" not in names
         assert _TRANSFORM_KINDS[type(spec).kind] is type(spec)
-        assert list(transform_to_dict(spec)) == ["kind", *names]
+        assert list(raw) == ["kind", *names]
 
 
 def test_codec_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="kind"):
-        transform_from_dict({"kind": "mystery", "alpha": 2.0})
+    # the weight-norm kind is gone, since it moved no point; a kind that is
+    # not a string is refused by name, not raised as a TypeError
+    for kind in ("mystery", "weight_norm", ["x"], {"a": 1}, None, 1, True):
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown transform kind {kind!r}")):
+            transform_from_dict({"kind": kind, "layer": 0, "alpha": 2.0})
 
 
 def test_codec_rejects_missing_and_extra_fields():
@@ -946,13 +945,6 @@ def test_codec_rejects_missing_and_extra_fields():
     with pytest.raises(ValueError):
         transform_from_dict({"kind": "alpha_scale_two_layer", "alpha": 2.0,
                              "junk": 1})
-    # an integer field is never truncated, and a boolean is not an integer
-    for layer in (1.7, True):
-        with pytest.raises(ValueError, match="'layer'"):
-            transform_from_dict({"kind": "weight_norm", "layer": layer,
-                                 "alpha": 2.0})
-    assert transform_from_dict({"kind": "weight_norm", "layer": 1.0,
-                                "alpha": 2.0}).layer == 1
     # a float field takes a finite number only: no booleans, no numeric
     # strings; a tuple field is a list of numbers, not a string to
     # iterate; an array field holds numbers only, in a regular nesting
@@ -986,9 +978,7 @@ def test_apply_transform_dispatch():
     params = _params(ARCH2, 20)
     data_x = SeededRng(20, 43).generator().uniform(-2, 2, (8, 2))
     base = forward(ARCH2, params, data_x)
-    for spec in (AlphaScaleTwoLayer(0.5),
-                 AlphaScaleDeep((0.5, 2.0)),
-                 WeightNormScale(0, 2.0)):
+    for spec in (AlphaScaleTwoLayer(0.5), AlphaScaleDeep((0.5, 2.0))):
         moved = apply_transform(ARCH2, params, spec)
         assert np.allclose(forward(ARCH2, moved, data_x), base,
                            rtol=1e-12, atol=1e-12)
@@ -1010,3 +1000,14 @@ def test_apply_transform_dispatch():
     moved = apply_transform(ARCH2, params, affine)
     folded = fold_input_affine(ARCH2, params, affine)
     assert vec(ARCH2, moved).tobytes() == vec(ARCH2, folded).tobytes()
+
+
+def test_apply_transform_refuses_a_non_spec():
+    # a decoded payload must pass through transform_from_dict first; the
+    # old weight-norm payload is no spec, whether raw or as a string
+    params = _params(ARCH2, 20)
+    for spec in ({"kind": "weight_norm", "layer": 0, "alpha": 2.0},
+                 "weight_norm", None):
+        with pytest.raises(TypeError, match=(
+                f"^not a transform spec: {type(spec).__name__}$")):
+            apply_transform(ARCH2, params, spec)

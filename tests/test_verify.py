@@ -7,6 +7,7 @@ import pytest
 
 from flatlab import verify
 from flatlab.cli import main
+from flatlab.nets import vec
 from flatlab.serialize import to_json
 from flatlab.verify import (CHECK_ORDER, CHECKS, SUITES, CheckOutcome,
                             run_suite)
@@ -53,6 +54,43 @@ def test_suite_deterministic_across_jobs():
     a = run_suite("equivalence", seed=2, jobs=1)
     b = run_suite("equivalence", seed=2, jobs=4)
     assert to_json(a.to_dict()) == to_json(b.to_dict())
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_no_equivalence_unit_compares_a_point_with_itself(seed, monkeypatch):
+    # a unit whose transform returned its input bit for bit would measure
+    # a deviation of exactly 0.0 and test nothing
+    pairs = []
+    compare = verify.forward_deviation
+
+    def spy(arch, before, after, probes):
+        pairs.append((vec(arch, before).tobytes(), vec(arch, after).tobytes()))
+        return compare(arch, before, after, probes)
+
+    monkeypatch.setattr(verify, "forward_deviation", spy)
+    assert run_suite("equivalence", seed).passed
+    assert len(pairs) == verify._EQUIVALENCE_TRIPLES
+    assert [i for i, (before, after) in enumerate(pairs)
+            if before == after] == []
+
+
+def test_equivalence_units_cycle_the_three_families(monkeypatch):
+    # unit i draws from family i % 3: the two-layer scale, then the deep
+    # scale without and with biases
+    archs = []
+    compare = verify.forward_deviation
+
+    def spy(arch, before, after, probes):
+        archs.append(arch)
+        return compare(arch, before, after, probes)
+
+    monkeypatch.setattr(verify, "forward_deviation", spy)
+    assert run_suite("equivalence", 0).passed
+    assert len(archs) == verify._EQUIVALENCE_TRIPLES
+    assert [i for i, arch in enumerate(archs)
+            if arch.use_bias != (i % 3 == 2)] == []
+    assert {archs[i].depth for i in range(0, len(archs), 3)} == {2}
+    assert {arch.depth for arch in archs[1::3]} == {2, 3, 4}
 
 
 def test_progress_lines_one_per_check():
