@@ -72,9 +72,9 @@ def _add_data_flags(parser, default_m: int = 64):
                         help="seed for all generated randomness")
 
 
-def _add_jobs_flag(parser):
+def _add_jobs_flag(parser, text="accepted for compatibility; no effect"):
     parser.add_argument("--jobs", type=_parse_jobs, default=1, metavar="INT",
-                        help="accepted for compatibility; work runs serially")
+                        help=text)
 
 
 def build_parser() -> _Parser:
@@ -135,7 +135,8 @@ def build_parser() -> _Parser:
     verify.add_argument("--suite", default="all", metavar="NAME",
                         help=f"one of: {', '.join(sorted(SUITES))}")
     verify.add_argument("--seed", type=int, default=0, metavar="INT")
-    _add_jobs_flag(verify)
+    _add_jobs_flag(verify, "measure the checks in up to INT worker processes, "
+                           "never more than the usable CPUs")
     verify.add_argument("--out", metavar="PATH", help="report file")
 
     demo = sub.add_parser(

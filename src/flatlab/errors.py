@@ -23,6 +23,12 @@ class KinkProximityError(RuntimeError):
             f"for hidden layer {layer}, unit {unit}, example {example_index}"
         )
 
+    def __reduce__(self):
+        # pickle by fields, so a check that raises this in a worker process
+        # re-raises it in the parent with the same type and message
+        return type(self), (self.distance, self.band, self.example_index,
+                            self.layer, self.unit)
+
 
 class TrainingDivergedError(RuntimeError):
     """Gradient descent blew up instead of settling into a minimum."""

@@ -460,8 +460,9 @@ def flatness_report(arch: Architecture, params: ParamVector, data: Dataset,
     :func:`hessian_measures` of the exact Hessian, built from that same
     pass, elsewhere.
     ``volume_epsilon``, when given, adds a volume certificate at that loss
-    tolerance, at any depth. ``jobs`` is accepted and has no effect: the
-    work runs serially.
+    tolerance, at any depth. ``jobs`` is accepted and has no effect: one
+    report is mostly a single lockstep ascent, too short to repay a
+    worker process.
     """
     nets.check_params(arch, params)
     loss_value, grad = nets.loss_and_gradient(arch, params, data)

@@ -1,11 +1,14 @@
 """Named verification checks over the whole pipeline.
 
 Every check manufactures its own points and data from the run seed, so a
-suite run is a pure function of (suite, seed, thresholds). Work units
-are keyed by index, each with its own random stream, and run serially in
-index order; the ``ball_sharpness`` units of one architecture share the
-steps of one ascent, each unit keeping its own results. Reports serialize
-canonically: repeated runs produce identical bytes.
+suite run is a pure function of (suite, seed, thresholds). Within a
+check, work units are keyed by index, each with its own random stream,
+and run in index order; the ``ball_sharpness`` units of one architecture
+share the steps of one ascent, each unit keeping its own results. Checks
+share nothing, so :func:`run_suite` may measure them in forked worker
+processes and still judges them in suite order. Reports serialize
+canonically: repeated runs, with any number of jobs, produce identical
+bytes.
 
 A check only measures. It returns its stats and its limits, each a
 ``(label, measured, relation, bound)`` with every bound a named module
@@ -16,7 +19,9 @@ measurement fails its limit, since every comparison with NaN is false.
 
 from __future__ import annotations
 
+import contextlib
 import operator
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -92,8 +97,8 @@ _EQUIVALENCE_TRIPLES = 1000
 _EQUIVALENCE_TOL = 1e-9
 
 
-def _check_equivalence(seed: int) -> tuple[dict, list]:
-    """Transformed parameters realize the same function, point by point.
+def _equivalence_units(seed: int) -> np.ndarray:
+    """Per ``equivalence`` unit: the forward deviation of its moved point.
 
     Unit i draws from family i % 3, each of which moves the point: the
     two-layer scale, then the deep scale without and with biases.
@@ -122,7 +127,12 @@ def _check_equivalence(seed: int) -> tuple[dict, list]:
         x = gen.uniform(-2.0, 2.0, size=(1, arch.input_width))
         return forward_deviation(arch, params, moved, x)
 
-    worst = np.max([one(i) for i in range(_EQUIVALENCE_TRIPLES)])
+    return np.array([one(i) for i in range(_EQUIVALENCE_TRIPLES)])
+
+
+def _check_equivalence(seed: int) -> tuple[dict, list]:
+    """Transformed parameters realize the same function, point by point."""
+    worst = np.max(_equivalence_units(seed))
     return (
         {"triples": _EQUIVALENCE_TRIPLES, "max_deviation": _finite(worst),
          "tolerance": _EQUIVALENCE_TOL},
@@ -600,9 +610,29 @@ SUITES = {name: (name,) for name in CHECK_ORDER}
 SUITES["all"] = CHECK_ORDER
 
 
+def _measure(name: str, seed: int) -> tuple[dict, list]:
+    # looked up by name, so a worker runs the entry its parent held at fork
+    return CHECKS[name](seed)
+
+
+def _worker_count(jobs: int, checks: int) -> int:
+    """Processes to measure ``checks`` checks in: at most ``jobs`` and the
+    usable CPUs; 1 where the platform cannot fork or report its CPUs."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(jobs, checks, len(os.sched_getaffinity(0)))
+
+
 def run_suite(suite: str, seed: int, jobs: int = 1,
               progress=None) -> SuiteReport:
-    """Run the suite's checks in order; ``jobs`` is validated, work is serial."""
+    """Run the suite's checks and judge them in suite order.
+
+    With ``jobs > 1`` the checks are measured in up to ``jobs`` forked
+    worker processes, never more than the checks or the usable CPUs; with
+    one worker they run in this process. Every check is a pure function
+    of the seed, so the report's bytes do not depend on ``jobs``, and no
+    worker outlives the call. A check that raises re-raises here.
+    """
     if suite not in SUITES:
         raise ValueError(
             f"unknown suite {suite!r}; available: {', '.join(sorted(SUITES))}"
@@ -612,11 +642,22 @@ def run_suite(suite: str, seed: int, jobs: int = 1,
     if not (-1 << 63 <= _unit_seed(seed, 1, 0)
             and _unit_seed(seed, len(CHECK_ORDER), 9_999) < 1 << 63):
         raise ValueError(f"run seed {seed} gives unit seeds outside int64")
-    outcomes = []
-    for name in SUITES[suite]:
-        outcome = _judge(name, *CHECKS[name](seed))
-        if progress is not None:
-            progress(f"check {name}: pass" if outcome.passed
-                     else f"check {name}: FAIL ({outcome.detail})")
-        outcomes.append(outcome)
+    names = SUITES[suite]
+    workers = _worker_count(jobs, len(names))
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            pool = stack.enter_context(ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")))
+            measured = pool.map(_measure, names, [seed] * len(names))
+        else:
+            measured = (_measure(name, seed) for name in names)
+        outcomes = []
+        for name, (stats, limits) in zip(names, measured):
+            outcome = _judge(name, stats, limits)
+            if progress is not None:
+                progress(f"check {name}: pass" if outcome.passed
+                         else f"check {name}: FAIL ({outcome.detail})")
+            outcomes.append(outcome)
     return SuiteReport(suite, seed, tuple(outcomes))

@@ -3,9 +3,6 @@ import subprocess
 import sys
 import warnings
 
-import numpy as np
-import pytest
-
 from flatlab.cli import main
 from flatlab.nets import load_checkpoint
 

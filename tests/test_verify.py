@@ -1,5 +1,10 @@
+import concurrent.futures
 import json
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -7,6 +12,7 @@ import pytest
 
 from flatlab import verify
 from flatlab.cli import main
+from flatlab.errors import KinkProximityError
 from flatlab.nets import vec
 from flatlab.serialize import to_json
 from flatlab.verify import (CHECK_ORDER, CHECKS, SUITES, CheckOutcome,
@@ -50,10 +56,144 @@ def test_single_suite_runs_and_serializes():
     assert payload["checks"][0]["stats"]["points_per_region"] == 500
 
 
-def test_suite_deterministic_across_jobs():
-    a = run_suite("equivalence", seed=2, jobs=1)
-    b = run_suite("equivalence", seed=2, jobs=4)
-    assert to_json(a.to_dict()) == to_json(b.to_dict())
+can_fork = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+    reason="no fork: every suite runs in this process")
+
+
+def _usable_cpus(monkeypatch, count: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The ``max_workers`` of every real process pool ``run_suite``
+    builds; each must fork its workers."""
+    built = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, mp_context=None):
+            assert mp_context.get_start_method() == "fork"
+            built.append(max_workers)
+            super().__init__(max_workers, mp_context)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    return built
+
+
+class _Started(Exception):
+    pass
+
+
+@pytest.fixture
+def executors(monkeypatch):
+    """The ``max_workers`` of every pool ``run_suite`` asks for; the stand-in
+    raises :class:`_Started` instead of starting a process."""
+    asked = []
+
+    class Recorder:
+        def __init__(self, max_workers=None, mp_context=None):
+            asked.append(max_workers)
+            raise _Started
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    return asked
+
+
+def _stub_checks(monkeypatch) -> list:
+    """Replace every check with a cheap one; returns the (name, seed, pid)
+    of each call made in this process."""
+    calls = []
+
+    def stub(name):
+        def check(seed):
+            calls.append((name, seed, os.getpid()))
+            return {"seed": seed}, [("seed", seed, ">=", 0)]
+        return check
+
+    for name in CHECK_ORDER:
+        monkeypatch.setitem(verify.CHECKS, name, stub(name))
+    return calls
+
+
+@can_fork
+@pytest.mark.parametrize("seed", (0, 1))
+def test_suite_deterministic_across_jobs(seed, pools, monkeypatch):
+    # with two usable CPUs, jobs=2 measures the checks in two forked
+    # workers; the report and the progress lines keep every byte, and no
+    # worker outlives the call
+    _usable_cpus(monkeypatch, 2)
+    reports, lines = {}, {1: [], 2: []}
+    for jobs in (1, 2):
+        reports[jobs] = to_json(run_suite(
+            "all", seed, jobs=jobs, progress=lines[jobs].append).to_dict())
+        assert multiprocessing.active_children() == []
+    assert pools == [2]
+    assert reports[2] == reports[1]
+    assert lines[2] == lines[1]
+    assert [line.split(":")[0] for line in lines[1]] == [
+        f"check {name}" for name in CHECK_ORDER]
+
+
+@can_fork
+def test_workers_never_exceed_the_checks_or_the_usable_cpus(executors,
+                                                            monkeypatch):
+    cpus = len(os.sched_getaffinity(0))
+    for usable, jobs, workers in ((cpus, 10**6, min(len(CHECK_ORDER), cpus)),
+                                  (64, 10**6, len(CHECK_ORDER)),
+                                  (3, 10**6, 3), (64, 2, 2)):
+        if workers == 1:  # a one-CPU host: no pool at all
+            continue
+        _usable_cpus(monkeypatch, usable)
+        with pytest.raises(_Started):
+            run_suite("all", 0, jobs=jobs)
+        assert executors.pop() == workers
+    assert executors == []
+
+
+@pytest.mark.parametrize("case", ("one_cpu", "jobs_1", "one_check",
+                                  "no_affinity"))
+def test_one_worker_runs_in_this_process(case, executors, monkeypatch):
+    calls = _stub_checks(monkeypatch)
+    _usable_cpus(monkeypatch, 1 if case == "one_cpu" else 64)
+    if case == "no_affinity":  # macOS and Windows
+        monkeypatch.delattr(os, "sched_getaffinity")
+    suite = "radial" if case == "one_check" else "all"
+    report = run_suite(suite, 5, jobs=1 if case == "jobs_1" else 8)
+    assert report.passed
+    assert executors == []
+    assert calls == [(name, 5, os.getpid()) for name in SUITES[suite]]
+
+
+@can_fork
+@pytest.mark.parametrize("error", (
+    RuntimeError("no smooth point found for unit 7"),
+    KinkProximityError(1e-18, 2.5e-16, 3, 1, 2)))
+def test_a_check_that_raises_in_a_worker_raises_here(error, pools,
+                                                     monkeypatch):
+    _stub_checks(monkeypatch)
+    _usable_cpus(monkeypatch, 2)
+
+    def fail(seed):
+        raise error
+
+    monkeypatch.setitem(verify.CHECKS, "sharpening", fail)
+    with pytest.raises(type(error)) as raised:
+        run_suite("all", 0, jobs=2)
+    assert pools == [2]
+    assert type(raised.value) is type(error)
+    assert str(raised.value) == str(error)
+    assert vars(raised.value) == vars(error)
+    assert multiprocessing.active_children() == []
+
+
+def test_import_flatlab_leaves_multiprocessing_unloaded(cli_env):
+    # run_suite imports it only when it starts workers
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, flatlab; print('multiprocessing' in sys.modules)"],
+        env=cli_env, capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize("seed", (0, 1, 2))
@@ -91,6 +231,14 @@ def test_equivalence_units_cycle_the_three_families(monkeypatch):
             if arch.use_bias != (i % 3 == 2)] == []
     assert {archs[i].depth for i in range(0, len(archs), 3)} == {2}
     assert {arch.depth for arch in archs[1::3]} == {2, 3, 4}
+
+
+def test_equivalence_reports_the_worst_of_its_units():
+    units = verify._equivalence_units(3)
+    assert units.dtype == np.float64
+    assert units.shape == (verify._EQUIVALENCE_TRIPLES,)
+    stats = run_suite("equivalence", 3).checks[0].stats
+    assert stats["max_deviation"] == units.max()
 
 
 def test_progress_lines_one_per_check():

@@ -3,7 +3,8 @@
     python3 tools/digest.py SEED [SEED ...]
 
 For each seed: the canonical JSON of ``run_suite("all", seed)`` and of
-each of its checks' outcomes, every ``ball_sharpness`` unit's two ascent
+each of its checks' outcomes, the float64 bytes of every ``equivalence``
+unit's deviation, every ``ball_sharpness`` unit's two ascent
 results (value repr, offset bytes, discard count), of the volume
 certificate of each
 ``volume`` check unit, of the two volume certificates the
@@ -57,11 +58,14 @@ BENCH_REPORTS = ((4, 32, 1), 256, 8)
 
 
 def _line(name: str, make, render=to_json) -> str:
+    """``render`` returns text, hashed as UTF-8, or bytes, hashed as is."""
     try:
-        text = render(make())
+        out = render(make())
     except Exception as exc:  # the failure is an output too
-        text = f"{type(exc).__name__}: {exc}"
-    return f"{name} {hashlib.sha256(text.encode()).hexdigest()}"
+        out = f"{type(exc).__name__}: {exc}"
+    if isinstance(out, str):
+        out = out.encode()
+    return f"{name} {hashlib.sha256(out).hexdigest()}"
 
 
 def _printed(path: Path) -> str:
@@ -118,6 +122,9 @@ def digest_lines(seeds) -> list[str]:
         for i, name in enumerate(verify.CHECK_ORDER):
             lines.append(_line(f"suite/{name}/seed={seed}",
                                lambda: suite()["checks"][i]))
+        lines.append(_line(f"equivalence-units/seed={seed}",
+                           lambda: verify._equivalence_units(seed),
+                           render=lambda units: units.tobytes()))
         lines.append(_line(f"ball-ascents/seed={seed}",
                            lambda: _ball_ascents(seed), render=str))
         for i, (widths, bias, _) in enumerate(verify._VOLUME_UNITS):
