@@ -11,7 +11,6 @@ import math
 import os
 import sys
 
-from .errors import KinkProximityError, TrainingDivergedError
 from .experiments import (TrainConfig, alpha_sweep, demo_spec_from_dict,
                           make_teacher_student, reparam_demo_1d, train_sgd)
 from .metrics import SharpnessConfig, flatness_report
@@ -261,8 +260,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, OSError, KinkProximityError,
-            TrainingDivergedError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"flatlab {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -30,15 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _row_norms, require_symmetric, symmetric_eigenspectrum
-from .nets import Architecture, FlatIndex, ParamVector, check_params, unvec, vec
+from .nets import Architecture, ParamVector, check_params, unvec, vec
 from .serialize import json_float
 
 ALPHA_PRODUCT_RTOL = 1e-12
 # Condition-number ceiling past which a preprocessing matrix is treated
 # as singular.
 MAX_AFFINE_CONDITION = 1e12
-# geometric (factor 2) candidates sharpening_alpha tries before giving up
-_SHARPEN_STEPS = 300
 
 
 # ---------------------------------------------------------------------------
@@ -316,62 +314,49 @@ def alpha_scale_two_layer(arch: Architecture, params: ParamVector,
 
 def sharpening_alpha(arch: Architecture, hess: np.ndarray,
                      target: float) -> float:
-    """Factor alpha whose scale transform pushes the spectral norm >= target.
+    """Power of two alpha at which ``ScaleMap.first_last`` lifts the
+    Hessian's spectral norm to at least ``target``, in closed form.
 
-    Searches geometrically (factor 2) from alpha = 1 and returns the first
-    candidate whose D H D reaches the target by the eigenvalue solve that
-    ``hessian_measures`` uses, so a check measures exactly what certified
-    the choice. The search direction comes from the diagonal: a positive
-    diagonal entry in the first-layer block grows like 1/alpha^2 as alpha
-    shrinks, one in the later blocks grows like alpha^2, so whichever is
-    available guarantees termination.
+    D H D scales H's principal block on the coordinates the map multiplies
+    by alpha (first-layer weights, hidden biases) by alpha^-2, and its block
+    on the last-layer weights by alpha^2. The block with the larger spectral
+    norm s moves, by 2^-k or 2^k for the least k >= 0 with s 4^k >= target.
+    A power of two rounds nothing, so that block of D H D is exactly 4^k
+    times H's, and no principal block's spectral norm exceeds the whole
+    matrix's (Cauchy interlacing): ||D H D|| >= target by construction.
     """
-    return _sharpening_alphas(arch, hess, (target,))[0]
-
-
-def _sharpening_alphas(arch: Architecture, hess: np.ndarray,
-                       targets: tuple[float, ...]) -> list[float]:
-    """:func:`sharpening_alpha` for each target, from one geometric scan."""
+    if not (0 < target < math.inf):
+        raise ValueError(f"target must be finite and > 0, got {target}")
     hess = require_symmetric(hess, "hessian")
-    if not all(target > 0 for target in targets):
-        raise ValueError(f"target must be > 0, got {min(targets)}")
-    index = FlatIndex(arch)
-    if hess.shape != (index.total, index.total):
+    multipliers = ScaleMap.first_last(arch, 2.0).multipliers
+    if hess.shape != (multipliers.size, multipliers.size):
         raise ValueError(
-            f"hessian dim {hess.shape[0]} != parameter count {index.total}"
+            f"hessian dim {hess.shape[0]} != parameter count {multipliers.size}"
         )
-    if float(np.max(np.abs(hess))) == 0.0:
-        raise ValueError("zero Hessian: nothing to sharpen")
-    diag = np.diag(hess)
-    first = index.weight_slice(0)
-    gamma_first = float(np.max(diag[first], initial=0.0))
-    rest = np.ones(index.total, dtype=bool)
-    rest[first] = False
-    gamma_rest = float(np.max(diag[rest], initial=0.0))
-    if gamma_first <= 0 and gamma_rest <= 0:
+    first, last = (np.ix_(multipliers == m, multipliers == m)
+                   for m in (2.0, 0.5))
+    norms = [float(np.max(np.abs(symmetric_eigenspectrum(hess[block]))))
+             for block in (first, last)]
+    s = max(norms)
+    if s == 0.0:
         raise ValueError(
-            "no positive diagonal curvature: the Hessian cannot be "
-            "sharpened along a scale orbit"
+            "no curvature on the first or the last layer: the Hessian "
+            "cannot be sharpened along a scale orbit"
         )
-    factor = 0.5 if gamma_first >= gamma_rest else 2.0
-
-    alphas = [None] * len(targets)
-    alpha = 1.0
-    for _ in range(_SHARPEN_STEPS):
-        candidate = ScaleMap.first_last(arch, alpha).hessian(hess)
-        if not np.all(np.isfinite(candidate)):
-            raise ValueError(
-                f"scale factor {alpha:.3e} overflows the transformed Hessian"
-            )
-        norm = float(np.max(np.abs(symmetric_eigenspectrum(candidate))))
-        for i, target in enumerate(targets):
-            if alphas[i] is None and norm >= target:
-                alphas[i] = alpha
-        if None not in alphas:
-            return alphas
-        alpha *= factor
+    # s 4^k >= target compared exactly, on frexp's mantissas in [0.5, 1)
+    # and exponents
+    (m_s, e_s), (m_t, e_t) = math.frexp(s), math.frexp(target)
+    k = max(0, -(-(e_t - e_s + (m_t > m_s)) // 2))
+    exponent = -k if norms[0] >= norms[1] else k
+    if k <= 1023:  # 2^1024 is not a float
+        alpha = math.ldexp(1.0, exponent)
+        with np.errstate(over="ignore"):
+            moved = ScaleMap.first_last(arch, alpha).hessian(hess)
+        if np.all(np.isfinite(moved)):
+            return alpha
     raise ValueError(
-        f"no certifying factor found within {_SHARPEN_STEPS} geometric steps"
+        f"scale factor 2**{exponent} leaves the transformed Hessian "
+        f"outside the finite floats"
     )
 
 
@@ -380,12 +365,15 @@ def epsilon_sharp_alpha(arch: Architecture, params: ParamVector,
     """Factor alpha = epsilon / |theta_1| placing the first layer on the
     epsilon sphere, so the zero-first-layer point falls inside the ball."""
     check_params(arch, params)
-    if not (epsilon > 0):
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if not (0 < epsilon < math.inf):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     norm = float(np.linalg.norm(params.weights[0].ravel()))
     if norm == 0.0:
         raise ValueError("first layer is zero: the function is constant")
-    return epsilon / norm
+    alpha = epsilon / norm
+    if not (0 < alpha < math.inf):
+        raise ValueError(f"{epsilon} / {norm} is not a finite positive factor")
+    return alpha
 
 
 def zero_first_layer(arch: Architecture, params: ParamVector) -> ParamVector:

@@ -34,10 +34,9 @@ from .linalg import _row_norms, symmetric_eigenspectrum
 from .metrics import _ascend, hessian_measures, volume_flatness_certificate
 from .nets import Architecture, Dataset, FlatIndex, uniform_params
 from .rng import SeededRng
-from .transforms import (PowerStretch, Radial, ScaleMap, _sharpening_alphas,
-                         alpha_scale_two_layer, epsilon_sharp_alpha,
-                         radial_forward, radial_inverse, radial_jacobian,
-                         zero_first_layer)
+from .transforms import (PowerStretch, Radial, ScaleMap, alpha_scale_two_layer,
+                         epsilon_sharp_alpha, radial_forward, radial_inverse,
+                         radial_jacobian, sharpening_alpha, zero_first_layer)
 
 
 @dataclass(frozen=True)
@@ -210,10 +209,11 @@ _SHARPEN_ARCHS = (6 * (((2, 8, 1), False),) + 4 * (((2, 8, 1), True),)
                   + 5 * (((2, 4, 1), False),) + 5 * (((3, 4, 4, 1), False),))
 
 
-def _check_sharpening(seed: int) -> tuple[dict, list]:
-    """Certified scale choice drives the spectral norm past any target."""
+def _sharpening_units(seed: int) -> np.ndarray:
+    """(units, targets, 3): each unit's alpha, spectral norm of D H D over
+    the target, and forward deviation of the moved teacher, per target."""
 
-    def one(i: int) -> tuple:
+    def one(i: int) -> list:
         widths, bias = _SHARPEN_ARCHS[i]
         arch = Architecture(widths, use_bias=bias)
         unit = _unit_seed(seed, 3, i)
@@ -221,19 +221,23 @@ def _check_sharpening(seed: int) -> tuple[dict, list]:
         data, teacher = make_teacher_student(arch, unit, m=48, margin=margin)
         hess = nets.hessian(arch, teacher, data)
         probes = probe_inputs(arch, unit)
-        margins, deviations = [], []
-        for target, alpha in zip(_SHARPEN_TARGETS, _sharpening_alphas(
-                arch, hess, _SHARPEN_TARGETS)):
+        rows = []
+        for target in _SHARPEN_TARGETS:
+            alpha = sharpening_alpha(arch, hess, target)
             scale = ScaleMap.first_last(arch, alpha)
-            measures = hessian_measures(scale.hessian(hess))
-            margins.append(measures.spectral_norm / target)
-            moved = scale.apply(teacher)
-            deviations.append(forward_deviation(arch, teacher, moved, probes))
-        return margins, deviations
+            norm = hessian_measures(scale.hessian(hess)).spectral_norm
+            rows.append((alpha, norm / target, forward_deviation(
+                arch, teacher, scale.apply(teacher), probes)))
+        return rows
 
-    margins, deviations = zip(*(one(i) for i in range(len(_SHARPEN_ARCHS))))
-    min_margin = np.min(margins)
-    max_dev = np.max(deviations)
+    return np.array([one(i) for i in range(len(_SHARPEN_ARCHS))])
+
+
+def _check_sharpening(seed: int) -> tuple[dict, list]:
+    """Closed-form scale choices drive the spectral norm past each target."""
+    units = _sharpening_units(seed)
+    min_margin = np.min(units[..., 1])
+    max_dev = np.max(units[..., 2])
     return (
         {"minima": len(_SHARPEN_ARCHS), "targets": list(_SHARPEN_TARGETS),
          "min_spectral_margin": _finite(min_margin),

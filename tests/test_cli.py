@@ -3,7 +3,11 @@ import subprocess
 import sys
 import warnings
 
+import pytest
+
+from flatlab import cli
 from flatlab.cli import main
+from flatlab.errors import KinkProximityError, TrainingDivergedError
 from flatlab.nets import load_checkpoint
 
 
@@ -241,3 +245,19 @@ def test_metrics_reports_a_volume_bound_that_overflows_as_skipped(tmp_path,
     assert code == 0
     assert json.loads(out)["volume"] is None
     assert "skipped volume: the volume bound leaves the float range" in err
+
+
+
+@pytest.mark.parametrize("error", (
+    KinkProximityError(1e-18, 2.5e-16, 3, 1, 2),
+    TrainingDivergedError(4, 1e9, 1.0, 1e3)))
+def test_library_errors_exit_one_with_their_message(error, capsys,
+                                                    monkeypatch):
+    # both are RuntimeErrors, which main reports as a failed command
+    def fail(args):
+        raise error
+
+    monkeypatch.setitem(cli._HANDLERS, "verify", fail)
+    code, _, err = run_cli(capsys, "verify", "--suite", "radial")
+    assert code == 1
+    assert err == f"flatlab verify: {error}\n"

@@ -47,10 +47,10 @@ def test_digest_repeats_its_lines():
     assert first.stdout == second.stdout
     lines = first.stdout.splitlines()
     # the suite and its nine checks, the equivalence units' deviations, the
-    # ball_sharpness units' ascents, five volume certificates, two benchmark
-    # certificates, eight benchmark reports, twelve fixed reports and four
-    # notebooks
-    assert len(lines) == 43
+    # sharpening units' alphas, margins and deviations, the ball_sharpness
+    # units' ascents, five volume certificates, two benchmark certificates,
+    # eight benchmark reports, twelve fixed reports and four notebooks
+    assert len(lines) == 44
     assert lines[0].startswith("suite/all/seed=5 ")
     names = [line.split(" ")[0] for line in lines]
     assert len(set(names)) == len(names)

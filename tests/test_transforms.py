@@ -1,3 +1,4 @@
+import math
 import operator
 import re
 import warnings
@@ -12,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flatlab.errors import KinkProximityError
+from flatlab.experiments import make_teacher_student
 from flatlab.linalg import symmetric_eigenspectrum
 from flatlab.nets import (Architecture, Dataset, FlatIndex, ParamVector,
                           forward, gradient, hessian, loss_and_gradient,
@@ -349,27 +351,113 @@ def test_sharpening_alpha_certifies_target():
         assert np.max(np.abs(np.linalg.eigvalsh(moved))) >= target
 
 
-def test_sharpening_alpha_is_first_candidate_reaching_target():
+def _sharpening_points():
+    """(arch, Hessian) at a teacher, at an indefinite random point, and at
+    a random point of a deep biased net."""
+    arch = Architecture((2, 4, 1))
+    data, teacher = make_teacher_student(arch, 5, m=48)
+    yield "teacher", arch, hessian(arch, teacher, data)
     arch = Architecture((2, 6, 1))
     gen = SeededRng(8, 37).generator()
     d = Dataset(gen.uniform(-1, 1, (24, 2)), gen.uniform(-1, 1, 24))
     hess = hessian(arch, _params(arch, 8), d)
+    assert np.min(symmetric_eigenspectrum(hess)) < 0.0  # indefinite
+    yield "indefinite", arch, hess
+    arch = Architecture((3, 4, 4, 1), use_bias=True)
+    yield "deep_biased", arch, hessian(arch, _params(arch, 1), _data(arch, 1))
 
-    def spectral_norm(alpha):
-        moved = ScaleMap.first_last(arch, alpha).hessian(hess)
-        return np.max(np.abs(symmetric_eigenspectrum(moved)))
 
-    for target in (2.0 * spectral_norm(1.0), 1e2, 1e5):
-        alpha = sharpening_alpha(arch, hess, target)
-        assert alpha != 1.0
-        factor = 0.5 if alpha < 1.0 else 2.0
-        assert spectral_norm(alpha) >= target
-        assert spectral_norm(alpha / factor) < target
+SHARPENING_POINTS = {name: (arch, hess)
+                     for name, arch, hess in _sharpening_points()}
+
+
+def _block_norm(hess, block):
+    return np.max(np.abs(symmetric_eigenspectrum(hess[np.ix_(block, block)])))
+
+
+@pytest.mark.parametrize("point", SHARPENING_POINTS)
+@pytest.mark.parametrize("target", (1e2, 1e5, 1e300))
+def test_sharpening_alpha_reaches_target_by_the_block_bound(point, target):
+    arch, hess = SHARPENING_POINTS[point]
+    multipliers = ScaleMap.first_last(arch, 2.0).multipliers
+    first, last = multipliers == 2.0, multipliers == 0.5
+    alpha = sharpening_alpha(arch, hess, target)
+    mantissa, exponent = math.frexp(alpha)
+    assert mantissa == 0.5  # a power of two
+    # the moved block is the one with the larger spectral norm
+    block = first if alpha < 1.0 else last
+    other = last if alpha < 1.0 else first
+    assert _block_norm(hess, block) >= _block_norm(hess, other)
+    k = abs(exponent - 1)
+
+    def moved(a):
+        return ScaleMap.first_last(arch, a).hessian(hess)
+
+    # the moved block of D H D is exactly 4^k times H's
+    assert np.array_equal(moved(alpha)[np.ix_(block, block)],
+                          4.0 ** k * hess[np.ix_(block, block)])
+    assert _block_norm(moved(alpha), block) >= target
+    if k > 0:
+        nearer = alpha * 2.0 if alpha < 1.0 else alpha / 2.0
+        assert _block_norm(moved(nearer), block) < target
+    assert np.all(np.isfinite(moved(alpha)))
+    assert np.max(np.abs(symmetric_eigenspectrum(moved(alpha)))) >= target
+
+
+def test_sharpening_alpha_is_one_where_the_hessian_is_already_sharp():
+    arch, hess = SHARPENING_POINTS["teacher"]
+    norm = np.max(np.abs(symmetric_eigenspectrum(hess)))
+    assert sharpening_alpha(arch, hess, norm / 1e3) == 1.0
+
+
+@pytest.mark.parametrize("target", (0.0, -1.0, np.nan, np.inf))
+def test_sharpening_alpha_refuses_a_target_that_is_not_finite_and_positive(
+        target):
+    arch, hess = SHARPENING_POINTS["teacher"]
+    with pytest.raises(ValueError, match="target must be finite and > 0"):
+        sharpening_alpha(arch, hess, target)
+
+
+def test_sharpening_alpha_refuses_curvature_only_off_the_moved_blocks():
+    # (3,4,4,1) without biases: the middle weight block is never moved
+    middle = ScaleMap.first_last(ARCH3, 2.0).multipliers == 1.0
+    assert middle.sum() == 16
+    with pytest.raises(ValueError, match="no curvature"):
+        sharpening_alpha(ARCH3, np.diag(middle.astype(float)), 1e3)
+
+
+@pytest.mark.parametrize("entry, target", (
+    (1.0, 1.7e308),  # alpha = 2**-512, and 4^512 overflows
+    (5e-324, 1e308),  # the power of two itself is past the float range
+))
+def test_sharpening_alpha_refuses_an_overflowing_moved_hessian(entry, target):
+    n = FlatIndex(ARCH2).total
+    hess = np.zeros((n, n))
+    hess[0, 0] = entry  # a first-layer weight
+    with pytest.raises(ValueError, match="outside the finite floats"):
+        sharpening_alpha(ARCH2, hess, target)
 
 
 def test_sharpening_alpha_rejects_zero_hessian():
     with pytest.raises(ValueError):
         sharpening_alpha(ARCH2, np.zeros((12, 12)), 1e3)
+
+
+@pytest.mark.parametrize("epsilon", (0.0, -1e-2, np.nan, np.inf))
+def test_epsilon_sharp_alpha_refuses_an_epsilon_that_is_not_finite_and_positive(
+        epsilon):
+    with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
+        epsilon_sharp_alpha(ARCH2, _params(ARCH2, 9), epsilon)
+
+
+@pytest.mark.parametrize("scale, epsilon", ((1e-150, 1e300),  # overflows
+                                            (1e150, 5e-324)))  # underflows
+def test_epsilon_sharp_alpha_refuses_a_quotient_outside_the_floats(scale,
+                                                                   epsilon):
+    params = _params(ARCH2, 9)
+    params = ParamVector((params.weights[0] * scale,) + params.weights[1:])
+    with pytest.raises(ValueError, match="not a finite positive factor"):
+        epsilon_sharp_alpha(ARCH2, params, epsilon)
 
 
 def test_epsilon_sharp_alpha_shrinks_first_layer_to_radius():

@@ -4,10 +4,10 @@
 
 For each seed: the canonical JSON of ``run_suite("all", seed)`` and of
 each of its checks' outcomes, the float64 bytes of every ``equivalence``
-unit's deviation, every ``ball_sharpness`` unit's two ascent
-results (value repr, offset bytes, discard count), of the volume
-certificate of each
-``volume`` check unit, of the two volume certificates the
+unit's deviation and of every ``sharpening`` unit's alpha, spectral
+margin and deviation at each target, every ``ball_sharpness`` unit's two
+ascent results (value repr, offset bytes, discard count), of the volume
+certificate of each ``volume`` check unit, of the two volume certificates the
 ``report_wide`` benchmark builds at that seed, and of the eight
 ``flatness_report`` outputs the ``suite_jobs2`` benchmark builds at that
 seed ((4,32,1) teachers on 256 examples, the CLI's default ascent). Then,
@@ -124,6 +124,9 @@ def digest_lines(seeds) -> list[str]:
                                lambda: suite()["checks"][i]))
         lines.append(_line(f"equivalence-units/seed={seed}",
                            lambda: verify._equivalence_units(seed),
+                           render=lambda units: units.tobytes()))
+        lines.append(_line(f"sharpening-units/seed={seed}",
+                           lambda: verify._sharpening_units(seed),
                            render=lambda units: units.tobytes()))
         lines.append(_line(f"ball-ascents/seed={seed}",
                            lambda: _ball_ascents(seed), render=str))
