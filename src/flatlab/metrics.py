@@ -468,16 +468,15 @@ def flatness_report(arch: Architecture, params: ParamVector, data: Dataset,
     loss_value, grad = nets.loss_and_gradient(arch, params, data)
     grad_norm = float(np.linalg.norm(grad))
     acts, pre = nets._forward_full(params.weights, params.biases, data.inputs)
-    kink = nets._kink_argmin(pre)[0]
-    kink_field = None if np.isinf(kink) else kink
 
     skipped: list[tuple[str, str]] = []
     spec_norm = trace = None
     evals = counts = None
     sharp_2nd = path = None
     try:
-        nets._kink_guard(params.weights, params.biases, acts, pre)
+        kink = nets._kink_guard(params.weights, params.biases, acts, pre)
     except KinkProximityError as exc:
+        kink = exc.distance
         reason = str(exc)
         for field in ("spec_norm", "trace", "eigenvalues", "counts_above",
                       "sharp_2nd"):
@@ -516,7 +515,7 @@ def flatness_report(arch: Architecture, params: ParamVector, data: Dataset,
     return FlatnessReport(
         loss=loss_value,
         grad_norm=grad_norm,
-        kink_dist=kink_field,
+        kink_dist=None if np.isinf(kink) else kink,
         curvature_path=path,
         spec_norm=spec_norm,
         trace=trace,

@@ -504,13 +504,14 @@ def _interval_forward(weights, biases, acts, pre, r: float) -> list[np.ndarray]:
     return radii
 
 
-def _kink_guard(weights, biases, acts, pre) -> None:
-    """Refuse second derivatives within rounding of a kink.
+def _kink_guard(weights, biases, acts, pre) -> float:
+    """Refuse second derivatives within rounding of a kink; return the
+    smallest hidden preactivation magnitude, inf without a hidden layer.
 
     The loss is twice differentiable wherever no hidden preactivation is
     zero; ``acts`` and ``pre`` come from :func:`_forward_full` at the point,
-    and :class:`KinkProximityError` is raised only when the smallest
-    preactivation magnitude lies within the band of the largest hidden
+    and :class:`KinkProximityError`, carrying that magnitude, is raised
+    only when it lies within the band of the largest hidden
     :func:`_interval_forward` radius at ``r = 0``, where the computed sign,
     and so the activation pattern, is unsure.
     """
@@ -519,6 +520,7 @@ def _kink_guard(weights, biases, acts, pre) -> None:
     dist, example, layer, unit = _kink_argmin(pre)
     if dist <= band:
         raise KinkProximityError(dist, band, example, layer, unit)
+    return dist
 
 
 def _output_jacobian(index: FlatIndex, weights, biases, acts,

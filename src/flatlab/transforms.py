@@ -367,12 +367,20 @@ def epsilon_sharp_alpha(arch: Architecture, params: ParamVector,
     check_params(arch, params)
     if not (0 < epsilon < math.inf):
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
-    norm = float(np.linalg.norm(params.weights[0].ravel()))
+    # |theta_1| = 2^e |2^-e theta_1|: scaling by a power of two is exact,
+    # and the scaled squares neither overflow nor go subnormal
+    theta1 = params.weights[0].ravel()
+    e = math.frexp(float(np.max(np.abs(theta1))))[1]
+    norm = float(np.linalg.norm(np.ldexp(theta1, -e)))
     if norm == 0.0:
         raise ValueError("first layer is zero: the function is constant")
-    alpha = epsilon / norm
+    try:
+        alpha = math.ldexp(epsilon / norm, -e)
+    except OverflowError:
+        alpha = math.inf
     if not (0 < alpha < math.inf):
-        raise ValueError(f"{epsilon} / {norm} is not a finite positive factor")
+        raise ValueError(f"{epsilon} / ({norm} * 2**{e}) is not a finite "
+                         "positive factor")
     return alpha
 
 

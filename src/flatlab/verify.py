@@ -10,11 +10,13 @@ processes and still judges them in suite order. Reports serialize
 canonically: repeated runs, with any number of jobs, produce identical
 bytes.
 
-A check only measures. It returns its stats and its limits, each a
-``(label, measured, relation, bound)`` with every bound a named module
-constant, and :func:`run_suite` derives the verdict and the failure
-detail from the limits: a check passes when every limit holds. A NaN
-measurement fails its limit, since every comparison with NaN is false.
+A check only measures. It returns its facts, the numbers no limit
+judges, and its limits, each a ``(stat, measured, relation, bound)`` with
+every bound a named module constant. :func:`run_suite` derives the
+report from them: the stats are the facts followed by each limit's
+measured value under its stat, the limits are listed with their bounds,
+and the check passes when every limit holds. A NaN measurement fails its
+limit, since every comparison with NaN is false.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ class CheckOutcome:
     name: str
     passed: bool
     stats: dict
+    limits: tuple[tuple[str, str, float | None], ...]
     detail: str = ""
 
 
@@ -79,13 +82,22 @@ def _finite(x) -> float | None:
 _RELATIONS = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}
 
 
-def _judge(name: str, stats: dict, limits) -> CheckOutcome:
-    """Pass when every limit holds; the detail names each one that fails,
-    its numbers in shortest round-trip form so a near miss stays visible."""
-    failing = [f"{label} {measured} not {relation} {bound}"
-               for label, measured, relation, bound in limits
+def _judge(name: str, facts: dict, limits) -> CheckOutcome:
+    """Report the facts, then each limit's measured value under its stat,
+    and each limit as ``(stat, relation, bound)``; a value or bound that is
+    not finite is reported as None. Pass when every limit holds; the
+    detail names each one that fails, its numbers in shortest round-trip
+    form so a near miss stays visible."""
+    stats = dict(facts)
+    stats.update((stat, _finite(measured)) for stat, measured, _, _ in limits)
+    failing = [f"{stat} {measured} not {relation} {bound}"
+               for stat, measured, relation, bound in limits
                if not _RELATIONS[relation](measured, bound)]
-    return CheckOutcome(name, not failing, stats, "; ".join(failing))
+    return CheckOutcome(
+        name, not failing, stats,
+        tuple((stat, relation, _finite(bound))
+              for stat, _, relation, bound in limits),
+        "; ".join(failing))
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +143,10 @@ def _equivalence_units(seed: int) -> np.ndarray:
 
 def _check_equivalence(seed: int) -> tuple[dict, list]:
     """Transformed parameters realize the same function, point by point."""
-    worst = np.max(_equivalence_units(seed))
     return (
-        {"triples": _EQUIVALENCE_TRIPLES, "max_deviation": _finite(worst),
-         "tolerance": _EQUIVALENCE_TOL},
-        [("max forward deviation", worst, "<=", _EQUIVALENCE_TOL)],
+        {"triples": _EQUIVALENCE_TRIPLES},
+        [("max_deviation", np.max(_equivalence_units(seed)), "<=",
+          _EQUIVALENCE_TOL)],
     )
 
 
@@ -189,13 +200,9 @@ def _check_derivative_laws(seed: int) -> tuple[dict, list]:
     worst_grad, worst_hess = np.max(
         [one(i) for i in range(_DERIVATIVE_POINTS)], axis=0)
     return (
-        {"points": _DERIVATIVE_POINTS,
-         "max_gradient_error": _finite(worst_grad),
-         "max_hessian_error": _finite(worst_hess),
-         "gradient_tolerance": _GRAD_LAW_TOL,
-         "hessian_tolerance": _HESS_LAW_TOL},
-        [("max gradient law error", worst_grad, "<=", _GRAD_LAW_TOL),
-         ("max curvature law error", worst_hess, "<=", _HESS_LAW_TOL)],
+        {"points": _DERIVATIVE_POINTS},
+        [("max_gradient_error", worst_grad, "<=", _GRAD_LAW_TOL),
+         ("max_hessian_error", worst_hess, "<=", _HESS_LAW_TOL)],
     )
 
 
@@ -236,15 +243,12 @@ def _sharpening_units(seed: int) -> np.ndarray:
 def _check_sharpening(seed: int) -> tuple[dict, list]:
     """Closed-form scale choices drive the spectral norm past each target."""
     units = _sharpening_units(seed)
-    min_margin = np.min(units[..., 1])
-    max_dev = np.max(units[..., 2])
     return (
-        {"minima": len(_SHARPEN_ARCHS), "targets": list(_SHARPEN_TARGETS),
-         "min_spectral_margin": _finite(min_margin),
-         "max_probe_deviation": _finite(max_dev)},
-        [("min spectral norm over target", min_margin, ">=",
+        {"minima": len(_SHARPEN_ARCHS), "targets": list(_SHARPEN_TARGETS)},
+        [("min_spectral_margin", np.min(units[..., 1]), ">=",
           _SHARPEN_MIN_MARGIN),
-         ("max probe deviation", max_dev, "<=", _EQUIVALENCE_TOL)],
+         ("max_probe_deviation", np.max(units[..., 2]), "<=",
+          _EQUIVALENCE_TOL)],
     )
 
 
@@ -288,17 +292,14 @@ def _check_many_directions(seed: int) -> tuple[dict, list]:
 
     lam1s, ranks, guarantees, counts, grad_norms = zip(
         *(one(i) for i in range(len(_MANY_UNITS))))
-    worst_gap = min(c - g for c, g in zip(counts, guarantees))
-    max_grad = np.max(grad_norms)
     return (
         {"points": len(_MANY_UNITS), "target": _MANY_TARGET,
-         "min_rank": min(ranks), "min_guarantee": min(guarantees),
-         "min_count_minus_guarantee": worst_gap,
-         "max_grad_norm": _finite(max_grad)},
-        [("min top eigenvalue", np.min(lam1s), ">", _MANY_MIN_TOP_EIGENVALUE),
-         ("min directions above target minus guarantee", worst_gap, ">=",
+         "min_rank": min(ranks), "min_guarantee": min(guarantees)},
+        [("min_top_eigenvalue", np.min(lam1s), ">", _MANY_MIN_TOP_EIGENVALUE),
+         ("min_count_minus_guarantee",
+          min(c - g for c, g in zip(counts, guarantees)), ">=",
           _MANY_MIN_SURPLUS),
-         ("max gradient norm", max_grad, "<=", _MANY_GRAD_TOL)],
+         ("max_grad_norm", np.max(grad_norms), "<=", _MANY_GRAD_TOL)],
     )
 
 
@@ -345,16 +346,14 @@ def _check_volume(seed: int) -> tuple[dict, list]:
 
     certified, bounds, increments, constant_devs = zip(
         *(one(i) for i in range(len(_VOLUME_UNITS))))
-    max_constant_dev = np.max(constant_devs)
     return (
         {"points": len(_VOLUME_UNITS), "boxes": _VOLUME_BOXES,
-         "min_lower_bound": _finite(np.min(bounds)),
-         "max_constant_deviation": _finite(max_constant_dev)},
-        [("uncertified units", certified.count(False), "<=",
+         "min_lower_bound": _finite(np.min(bounds))},
+        [("uncertified_units", certified.count(False), "<=",
           _VOLUME_MAX_UNCERTIFIED),
-         ("min box increment", np.min(increments), ">",
+         ("min_box_increment", np.min(increments), ">",
           _VOLUME_MIN_INCREMENT),
-         ("max constant-volume deviation", max_constant_dev, "<=",
+         ("max_constant_deviation", np.max(constant_devs), "<=",
           _VOLUME_CONSTANT_TOL)],
     )
 
@@ -406,16 +405,11 @@ def _check_ball_sharpness(seed: int) -> tuple[dict, list]:
     ratios = [a.value / b if b > 0 else np.inf for a, b in zip(after, bounds)]
     rises = [a.value / b.value if b.value > 0 else np.inf
              for a, b in zip(after, before)]
-    min_ratio = np.min(ratios)
-    max_dev = np.max(deviations)
     return (
-        {"minima": _BALL_UNITS, "epsilon": _BALL_EPSILON,
-         "min_bound_ratio": _finite(min_ratio),
-         "max_probe_deviation": _finite(max_dev)},
-        [("min sharpness over bound", min_ratio, ">=", _BALL_MIN_BOUND_RATIO),
-         ("min sharpness after over before", np.min(rises), ">=",
-          _BALL_MIN_RISE),
-         ("max probe deviation", max_dev, "<=", _EQUIVALENCE_TOL)],
+        {"minima": _BALL_UNITS, "epsilon": _BALL_EPSILON},
+        [("min_bound_ratio", np.min(ratios), ">=", _BALL_MIN_BOUND_RATIO),
+         ("min_rise", np.min(rises), ">=", _BALL_MIN_RISE),
+         ("max_probe_deviation", np.max(deviations), "<=", _EQUIVALENCE_TOL)],
     )
 
 
@@ -458,11 +452,10 @@ def _check_gradient_slope(seed: int) -> tuple[dict, list]:
         return slope
 
     slopes = [one(i) for i in range(_SLOPE_UNITS)]
-    worst = np.max(np.abs(np.add(slopes, 1.0)))
     return (
-        {"points": _SLOPE_UNITS, "slopes": [_finite(s) for s in slopes],
-         "max_slope_deviation": _finite(worst), "tolerance": _SLOPE_TOL},
-        [("max slope deviation from -1", worst, "<=", _SLOPE_TOL)],
+        {"points": _SLOPE_UNITS, "slopes": [_finite(s) for s in slopes]},
+        [("max_slope_deviation", np.max(np.abs(np.add(slopes, 1.0))), "<=",
+          _SLOPE_TOL)],
     )
 
 
@@ -531,17 +524,11 @@ def _check_radial(seed: int) -> tuple[dict, list]:
         return np.max(rounds), np.max(jacs), moved
 
     rounds, jacs, moved = zip(*(one(i) for i in range(len(bands))))
-    worst_round = np.max(rounds)
-    worst_jac = np.max(jacs)
-    outside_moved = moved[2]
     return (
-        {"points_per_region": _RADIAL_POINTS, "dim": _RADIAL_DIM,
-         "max_round_trip": _finite(worst_round),
-         "max_jacobian_error": _finite(worst_jac),
-         "outside_identity_exact": outside_moved == 0},
-        [("max round trip", worst_round, "<=", _RADIAL_ROUND_TRIP_TOL),
-         ("max Jacobian error", worst_jac, "<=", _RADIAL_JACOBIAN_TOL),
-         ("outside points moved", outside_moved, "<=",
+        {"points_per_region": _RADIAL_POINTS, "dim": _RADIAL_DIM},
+        [("max_round_trip", np.max(rounds), "<=", _RADIAL_ROUND_TRIP_TOL),
+         ("max_jacobian_error", np.max(jacs), "<=", _RADIAL_JACOBIAN_TOL),
+         ("outside_points_moved", moved[2], "<=",
           _RADIAL_MAX_OUTSIDE_MOVED)],
     )
 
@@ -580,14 +567,14 @@ def _check_curvature_congruence(seed: int) -> tuple[dict, list]:
     max_minima_err = np.max(minima_errs)
     max_noncrit_err = np.max(noncrit_errs)
     return (
-        {"demos": len(_CONGRUENCE_UNITS), "tolerance": _CONGRUENCE_TOL,
+        {"demos": len(_CONGRUENCE_UNITS),
          "max_minimum_error": _finite(max_minima_err),
          "max_noncritical_error": _finite(max_noncrit_err)},
-        [("max minima miscount", np.max(miscounts), "<=",
+        [("max_minima_miscount", np.max(miscounts), "<=",
           _CONGRUENCE_MAX_MISCOUNT),
-         ("min noncritical points", np.min(noncritical), ">=",
+         ("min_noncritical_points", np.min(noncritical), ">=",
           _CONGRUENCE_MIN_NONCRITICAL),
-         ("max curvature error", np.max([max_minima_err, max_noncrit_err]),
+         ("max_curvature_error", np.max([max_minima_err, max_noncrit_err]),
           "<=", _CONGRUENCE_TOL)],
     )
 
@@ -658,8 +645,8 @@ def run_suite(suite: str, seed: int, jobs: int = 1,
         else:
             measured = (_measure(name, seed) for name in names)
         outcomes = []
-        for name, (stats, limits) in zip(names, measured):
-            outcome = _judge(name, stats, limits)
+        for name, (facts, limits) in zip(names, measured):
+            outcome = _judge(name, facts, limits)
             if progress is not None:
                 progress(f"check {name}: pass" if outcome.passed
                          else f"check {name}: FAIL ({outcome.detail})")

@@ -68,14 +68,26 @@ def test_eigendecomposition_reconstructs():
         assert np.allclose(evecs.T @ evecs, np.eye(n), atol=1e-10)
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 9, 64])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 64])
 def test_eigenspectrum_matches_eigendecomposition(n):
     a = _random_symmetric(SeededRng(13, n).generator(), n)
     got = symmetric_eigenspectrum(a)
     evals, _ = symmetric_eigendecomposition(a)
+    scale = np.max(np.abs(evals))
     assert got.shape == (n,)
     assert np.all(np.diff(got) <= 0.0)  # descending
-    assert np.max(np.abs(got - evals)) <= 1e-12 * np.max(np.abs(evals))
+    assert np.max(np.abs(got - evals)) <= 1e-12 * scale
+    # an oracle without the eigendecomposition: every value, paired with
+    # one of eigh's orthonormal vectors, leaves a rounding-level residual
+    _, vecs = np.linalg.eigh(a)
+    vecs = vecs[:, ::-1]
+    assert np.allclose(vecs.T @ vecs, np.eye(n), rtol=0.0, atol=1e-13 * n)
+    residuals = np.linalg.norm(a @ vecs - vecs * got, axis=0)
+    assert np.max(residuals) <= 1e-13 * n * scale
+    if n == 3:  # and the roots of the characteristic polynomial
+        roots = _charpoly_eigenvalues_3x3(a)
+        assert roots.shape == (3,)
+        assert np.allclose(got, roots, rtol=0.0, atol=1e-12)
 
 
 def test_trace_and_frobenius_invariants():

@@ -774,16 +774,32 @@ def test_report_off_minimum_takes_dense_path_bit_identical():
 
 def test_dense_path_report_runs_one_kink_guard(monkeypatch):
     # scaled by 0.37 the teacher's outputs round off its targets, so the
-    # report builds the dense Hessian, from its own pass past its own guard
+    # report builds the dense Hessian, from its own pass past its own guard;
+    # on either path the guard's one scan gives the report its kink distance
     arch, data, teacher = _teacher_setup(widths=(2, 8, 1), seed=3, m=48,
                                          bias=True)
-    point = ScaleMap.first_last(arch, 0.37).apply(teacher)
-    guard, calls = nets._kink_guard, []
-    monkeypatch.setattr(nets, "_kink_guard",
-                        lambda *args: calls.append(guard(*args)))
-    report = flatness_report(arch, point, data, SharpnessConfig(1e-2, seed=3))
-    assert report.curvature_path == "hessian"
-    assert len(calls) == 1
+    guard, argmin = nets._kink_guard, nets._kink_argmin
+    guards, scans = [], []
+
+    def spied_guard(*args):
+        guards.append(guard(*args))
+        return guards[-1]
+
+    def spied_argmin(pre):
+        scans.append(argmin(pre))
+        return scans[-1]
+
+    monkeypatch.setattr(nets, "_kink_guard", spied_guard)
+    monkeypatch.setattr(nets, "_kink_argmin", spied_argmin)
+    for alpha, path in ((1.0, "gram"), (0.37, "hessian")):
+        guards.clear()
+        scans.clear()
+        point = ScaleMap.first_last(arch, alpha).apply(teacher)
+        report = flatness_report(arch, point, data,
+                                 SharpnessConfig(1e-2, seed=3))
+        assert report.curvature_path == path
+        assert len(guards) == len(scans) == 1
+        assert report.kink_dist == guards[0] == scans[0][0]
 
 
 def test_report_at_deep_teacher_builds_no_hessian(monkeypatch):

@@ -468,6 +468,21 @@ def test_epsilon_sharp_alpha_shrinks_first_layer_to_radius():
     assert np.isclose(np.linalg.norm(moved.weights[0].ravel()), eps)
 
 
+@pytest.mark.parametrize("scale", (1e-300, 1e-160, 1e160, 1e200))
+def test_epsilon_sharp_alpha_holds_far_from_unit_scale(scale):
+    # squaring these entries goes to zero, subnormal or infinite
+    arch = Architecture((2, 8, 1))
+    _, teacher = make_teacher_student(arch, 3, m=48)
+    params = ParamVector((teacher.weights[0] * scale,) + teacher.weights[1:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alpha = epsilon_sharp_alpha(arch, params, 1e-2)
+    assert 0 < alpha < math.inf
+    moved = ScaleMap.first_last(arch, alpha).apply(params)
+    assert np.linalg.norm(moved.weights[0].ravel()) == pytest.approx(
+        1e-2, rel=4 * np.finfo(float).eps)
+
+
 def test_zero_first_layer():
     params = _params(ARCH2, 10)
     zeroed = zero_first_layer(ARCH2, params)

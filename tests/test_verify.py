@@ -299,36 +299,33 @@ def test_seed_changes_measured_numbers():
 
 
 
-# every limit of every check: its label, relation and the named bound it reads
+# every limit of every check: its stat, relation and the named bound it reads
 LIMITS = (
-    ("equivalence", "max forward deviation", "<=", "_EQUIVALENCE_TOL"),
-    ("derivative_laws", "max gradient law error", "<=", "_GRAD_LAW_TOL"),
-    ("derivative_laws", "max curvature law error", "<=", "_HESS_LAW_TOL"),
-    ("sharpening", "min spectral norm over target", ">=",
-     "_SHARPEN_MIN_MARGIN"),
-    ("sharpening", "max probe deviation", "<=", "_EQUIVALENCE_TOL"),
-    ("many_directions", "min top eigenvalue", ">",
+    ("equivalence", "max_deviation", "<=", "_EQUIVALENCE_TOL"),
+    ("derivative_laws", "max_gradient_error", "<=", "_GRAD_LAW_TOL"),
+    ("derivative_laws", "max_hessian_error", "<=", "_HESS_LAW_TOL"),
+    ("sharpening", "min_spectral_margin", ">=", "_SHARPEN_MIN_MARGIN"),
+    ("sharpening", "max_probe_deviation", "<=", "_EQUIVALENCE_TOL"),
+    ("many_directions", "min_top_eigenvalue", ">",
      "_MANY_MIN_TOP_EIGENVALUE"),
-    ("many_directions", "min directions above target minus guarantee", ">=",
+    ("many_directions", "min_count_minus_guarantee", ">=",
      "_MANY_MIN_SURPLUS"),
-    ("many_directions", "max gradient norm", "<=", "_MANY_GRAD_TOL"),
-    ("volume", "uncertified units", "<=", "_VOLUME_MAX_UNCERTIFIED"),
-    ("volume", "min box increment", ">", "_VOLUME_MIN_INCREMENT"),
-    ("volume", "max constant-volume deviation", "<=", "_VOLUME_CONSTANT_TOL"),
-    ("ball_sharpness", "min sharpness over bound", ">=",
-     "_BALL_MIN_BOUND_RATIO"),
-    ("ball_sharpness", "min sharpness after over before", ">=",
-     "_BALL_MIN_RISE"),
-    ("ball_sharpness", "max probe deviation", "<=", "_EQUIVALENCE_TOL"),
-    ("gradient_blowup", "max slope deviation from -1", "<=", "_SLOPE_TOL"),
-    ("radial", "max round trip", "<=", "_RADIAL_ROUND_TRIP_TOL"),
-    ("radial", "max Jacobian error", "<=", "_RADIAL_JACOBIAN_TOL"),
-    ("radial", "outside points moved", "<=", "_RADIAL_MAX_OUTSIDE_MOVED"),
-    ("curvature_congruence", "max minima miscount", "<=",
+    ("many_directions", "max_grad_norm", "<=", "_MANY_GRAD_TOL"),
+    ("volume", "uncertified_units", "<=", "_VOLUME_MAX_UNCERTIFIED"),
+    ("volume", "min_box_increment", ">", "_VOLUME_MIN_INCREMENT"),
+    ("volume", "max_constant_deviation", "<=", "_VOLUME_CONSTANT_TOL"),
+    ("ball_sharpness", "min_bound_ratio", ">=", "_BALL_MIN_BOUND_RATIO"),
+    ("ball_sharpness", "min_rise", ">=", "_BALL_MIN_RISE"),
+    ("ball_sharpness", "max_probe_deviation", "<=", "_EQUIVALENCE_TOL"),
+    ("gradient_blowup", "max_slope_deviation", "<=", "_SLOPE_TOL"),
+    ("radial", "max_round_trip", "<=", "_RADIAL_ROUND_TRIP_TOL"),
+    ("radial", "max_jacobian_error", "<=", "_RADIAL_JACOBIAN_TOL"),
+    ("radial", "outside_points_moved", "<=", "_RADIAL_MAX_OUTSIDE_MOVED"),
+    ("curvature_congruence", "max_minima_miscount", "<=",
      "_CONGRUENCE_MAX_MISCOUNT"),
-    ("curvature_congruence", "min noncritical points", ">=",
+    ("curvature_congruence", "min_noncritical_points", ">=",
      "_CONGRUENCE_MIN_NONCRITICAL"),
-    ("curvature_congruence", "max curvature error", "<=", "_CONGRUENCE_TOL"),
+    ("curvature_congruence", "max_curvature_error", "<=", "_CONGRUENCE_TOL"),
 )
 
 # a bound that no finite measurement meets under the relation
@@ -352,24 +349,46 @@ def test_limit_table_names_every_check():
     assert {check for check, *_ in LIMITS} == set(CHECKS)
 
 
-@pytest.mark.parametrize("check,label,relation,constant", LIMITS,
+@pytest.mark.parametrize("check,stat,relation,constant", LIMITS,
                          ids=[f"{c}:{b}" for c, _, _, b in LIMITS])
-def test_one_failing_limit_fails_its_check(monkeypatch, check, label,
+def test_one_failing_limit_fails_its_check(monkeypatch, check, stat,
                                            relation, constant):
     seen = _recording(monkeypatch, check)
     bound = UNREACHABLE[relation]
     monkeypatch.setattr(verify, constant, bound)
     outcome = run_suite(check, seed=1).checks[0]
     (_, limits), = seen
-    assert [(lab, rel) for lab, _, rel, _ in limits] == [
-        (lab, rel) for c, lab, rel, _ in LIMITS if c == check]
-    (measured, patched), = [(value, b) for lab, value, _, b in limits
-                            if lab == label]
+    assert [(st, rel) for st, _, rel, _ in limits] == [
+        (st, rel) for c, st, rel, _ in LIMITS if c == check]
+    (measured, patched), = [(value, b) for st, value, _, b in limits
+                            if st == stat]
     assert patched == bound and np.isfinite(measured)
     assert outcome.passed is False
     # only this limit fails, and the detail names its value and bound
     assert outcome.detail == (
-        f"{label} {measured} not {relation} {bound}")
+        f"{stat} {measured} not {relation} {bound}")
+    # the report carries the value, and the infinite bound as None
+    assert outcome.stats[stat] == measured
+    assert (stat, relation, None) in outcome.limits
+
+
+def test_every_limit_is_reported_under_its_stat(monkeypatch):
+    seen = {name: _recording(monkeypatch, name) for name in CHECK_ORDER}
+    report = run_suite("all", seed=1)
+    assert report.passed
+    for outcome in report.checks:
+        (facts, limits), = seen[outcome.name]
+        stats = [stat for stat, *_ in limits]
+        # a fact under a stat's key would be overwritten without a word
+        assert not set(facts) & set(stats)
+        assert list(outcome.stats) == list(facts) + stats
+        assert all(outcome.stats[key] == value
+                   for key, value in facts.items())
+        assert [outcome.stats[stat] for stat in stats] == [
+            verify._finite(measured) for _, measured, _, _ in limits]
+        assert outcome.limits == tuple(
+            (stat, relation, verify._finite(bound))
+            for stat, _, relation, bound in limits)
 
 
 @pytest.mark.parametrize("relation", sorted(UNREACHABLE))
@@ -379,11 +398,12 @@ def test_nan_measurement_fails_under_each_relation(monkeypatch, relation):
     outcome = run_suite("radial", seed=0).checks[0]
     assert outcome.passed is False
     assert outcome.detail == f"probe nan not {relation} 0.0"
+    assert outcome.stats == {"probe": None}
 
 
 def test_cli_prints_failing_detail_and_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(verify, "_RADIAL_JACOBIAN_TOL", -np.inf)
     assert main(["verify", "--suite", "radial", "--seed", "1"]) == 2
     err = capsys.readouterr().err
-    assert re.fullmatch(r"check radial: FAIL \(max Jacobian error "
+    assert re.fullmatch(r"check radial: FAIL \(max_jacobian_error "
                         r"\S+ not <= -inf\)\n", err)
