@@ -434,22 +434,10 @@ def _block_rows(objective: Objective) -> int:
     return max(1, _BLOCK_ELEMENTS // row_elements)
 
 
-def kink_argmin(arch: Architecture, params: ParamVector,
-                data: Dataset) -> tuple[float, int, int, int]:
-    """Smallest hidden-unit preactivation magnitude and where it occurs.
-
-    Returns ``(distance, example, layer, unit)`` with ``layer`` 1-based to
-    match how hidden layers are usually counted. Networks without hidden
-    layers have no kinks; the distance is ``+inf`` and the location fields
-    are ``-1``.
-    """
-    check_params(arch, params)
-    _check_input_width(arch, data.inputs)
-    _, pre = _forward_full(params.weights, params.biases, data.inputs)
-    return _kink_argmin(pre)
-
-
 def _kink_argmin(pre: list[np.ndarray]) -> tuple[float, int, int, int]:
+    """``(distance, example, layer, unit)`` of the smallest hidden-unit
+    preactivation magnitude, ``layer`` 1-based; ``(inf, -1, -1, -1)``
+    without a hidden layer, where there is no kink."""
     best = (np.inf, -1, -1, -1)
     for k, z in enumerate(pre):
         mags = np.abs(z)
@@ -460,7 +448,12 @@ def _kink_argmin(pre: list[np.ndarray]) -> tuple[float, int, int, int]:
 
 
 def kink_distance(arch: Architecture, params: ParamVector, data: Dataset) -> float:
-    return kink_argmin(arch, params, data)[0]
+    """Smallest hidden-unit preactivation magnitude over the data; ``+inf``
+    without a hidden layer."""
+    check_params(arch, params)
+    _check_input_width(arch, data.inputs)
+    _, pre = _forward_full(params.weights, params.biases, data.inputs)
+    return _kink_argmin(pre)[0]
 
 
 def _interval_forward(weights, biases, acts, pre, r: float) -> list[np.ndarray]:

@@ -249,8 +249,12 @@ class ScaleMap:
         coordinate but the last weight block's and the last bias's, which
         pushes many Hessian eigenvalues upward at once."""
         _check_outer(arch, "beta", beta)
-        return cls(arch, (1.0 / beta,) * (arch.depth - 1)
-                   + (float(beta) ** (arch.depth - 1),))
+        try:
+            last = float(beta) ** (arch.depth - 1)
+        except OverflowError:
+            raise ValueError(
+                f"beta {beta} ** {arch.depth - 1} overflows") from None
+        return cls(arch, (1.0 / beta,) * (arch.depth - 1) + (last,))
 
     @property
     def log2_det(self) -> float:

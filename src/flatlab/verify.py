@@ -10,13 +10,14 @@ processes and still judges them in suite order. Reports serialize
 canonically: repeated runs, with any number of jobs, produce identical
 bytes.
 
-A check only measures. It returns its facts, the numbers no limit
-judges, and its limits, each a ``(stat, measured, relation, bound)`` with
-every bound a named module constant. :func:`run_suite` derives the
-report from them: the stats are the facts followed by each limit's
-measured value under its stat, the limits are listed with their bounds,
-and the check passes when every limit holds. A NaN measurement fails its
-limit, since every comparison with NaN is false.
+A check only measures. It returns its units, a table of one float64
+record a unit; its facts, the numbers no limit judges; and its limits,
+each a ``(stat, column, reduction, relation, bound)`` with every bound a
+named module constant. :func:`run_suite` measures each limit as its
+``max``, ``min`` or ``sum`` of its column and derives the report: the
+facts, then each measured value under its stat, then the limits with
+their bounds. A check passes when every limit holds; a NaN unit fails
+every limit on its column, since the reductions propagate NaN.
 """
 
 from __future__ import annotations
@@ -79,24 +80,33 @@ def _finite(x) -> float | None:
     return value if np.isfinite(value) else None
 
 
+def _table(rows, *columns: str) -> np.ndarray:
+    """The unit table: one float64 record per row, fields named ``columns``."""
+    return np.array(list(map(tuple, rows)), [(c, np.float64) for c in columns])
+
+
+_REDUCTIONS = {"max": np.max, "min": np.min, "sum": np.sum}
 _RELATIONS = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}
 
 
-def _judge(name: str, facts: dict, limits) -> CheckOutcome:
-    """Report the facts, then each limit's measured value under its stat,
-    and each limit as ``(stat, relation, bound)``; a value or bound that is
-    not finite is reported as None. Pass when every limit holds; the
-    detail names each one that fails, its numbers in shortest round-trip
-    form so a near miss stays visible."""
+def _judge(name: str, units: np.ndarray, facts: dict, limits) -> CheckOutcome:
+    """Measure each limit as its reduction of its column of ``units``, and
+    report the facts, then each measured value under its stat, and each
+    limit as ``(stat, relation, bound)``; a value or bound that is not
+    finite is reported as None. Pass when every limit holds; the detail
+    names each one that fails, its numbers in shortest round-trip form so
+    a near miss stays visible."""
+    judged = [(stat, _REDUCTIONS[reduction](units[column]), relation, bound)
+              for stat, column, reduction, relation, bound in limits]
     stats = dict(facts)
-    stats.update((stat, _finite(measured)) for stat, measured, _, _ in limits)
+    stats.update((stat, _finite(measured)) for stat, measured, _, _ in judged)
     failing = [f"{stat} {measured} not {relation} {bound}"
-               for stat, measured, relation, bound in limits
+               for stat, measured, relation, bound in judged
                if not _RELATIONS[relation](measured, bound)]
     return CheckOutcome(
         name, not failing, stats,
         tuple((stat, relation, _finite(bound))
-              for stat, _, relation, bound in limits),
+              for stat, _, relation, bound in judged),
         "; ".join(failing))
 
 
@@ -108,14 +118,14 @@ _EQUIVALENCE_TRIPLES = 1000
 _EQUIVALENCE_TOL = 1e-9
 
 
-def _equivalence_units(seed: int) -> np.ndarray:
-    """Per ``equivalence`` unit: the forward deviation of its moved point.
+def _check_equivalence(seed: int) -> tuple[np.ndarray, dict, list]:
+    """Transformed parameters realize the same function, point by point.
 
     Unit i draws from family i % 3, each of which moves the point: the
     two-layer scale, then the deep scale without and with biases.
     """
 
-    def one(i: int) -> float:
+    def one(i: int) -> tuple[float]:
         gen = SeededRng.of(_unit_seed(seed, 1, i), "unit").generator()
         family = i % 3
         if family == 0:  # two-layer scale
@@ -136,17 +146,12 @@ def _equivalence_units(seed: int) -> np.ndarray:
             alphas = tuple(head) + (1.0 / float(np.prod(head)),)
             moved = ScaleMap(arch, alphas).apply(params)
         x = gen.uniform(-2.0, 2.0, size=(1, arch.input_width))
-        return forward_deviation(arch, params, moved, x)
+        return (forward_deviation(arch, params, moved, x),)
 
-    return np.array([one(i) for i in range(_EQUIVALENCE_TRIPLES)])
-
-
-def _check_equivalence(seed: int) -> tuple[dict, list]:
-    """Transformed parameters realize the same function, point by point."""
     return (
+        _table(map(one, range(_EQUIVALENCE_TRIPLES)), "deviation"),
         {"triples": _EQUIVALENCE_TRIPLES},
-        [("max_deviation", np.max(_equivalence_units(seed)), "<=",
-          _EQUIVALENCE_TOL)],
+        [("max_deviation", "deviation", "max", "<=", _EQUIVALENCE_TOL)],
     )
 
 
@@ -159,7 +164,7 @@ _GRAD_LAW_TOL = 1e-8
 _HESS_LAW_TOL = 1e-12
 
 
-def _check_derivative_laws(seed: int) -> tuple[dict, list]:
+def _check_derivative_laws(seed: int) -> tuple[np.ndarray, dict, list]:
     """Predicted derivatives at the moved point match re-evaluation."""
     pool = (
         ((2, 3, 1), False),
@@ -197,12 +202,12 @@ def _check_derivative_laws(seed: int) -> tuple[dict, list]:
             return grad_err, hess_err
         raise RuntimeError(f"no smooth point found for unit {i}")
 
-    worst_grad, worst_hess = np.max(
-        [one(i) for i in range(_DERIVATIVE_POINTS)], axis=0)
     return (
+        _table(map(one, range(_DERIVATIVE_POINTS)),
+               "gradient_error", "hessian_error"),
         {"points": _DERIVATIVE_POINTS},
-        [("max_gradient_error", worst_grad, "<=", _GRAD_LAW_TOL),
-         ("max_hessian_error", worst_hess, "<=", _HESS_LAW_TOL)],
+        [("max_gradient_error", "gradient_error", "max", "<=", _GRAD_LAW_TOL),
+         ("max_hessian_error", "hessian_error", "max", "<=", _HESS_LAW_TOL)],
     )
 
 
@@ -216,9 +221,10 @@ _SHARPEN_ARCHS = (6 * (((2, 8, 1), False),) + 4 * (((2, 8, 1), True),)
                   + 5 * (((2, 4, 1), False),) + 5 * (((3, 4, 4, 1), False),))
 
 
-def _sharpening_units(seed: int) -> np.ndarray:
-    """(units, targets, 3): each unit's alpha, spectral norm of D H D over
-    the target, and forward deviation of the moved teacher, per target."""
+def _check_sharpening(seed: int) -> tuple[np.ndarray, dict, list]:
+    """Closed-form scale choices drive the spectral norm past each target.
+    A row per unit and target: alpha, the spectral norm of D H D over the
+    target, and the forward deviation of the moved teacher."""
 
     def one(i: int) -> list:
         widths, bias = _SHARPEN_ARCHS[i]
@@ -237,18 +243,12 @@ def _sharpening_units(seed: int) -> np.ndarray:
                 arch, teacher, scale.apply(teacher), probes)))
         return rows
 
-    return np.array([one(i) for i in range(len(_SHARPEN_ARCHS))])
-
-
-def _check_sharpening(seed: int) -> tuple[dict, list]:
-    """Closed-form scale choices drive the spectral norm past each target."""
-    units = _sharpening_units(seed)
     return (
+        _table((row for i in range(len(_SHARPEN_ARCHS)) for row in one(i)),
+               "alpha", "margin", "deviation"),
         {"minima": len(_SHARPEN_ARCHS), "targets": list(_SHARPEN_TARGETS)},
-        [("min_spectral_margin", np.min(units[..., 1]), ">=",
-          _SHARPEN_MIN_MARGIN),
-         ("max_probe_deviation", np.max(units[..., 2]), "<=",
-          _EQUIVALENCE_TOL)],
+        [("min_spectral_margin", "margin", "min", ">=", _SHARPEN_MIN_MARGIN),
+         ("max_probe_deviation", "deviation", "max", "<=", _EQUIVALENCE_TOL)],
     )
 
 
@@ -263,7 +263,7 @@ _MANY_MIN_SURPLUS = 0  # directions above target, minus the guarantee
 _MANY_GRAD_TOL = 1e-6
 
 
-def _check_many_directions(seed: int) -> tuple[dict, list]:
+def _check_many_directions(seed: int) -> tuple[np.ndarray, dict, list]:
     """Layer-wise scaling pushes almost the whole rank past the target."""
 
     def one(i: int) -> tuple:
@@ -288,18 +288,20 @@ def _check_many_directions(seed: int) -> tuple[dict, list]:
         beta = max(1.0, 4.0 * float(np.sqrt(_MANY_TARGET / evals[rank - 1])))
         moved = ScaleMap.many_directions(arch, beta).hessian(hess)
         count = int(np.sum(symmetric_eigenspectrum(moved) > _MANY_TARGET))
-        return lam1, rank, guarantee, count, grad_norm
+        return lam1, rank, guarantee, count - guarantee, grad_norm
 
-    lam1s, ranks, guarantees, counts, grad_norms = zip(
-        *(one(i) for i in range(len(_MANY_UNITS))))
+    units = _table(map(one, range(len(_MANY_UNITS))), "top_eigenvalue",
+                   "rank", "guarantee", "surplus", "grad_norm")
     return (
+        units,
         {"points": len(_MANY_UNITS), "target": _MANY_TARGET,
-         "min_rank": min(ranks), "min_guarantee": min(guarantees)},
-        [("min_top_eigenvalue", np.min(lam1s), ">", _MANY_MIN_TOP_EIGENVALUE),
-         ("min_count_minus_guarantee",
-          min(c - g for c, g in zip(counts, guarantees)), ">=",
+         "min_rank": int(np.min(units["rank"])),
+         "min_guarantee": int(np.min(units["guarantee"]))},
+        [("min_top_eigenvalue", "top_eigenvalue", "min", ">",
+          _MANY_MIN_TOP_EIGENVALUE),
+         ("min_count_minus_guarantee", "surplus", "min", ">=",
           _MANY_MIN_SURPLUS),
-         ("max_grad_norm", np.max(grad_norms), "<=", _MANY_GRAD_TOL)],
+         ("max_grad_norm", "grad_norm", "max", "<=", _MANY_GRAD_TOL)],
     )
 
 
@@ -315,7 +317,7 @@ _VOLUME_UNITS = (
     ((3, 4, 4, 1), False, False),  # the deep construction
 )
 _VOLUME_BOXES = 20
-_VOLUME_MAX_UNCERTIFIED = 0  # units whose chain is not valid and disjoint
+_VOLUME_MAX_UNCERTIFIED = 0  # units whose chain is not valid
 _VOLUME_MIN_INCREMENT = 0.0  # strict: every box adds volume
 _VOLUME_CONSTANT_TOL = 1e-9
 
@@ -331,7 +333,7 @@ def _volume_certificate(seed: int, i: int):
         samples_per_box=48, rng=SeededRng.of(unit, "witness"))
 
 
-def _check_volume(seed: int) -> tuple[dict, list]:
+def _check_volume(seed: int) -> tuple[np.ndarray, dict, list]:
     """Certified lower bound keeps growing box after box."""
 
     def one(i: int) -> tuple:
@@ -341,19 +343,19 @@ def _check_volume(seed: int) -> tuple[dict, list]:
         constant_dev = 0.0
         if _VOLUME_UNITS[i][2]:  # equal block sizes
             constant_dev = float(np.max(np.abs(increments - cert.v)) / cert.v)
-        return (cert.valid and cert.disjointness_verified, bounds[-1],
-                np.min(increments), constant_dev)
+        return not cert.valid, bounds[-1], np.min(increments), constant_dev
 
-    certified, bounds, increments, constant_devs = zip(
-        *(one(i) for i in range(len(_VOLUME_UNITS))))
+    units = _table(map(one, range(len(_VOLUME_UNITS))), "uncertified",
+                   "lower_bound", "min_increment", "constant_deviation")
     return (
+        units,
         {"points": len(_VOLUME_UNITS), "boxes": _VOLUME_BOXES,
-         "min_lower_bound": _finite(np.min(bounds))},
-        [("uncertified_units", certified.count(False), "<=",
+         "min_lower_bound": _finite(np.min(units["lower_bound"]))},
+        [("uncertified_units", "uncertified", "sum", "<=",
           _VOLUME_MAX_UNCERTIFIED),
-         ("min_box_increment", np.min(increments), ">",
+         ("min_box_increment", "min_increment", "min", ">",
           _VOLUME_MIN_INCREMENT),
-         ("max_constant_deviation", np.max(constant_devs), "<=",
+         ("max_constant_deviation", "constant_deviation", "max", "<=",
           _VOLUME_CONSTANT_TOL)],
     )
 
@@ -399,17 +401,18 @@ def _ball_units(seed: int) -> list[tuple]:
     return [(*ascents[i], *units[i][3:]) for i in range(_BALL_UNITS)]
 
 
-def _check_ball_sharpness(seed: int) -> tuple[dict, list]:
+def _check_ball_sharpness(seed: int) -> tuple[np.ndarray, dict, list]:
     """After rescaling, the ball reaches the zero-first-layer loss level."""
-    before, after, bounds, deviations = zip(*_ball_units(seed))
-    ratios = [a.value / b if b > 0 else np.inf for a, b in zip(after, bounds)]
-    rises = [a.value / b.value if b.value > 0 else np.inf
-             for a, b in zip(after, before)]
     return (
+        _table(((after.value / bound if bound > 0 else np.inf,
+                 after.value / before.value if before.value > 0 else np.inf,
+                 deviation)
+                for before, after, bound, deviation in _ball_units(seed)),
+               "ratio", "rise", "deviation"),
         {"minima": _BALL_UNITS, "epsilon": _BALL_EPSILON},
-        [("min_bound_ratio", np.min(ratios), ">=", _BALL_MIN_BOUND_RATIO),
-         ("min_rise", np.min(rises), ">=", _BALL_MIN_RISE),
-         ("max_probe_deviation", np.max(deviations), "<=", _EQUIVALENCE_TOL)],
+        [("min_bound_ratio", "ratio", "min", ">=", _BALL_MIN_BOUND_RATIO),
+         ("min_rise", "rise", "min", ">=", _BALL_MIN_RISE),
+         ("max_probe_deviation", "deviation", "max", "<=", _EQUIVALENCE_TOL)],
     )
 
 
@@ -421,10 +424,10 @@ _SLOPE_UNITS = 3
 _SLOPE_TOL = 0.05
 
 
-def _check_gradient_slope(seed: int) -> tuple[dict, list]:
+def _check_gradient_slope(seed: int) -> tuple[np.ndarray, dict, list]:
     """Log-log slope of gradient norm against the scale factor is -1."""
 
-    def one(i: int) -> float:
+    def one(i: int) -> tuple[float, float]:
         arch = Architecture((2, 4, 1))
         gen = SeededRng.of(_unit_seed(seed, 7, i), "unit").generator()
         index = FlatIndex(arch)
@@ -449,13 +452,14 @@ def _check_gradient_slope(seed: int) -> tuple[dict, list]:
             moved = alpha_scale_two_layer(arch, params, float(alpha))
             norms.append(np.linalg.norm(nets.gradient(arch, moved, data)))
         slope = float(np.polyfit(np.log(alphas_grid), np.log(norms), 1)[0])
-        return slope
+        return slope, abs(slope + 1.0)
 
-    slopes = [one(i) for i in range(_SLOPE_UNITS)]
+    units = _table(map(one, range(_SLOPE_UNITS)), "slope", "slope_deviation")
     return (
-        {"points": _SLOPE_UNITS, "slopes": [_finite(s) for s in slopes]},
-        [("max_slope_deviation", np.max(np.abs(np.add(slopes, 1.0))), "<=",
-          _SLOPE_TOL)],
+        units,
+        {"points": _SLOPE_UNITS,
+         "slopes": [_finite(s) for s in units["slope"]]},
+        [("max_slope_deviation", "slope_deviation", "max", "<=", _SLOPE_TOL)],
     )
 
 
@@ -470,7 +474,7 @@ _RADIAL_JACOBIAN_TOL = 1e-5
 _RADIAL_MAX_OUTSIDE_MOVED = 0  # points outside the ball not mapped exactly
 
 
-def _check_radial(seed: int) -> tuple[dict, list]:
+def _check_radial(seed: int) -> tuple[np.ndarray, dict, list]:
     """Round trips, printed Jacobian, and bitwise identity outside.
 
     Each band draws its points one at a time, then evaluates them in
@@ -499,7 +503,7 @@ def _check_radial(seed: int) -> tuple[dict, list]:
         return cols.reshape(len(u), _RADIAL_DIM, _RADIAL_DIM).transpose(0, 2, 1)
 
     def one(band_index: int) -> tuple:
-        _, lo, hi = bands[band_index]
+        band, lo, hi = bands[band_index]
         local = SeededRng.of(_unit_seed(seed, 8, 1 + band_index),
                              "unit").generator()
         directions = np.empty((_RADIAL_POINTS, _RADIAL_DIM))
@@ -521,14 +525,16 @@ def _check_radial(seed: int) -> tuple[dict, list]:
             scale = np.maximum(_row_norms(jac.reshape(len(u), -1)), 1.0)
             jacs.append(np.max(err / scale))
             moved += int(np.sum(np.any((v != u) | (w != u), axis=1)))
-        return np.max(rounds), np.max(jacs), moved
+        return np.max(rounds), np.max(jacs), moved if band == "outer" else 0
 
-    rounds, jacs, moved = zip(*(one(i) for i in range(len(bands))))
     return (
+        _table(map(one, range(len(bands))), "round_trip", "jacobian_error",
+               "outside_points_moved"),
         {"points_per_region": _RADIAL_POINTS, "dim": _RADIAL_DIM},
-        [("max_round_trip", np.max(rounds), "<=", _RADIAL_ROUND_TRIP_TOL),
-         ("max_jacobian_error", np.max(jacs), "<=", _RADIAL_JACOBIAN_TOL),
-         ("outside_points_moved", moved[2], "<=",
+        [("max_round_trip", "round_trip", "max", "<=", _RADIAL_ROUND_TRIP_TOL),
+         ("max_jacobian_error", "jacobian_error", "max", "<=",
+          _RADIAL_JACOBIAN_TOL),
+         ("outside_points_moved", "outside_points_moved", "sum", "<=",
           _RADIAL_MAX_OUTSIDE_MOVED)],
     )
 
@@ -549,7 +555,7 @@ _CONGRUENCE_UNITS = (
 )
 
 
-def _check_curvature_congruence(seed: int) -> tuple[dict, list]:
+def _check_curvature_congruence(seed: int) -> tuple[np.ndarray, dict, list]:
     """Transformed curve curvature equals the congruence prediction."""
 
     def one(i: int) -> tuple:
@@ -560,22 +566,22 @@ def _check_curvature_congruence(seed: int) -> tuple[dict, list]:
             np.max([p.rel_err for p in points] or [np.inf])
             for points in (demo.minima, demo.noncritical))
         return (abs(len(demo.minima) - expected), len(demo.noncritical),
-                minima_err, noncrit_err)
+                minima_err, noncrit_err, np.max([minima_err, noncrit_err]))
 
-    miscounts, noncritical, minima_errs, noncrit_errs = zip(
-        *(one(i) for i in range(len(_CONGRUENCE_UNITS))))
-    max_minima_err = np.max(minima_errs)
-    max_noncrit_err = np.max(noncrit_errs)
+    units = _table(map(one, range(len(_CONGRUENCE_UNITS))), "minima_miscount",
+                   "noncritical_points", "minimum_error", "noncritical_error",
+                   "curvature_error")
     return (
+        units,
         {"demos": len(_CONGRUENCE_UNITS),
-         "max_minimum_error": _finite(max_minima_err),
-         "max_noncritical_error": _finite(max_noncrit_err)},
-        [("max_minima_miscount", np.max(miscounts), "<=",
+         "max_minimum_error": _finite(np.max(units["minimum_error"])),
+         "max_noncritical_error": _finite(np.max(units["noncritical_error"]))},
+        [("max_minima_miscount", "minima_miscount", "max", "<=",
           _CONGRUENCE_MAX_MISCOUNT),
-         ("min_noncritical_points", np.min(noncritical), ">=",
+         ("min_noncritical_points", "noncritical_points", "min", ">=",
           _CONGRUENCE_MIN_NONCRITICAL),
-         ("max_curvature_error", np.max([max_minima_err, max_noncrit_err]),
-          "<=", _CONGRUENCE_TOL)],
+         ("max_curvature_error", "curvature_error", "max", "<=",
+          _CONGRUENCE_TOL)],
     )
 
 
@@ -601,7 +607,7 @@ SUITES = {name: (name,) for name in CHECK_ORDER}
 SUITES["all"] = CHECK_ORDER
 
 
-def _measure(name: str, seed: int) -> tuple[dict, list]:
+def _measure(name: str, seed: int) -> tuple[np.ndarray, dict, list]:
     # looked up by name, so a worker runs the entry its parent held at fork
     return CHECKS[name](seed)
 
@@ -645,8 +651,8 @@ def run_suite(suite: str, seed: int, jobs: int = 1,
         else:
             measured = (_measure(name, seed) for name in names)
         outcomes = []
-        for name, (facts, limits) in zip(names, measured):
-            outcome = _judge(name, facts, limits)
+        for name, (units, facts, limits) in zip(names, measured):
+            outcome = _judge(name, units, facts, limits)
             if progress is not None:
                 progress(f"check {name}: pass" if outcome.passed
                          else f"check {name}: FAIL ({outcome.detail})")

@@ -19,8 +19,8 @@ from flatlab.metrics import (SharpnessConfig, epsilon_sharpness,
                              flatness_report, volume_flatness_certificate)
 from flatlab.nets import (Architecture, Dataset, FlatIndex, Objective,
                           ParamVector, check_params, checkpoint_payload,
-                          forward, gradient, hessian, kink_argmin,
-                          kink_distance, load_checkpoint, loss,
+                          forward, gradient, hessian, kink_distance,
+                          load_checkpoint, loss,
                           loss_and_gradient, uniform_params, unvec, vec)
 from flatlab.rng import SeededRng
 from flatlab.serialize import to_json
@@ -118,7 +118,6 @@ WIDTH_ENTRY_POINTS = {
     "loss_and_gradient": loss_and_gradient,
     "gradient": gradient,
     "hessian": hessian,
-    "kink_argmin": kink_argmin,
     "kink_distance": kink_distance,
     "Objective": lambda a, p, d: Objective(a, d),
     "epsilon_sharpness": lambda a, p, d: epsilon_sharpness(a, p, d, _SHARPNESS),
@@ -290,8 +289,9 @@ def test_kink_refusal_names_the_band():
     assert str(exc).startswith("kink proximity")
     assert f"<= band {exc.band:.3e}" in str(exc)
     assert exc.band > exc.distance > 0.0
+    _, pre = nets._forward_full(params.weights, params.biases, data.inputs)
     assert ((exc.distance, exc.example_index, exc.layer, exc.unit)
-            == kink_argmin(arch, params, data))
+            == nets._kink_argmin(pre))
 
 
 def test_kink_band_carries_error_from_layer_below():
@@ -646,7 +646,8 @@ def test_kink_argmin_matches_enumeration():
     params = uniform_params(arch, SeededRng(26).generator())
     gen = SeededRng(27).generator()
     data = Dataset(gen.uniform(-1, 1, (5, 2)), np.zeros(5))
-    dist, example, layer, unit = kink_argmin(arch, params, data)
+    _, pres = nets._forward_full(params.weights, params.biases, data.inputs)
+    dist, example, layer, unit = nets._kink_argmin(pres)
     pre = data.inputs @ params.weights[0] + params.biases[0]
     assert layer == 1
     assert np.isclose(dist, np.min(np.abs(pre)))

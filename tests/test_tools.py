@@ -46,11 +46,11 @@ def test_digest_repeats_its_lines():
     assert first.returncode == 0, first.stderr
     assert first.stdout == second.stdout
     lines = first.stdout.splitlines()
-    # the suite and its nine checks, the equivalence units' deviations, the
-    # sharpening units' alphas, margins and deviations, the ball_sharpness
-    # units' ascents, five volume certificates, two benchmark certificates,
-    # eight benchmark reports, twelve fixed reports and four notebooks
-    assert len(lines) == 44
+    # the suite and its nine checks, the nine checks' unit tables, the
+    # ball_sharpness units' ascents, five volume certificates, two benchmark
+    # certificates, eight benchmark reports, twelve fixed reports and four
+    # notebooks
+    assert len(lines) == 51
     assert lines[0].startswith("suite/all/seed=5 ")
     names = [line.split(" ")[0] for line in lines]
     assert len(set(names)) == len(names)

@@ -125,6 +125,9 @@ def test_scale_map_rejects_non_positive_factors():
         ScaleMap.first_last(ARCH2, 0.0)
     with pytest.raises(ValueError, match="beta must be > 0, got -2.0"):
         ScaleMap.many_directions(ARCH3, -2.0)
+    # the last factor beta ** (K - 1) leaves the floats
+    with pytest.raises(ValueError, match=r"^beta 1e\+200 \*\* 2 overflows$"):
+        ScaleMap.many_directions(ARCH3, 1e200)
 
 
 def test_scale_map_constructors_need_two_layers():

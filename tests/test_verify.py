@@ -109,7 +109,8 @@ def _stub_checks(monkeypatch) -> list:
     def stub(name):
         def check(seed):
             calls.append((name, seed, os.getpid()))
-            return {"seed": seed}, [("seed", seed, ">=", 0)]
+            return (np.array([(seed,)], [("seed", np.float64)]),
+                    {"seed": seed}, [("seed", "seed", "min", ">=", 0)])
         return check
 
     for name in CHECK_ORDER:
@@ -234,24 +235,36 @@ def test_equivalence_units_cycle_the_three_families(monkeypatch):
     assert {arch.depth for arch in archs[1::3]} == {2, 3, 4}
 
 
-def test_equivalence_reports_the_worst_of_its_units():
-    units = verify._equivalence_units(3)
-    assert units.dtype == np.float64
-    assert units.shape == (verify._EQUIVALENCE_TRIPLES,)
-    stats = run_suite("equivalence", 3).checks[0].stats
-    assert stats["max_deviation"] == units.max()
+# rows of each check's unit table
+UNIT_ROWS = {
+    "equivalence": verify._EQUIVALENCE_TRIPLES,
+    "derivative_laws": verify._DERIVATIVE_POINTS,
+    "sharpening": len(verify._SHARPEN_ARCHS) * len(verify._SHARPEN_TARGETS),
+    "many_directions": len(verify._MANY_UNITS),
+    "volume": len(verify._VOLUME_UNITS),
+    "ball_sharpness": verify._BALL_UNITS,
+    "gradient_blowup": verify._SLOPE_UNITS,
+    "radial": 3,  # the inner, middle and outer bands
+    "curvature_congruence": len(verify._CONGRUENCE_UNITS),
+}
 
 
-def test_sharpening_reports_the_worst_of_its_units():
-    units = verify._sharpening_units(3)
-    assert units.dtype == np.float64
-    assert units.shape == (len(verify._SHARPEN_ARCHS),
-                           len(verify._SHARPEN_TARGETS), 3)
-    alphas = units[..., 0].ravel()
-    assert all(math.frexp(alpha)[0] == 0.5 for alpha in alphas)
-    stats = run_suite("sharpening", 3).checks[0].stats
-    assert stats["min_spectral_margin"] == units[..., 1].min()
-    assert stats["max_probe_deviation"] == units[..., 2].max()
+@pytest.mark.parametrize("name", CHECK_ORDER)
+def test_check_reports_the_reductions_of_its_units(name, monkeypatch):
+    seen = _recording(monkeypatch, name)
+    stats = run_suite(name, 3).checks[0].stats
+    (units, _, limits), = seen
+    assert units.shape == (UNIT_ROWS[name],)
+    assert units.dtype.names
+    assert all(units.dtype[field] == np.float64
+               for field in units.dtype.names)
+    for stat, column, reduction, _, _ in limits:
+        assert column in units.dtype.names
+        assert reduction in ("max", "min", "sum")
+        assert stats[stat] == verify._finite(
+            getattr(np, reduction)(units[column]))
+    if name == "sharpening":
+        assert all(math.frexp(alpha)[0] == 0.5 for alpha in units["alpha"])
 
 
 def test_sharpening_passes_at_forty_seeds():
@@ -357,11 +370,11 @@ def test_one_failing_limit_fails_its_check(monkeypatch, check, stat,
     bound = UNREACHABLE[relation]
     monkeypatch.setattr(verify, constant, bound)
     outcome = run_suite(check, seed=1).checks[0]
-    (_, limits), = seen
-    assert [(st, rel) for st, _, rel, _ in limits] == [
+    (units, _, limits), = seen
+    assert [(st, rel) for st, _, _, rel, _ in limits] == [
         (st, rel) for c, st, rel, _ in LIMITS if c == check]
-    (measured, patched), = [(value, b) for st, value, _, b in limits
-                            if st == stat]
+    (measured, patched), = [(getattr(np, red)(units[col]), b)
+                            for st, col, red, _, b in limits if st == stat]
     assert patched == bound and np.isfinite(measured)
     assert outcome.passed is False
     # only this limit fails, and the detail names its value and bound
@@ -377,7 +390,7 @@ def test_every_limit_is_reported_under_its_stat(monkeypatch):
     report = run_suite("all", seed=1)
     assert report.passed
     for outcome in report.checks:
-        (facts, limits), = seen[outcome.name]
+        (units, facts, limits), = seen[outcome.name]
         stats = [stat for stat, *_ in limits]
         # a fact under a stat's key would be overwritten without a word
         assert not set(facts) & set(stats)
@@ -385,16 +398,18 @@ def test_every_limit_is_reported_under_its_stat(monkeypatch):
         assert all(outcome.stats[key] == value
                    for key, value in facts.items())
         assert [outcome.stats[stat] for stat in stats] == [
-            verify._finite(measured) for _, measured, _, _ in limits]
+            verify._finite(getattr(np, reduction)(units[column]))
+            for _, column, reduction, _, _ in limits]
         assert outcome.limits == tuple(
             (stat, relation, verify._finite(bound))
-            for stat, _, relation, bound in limits)
+            for stat, _, _, relation, bound in limits)
 
 
 @pytest.mark.parametrize("relation", sorted(UNREACHABLE))
 def test_nan_measurement_fails_under_each_relation(monkeypatch, relation):
     monkeypatch.setitem(CHECKS, "radial", lambda seed: (
-        {}, [("probe", np.nan, relation, 0.0)]))
+        np.array([(0.0,), (np.nan,)], [("probe", np.float64)]), {},
+        [("probe", "probe", "max", relation, 0.0)]))
     outcome = run_suite("radial", seed=0).checks[0]
     assert outcome.passed is False
     assert outcome.detail == f"probe nan not {relation} 0.0"

@@ -3,10 +3,9 @@
     python3 tools/digest.py SEED [SEED ...]
 
 For each seed: the canonical JSON of ``run_suite("all", seed)`` and of
-each of its checks' outcomes, the float64 bytes of every ``equivalence``
-unit's deviation and of every ``sharpening`` unit's alpha, spectral
-margin and deviation at each target, every ``ball_sharpness`` unit's two
-ascent results (value repr, offset bytes, discard count), of the volume
+each of its checks' outcomes, the float64 bytes of each check's unit
+table (``<check>-units``), every ``ball_sharpness`` unit's two ascent
+results (value repr, offset bytes, discard count), of the volume
 certificate of each ``volume`` check unit, of the two volume certificates the
 ``report_wide`` benchmark builds at that seed, and of the eight
 ``flatness_report`` outputs the ``suite_jobs2`` benchmark builds at that
@@ -122,12 +121,10 @@ def digest_lines(seeds) -> list[str]:
         for i, name in enumerate(verify.CHECK_ORDER):
             lines.append(_line(f"suite/{name}/seed={seed}",
                                lambda: suite()["checks"][i]))
-        lines.append(_line(f"equivalence-units/seed={seed}",
-                           lambda: verify._equivalence_units(seed),
-                           render=lambda units: units.tobytes()))
-        lines.append(_line(f"sharpening-units/seed={seed}",
-                           lambda: verify._sharpening_units(seed),
-                           render=lambda units: units.tobytes()))
+        for name in verify.CHECK_ORDER:
+            lines.append(_line(f"{name}-units/seed={seed}",
+                               lambda: verify._measure(name, seed)[0],
+                               render=lambda units: units.tobytes()))
         lines.append(_line(f"ball-ascents/seed={seed}",
                            lambda: _ball_ascents(seed), render=str))
         for i, (widths, bias, _) in enumerate(verify._VOLUME_UNITS):
